@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import bound_table, rational_sqrt_floor, safe_a_squared, make_p_a
-from .linalg import format_scalar, min_entry, poly_eval_matrix
+from .linalg import format_scalar
 from .paths import all_nu, EnumerationCapExceeded
 from .witness import SCALE_SWEEP, WitnessReport, search_witness, _verified_report
 

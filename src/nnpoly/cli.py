@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ def _config_dict(args, keys):
 
 def cmd_bound(args):
     d = linalg.parse_poly(args.d) if args.d else None
-    nu_values = paths.all_nu(args.n, cap=args.cap, workers=args.threads) if args.nu else None
+    nu_values = paths.all_nu(args.n, cap=args.cap) if args.nu else None
     table = families.bound_table(args.n, d=d, nu_values=nu_values)
     payload = {"config": _config_dict(args, ["n", "nu"]), **table.to_json()}
     _emit(payload, args)
@@ -45,34 +44,30 @@ def cmd_bound(args):
 
 def cmd_certify(args):
     a_sq = Fraction(args.a_sq) if args.a_sq else families.safe_a_squared(args.n)
-    report = paths.build_certificate(args.n, a_sq, cap=args.cap, workers=args.threads)
+    report = paths.build_certificate(args.n, a_sq, cap=args.cap)
     payload = {"config": {"n": str(args.n), "a_sq": str(a_sq)}, **report.to_json()}
     _emit(payload, args)
     return EXIT_OK if report.verdict else EXIT_FALSIFIED
 
 
 def cmd_enumerate(args):
-    gen = paths.enumerate_monomials(args.n, args.j, cap=args.cap)
     if args.count:
-        total = sum(1 for _ in gen)
+        total = paths.count_monomials(args.n, args.j, cap=args.cap)
         _emit({"config": _config_dict(args, ["n", "j"]), "count": total}, args)
     else:
+        gen = paths.enumerate_monomials(args.n, args.j, cap=args.cap)
         _emit(None, args, text="".join(",".join(map(str, m)) + "\n" for m in gen))
     return EXIT_OK
 
 
 def cmd_nu(args):
-    nu = paths.exact_nu(args.n, args.k, cap=args.cap, workers=args.threads)
+    nu = paths.exact_nu(args.n, args.k, cap=args.cap)
     payload = {
         "config": _config_dict(args, ["n", "k"]),
         "n": args.n, "k": args.k, "nu": nu, "mu": families.mu(args.n, args.k),
     }
     _emit(payload, args)
     return EXIT_OK
-
-
-def _witness_payload(args, rep, extra_cfg):
-    return {"config": extra_cfg, **rep.to_json()}
 
 
 def cmd_falsify(args):
@@ -150,20 +145,26 @@ def cmd_transform(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR; argparse's own code 2 would read
+    as "falsified"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nnpoly",
         description="Polynomials preserving nonnegative matrices: certified "
         "coefficient bounds, exhaustive proof checking, witness search.",
     )
-    default_threads = int(os.environ.get("NNPOLY_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False, cap=False, out=True):
+    def common(p, cap=False, out=True):
         if out:
             p.add_argument("--out", help="write the report to a file")
-        if threads:
-            p.add_argument("--threads", type=int, default=default_threads)
         if cap:
             p.add_argument("--cap", type=int, default=paths.DEFAULT_CAP,
                            help="enumeration size guard")
@@ -172,14 +173,14 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", help="comma-separated positive weights d_0..d_2n")
     p.add_argument("--nu", action="store_true",
-                   help="sharpen with exact pre-image counts (enumerates M_n)")
-    common(p, threads=True, cap=True)
+                   help="sharpen with exact pre-image counts (census of M_n)")
+    common(p, cap=True)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("certify", help="exhaustive proof check for p_a at order n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a-sq", help='rational cap on a^2, e.g. "2" or "4/3" (default: certified cap)')
-    common(p, threads=True, cap=True)
+    common(p, cap=True)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("enumerate", help="list path monomials 1 -> ... -> 2")
@@ -192,7 +193,7 @@ def build_parser():
     p = sub.add_parser("nu", help="exact maximal pre-image count of cycle deletion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p, threads=True, cap=True)
+    common(p, cap=True)
     p.set_defaults(func=cmd_nu)
 
     p = sub.add_parser("falsify", help="search for a nonnegative matrix with p(A) < 0 somewhere")

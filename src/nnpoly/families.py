@@ -57,6 +57,8 @@ def safe_a_squared(n: int, d=None) -> Fraction:
 
     The k = n row (all-ones: 4/1) encodes the diagonal-entry condition.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if d is None:
         d = [Fraction(1)] * (2 * n + 1)
     elif len(d) != 2 * n + 1:

@@ -80,13 +80,6 @@ def min_entry(A):
 # A polynomial is a coefficient list, constant term first.
 
 
-def poly_degree(coeffs):
-    for d in range(len(coeffs) - 1, -1, -1):
-        if coeffs[d] != 0:
-            return d
-    return None  # zero polynomial
-
-
 def poly_eval(coeffs, x):
     """Horner on a scalar (works for Fraction, float, complex)."""
     acc = 0 * x
@@ -97,6 +90,8 @@ def poly_eval(coeffs, x):
 
 def poly_eval_matrix(coeffs, A):
     """Horner on a matrix: sum_d coeffs[d] * A**d."""
+    if not coeffs:
+        raise ValueError("empty coefficient list")
     n = order_of(A)
     one = A[0][0] * 0 + 1
     I = identity(n, one)

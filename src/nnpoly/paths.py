@@ -9,19 +9,21 @@ For monomials of length n a repeated vertex is forced, so each one
 carries a minimal cycle length k in 1..n-1.  Duplicating the first
 k-cycle in place gives the injective map into length n+k; deleting it
 gives the map into length n-k whose pre-images are bounded by mu(n,k).
-Verifying those two facts by exhaustive enumeration, plus the coefficient
-cap, certifies that p_a preserves nonnegativity at order n.
+Verifying those two facts over all of M_n, plus the coefficient cap,
+certifies that p_a preserves nonnegativity at order n.  The census of M_n
+visits one path per orbit of the relabelings of vertices 3..n and weighs
+it by the orbit size, which is exact because every map involved commutes
+with relabeling.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import mu, safe_a_squared, make_p_a
+from .families import mu
 from .linalg import is_nonneg, mat_pow, order_of
 
 DEFAULT_CAP = 10**8
@@ -40,11 +42,17 @@ def _check_cap(n: int, j: int, cap: int):
     return total
 
 
-def enumerate_monomials(n: int, j: int, cap: int = DEFAULT_CAP):
-    """All n^(j-1) vertex sequences (1, i_1, ..., i_{j-1}, 2), lexicographic."""
+def count_monomials(n: int, j: int, cap: int = DEFAULT_CAP) -> int:
+    """n^(j-1), the number of paths enumerate_monomials yields, under the
+    same guards."""
     if n < 2 or j < 1:
         raise ValueError("need n >= 2 and j >= 1")
-    _check_cap(n, j, cap)
+    return _check_cap(n, j, cap)
+
+
+def enumerate_monomials(n: int, j: int, cap: int = DEFAULT_CAP):
+    """All n^(j-1) vertex sequences (1, i_1, ..., i_{j-1}, 2), lexicographic."""
+    count_monomials(n, j, cap)
     for interior in itertools.product(range(1, n + 1), repeat=j - 1):
         yield (1, *interior, 2)
 
@@ -89,7 +97,8 @@ def first_cycle(m, k: int):
     for p in range(len(m) - k):
         if m[p] == m[p + k]:
             seg = m[p : p + k]
-            assert len(set(seg)) == k, "first k-cycle must be simple"
+            if len(set(seg)) != k:
+                raise AssertionError("first k-cycle must be simple")
             return (p, k)
     raise AssertionError("unreachable")
 
@@ -110,66 +119,99 @@ def psi(m, cyc):
     return m[:p] + m[p + k :]
 
 
-# -- exhaustive verification over M_n ---------------------------------------
+# -- census of M_n, one path per relabeling orbit ----------------------------
+#
+# Relabeling vertices 3..n (1 and 2 are the fixed endpoints) commutes with
+# min_cycle_length, first_cycle, phi and psi, so every question the proof
+# asks about M_n is asked once per orbit.  An orbit's canonical member has
+# its labels >= 3 in first-occurrence order 3, 4, ...; with r such labels
+# it stands for the falling factorial (n-2)_r paths.
 
 
-def _tally_chunk(n, lo, hi):
-    """Per-k (count, phi-image set, psi-image counter) over an index range."""
-    stats = {}
-    for idx in range(lo, hi):
-        m = path_from_index(n, n, idx)
+def _orbit_sizes(n):
+    """(n-2)_r for r = 0..n-2."""
+    sizes = [1]
+    for r in range(n - 2):
+        sizes.append(sizes[-1] * (n - 2 - r))
+    return sizes
+
+
+def _orbit_representatives(n):
+    """(path, r) for one path of length n per orbit, r its labels >= 3.
+
+    Depth-first: each interior vertex is 1, 2, a label >= 3 already used,
+    or the next unused one.
+    """
+    stack = [((1,), 0)]
+    while stack:
+        m, r = stack.pop()
+        if len(m) == n:
+            yield m + (2,), r
+            continue
+        for v in range(1, min(r + 3, n) + 1):
+            stack.append((m + (v,), r + (v == r + 3)))
+
+
+def _canonical(m):
+    """The orbit's canonical member: labels >= 3 renumbered 3, 4, ... in
+    order of first occurrence."""
+    relabel = {1: 1, 2: 2}
+    for v in m:
+        if v not in relabel:
+            relabel[v] = len(relabel) + 1
+    return tuple(relabel[v] for v in m)
+
+
+def _census(n: int, cap: int = DEFAULT_CAP):
+    """{k: (|M_{n,k}|, phi injective on M_{n,k}, nu(n,k))} over all of M_n.
+
+    phi(m) inserts the cycle after its first occurrence, so it keeps both
+    the vertex set and the first-occurrence order: phi of a canonical path
+    is canonical and in an orbit of the same size.  Hence phi is injective
+    on a class iff its representatives have distinct phi images.  psi
+    commutes with relabeling, so a canonical target g with r_g labels >= 3
+    has sum over representatives m with canon(psi(m)) = g of
+    (n-2)_{r_m} / (n-2)_{r_g} pre-images, each term an exact integer.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    _check_cap(n, n, cap)
+    size = _orbit_sizes(n)
+    tally = {}  # k -> [count, representatives, phi images, psi target -> weight]
+    for m, r in _orbit_representatives(n):
         k = min_cycle_length(m)
         cyc = first_cycle(m, k)
-        if k not in stats:
-            stats[k] = [0, set(), Counter()]
-        entry = stats[k]
-        entry[0] += 1
-        entry[1].add(phi(m, cyc))
-        entry[2][psi(m, cyc)] += 1
-    return stats
+        entry = tally.get(k)
+        if entry is None:
+            entry = tally[k] = [0, 0, set(), Counter()]
+        entry[0] += size[r]
+        entry[1] += 1
+        entry[2].add(phi(m, cyc))
+        entry[3][_canonical(psi(m, cyc))] += size[r]
+    # a canonical g uses the labels 1..max(g), so r_g = max(g) - 2
+    return {
+        k: (count, len(phis) == reps,
+            max(w // size[max(g) - 2] for g, w in psis.items()))
+        for k, (count, reps, phis, psis) in sorted(tally.items())
+    }
 
 
-def _merge_stats(acc, other):
-    for k, (cnt, phis, psis) in other.items():
-        if k not in acc:
-            acc[k] = [0, set(), Counter()]
-        acc[k][0] += cnt
-        acc[k][1] |= phis
-        acc[k][2].update(psis)
-    return acc
-
-
-def _tally_all(n, cap=DEFAULT_CAP, workers=1):
-    total = _check_cap(n, n, cap)
-    if workers <= 1 or total < 4096:
-        return _tally_chunk(n, 0, total), total
-    chunk = -(-total // workers)
-    bounds = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    acc = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # merged in chunk order, so the result is scheduling-independent
-        for stats in pool.map(_tally_chunk, *zip(*bounds)):
-            _merge_stats(acc, stats)
-    return acc, total
-
-
-def partition_stats(n: int, cap: int = DEFAULT_CAP, workers: int = 1):
+def partition_stats(n: int, cap: int = DEFAULT_CAP):
     """[(k, |M_{n,k}|)] for k = 1..n-1; counts sum to n^(n-1)."""
-    stats, _ = _tally_all(n, cap, workers)
-    return [(k, stats[k][0]) for k in sorted(stats)]
+    return [(k, count) for k, (count, _, _) in _census(n, cap).items()]
 
 
-def exact_nu(n: int, k: int, cap: int = DEFAULT_CAP, workers: int = 1) -> int:
+def exact_nu(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
     """Exact maximal pre-image cardinality of the cycle-deletion map on M_{n,k}."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range 1..{n - 1}")
-    stats, _ = _tally_all(n, cap, workers)
-    return max(stats[k][2].values())
+    return _census(n, cap)[k][2]
 
 
-def all_nu(n: int, cap: int = DEFAULT_CAP, workers: int = 1):
-    stats, _ = _tally_all(n, cap, workers)
-    return [max(stats[k][2].values()) for k in sorted(stats)]
+def all_nu(n: int, cap: int = DEFAULT_CAP):
+    return [nu for _, _, nu in _census(n, cap).values()]
 
 
 @dataclass
@@ -191,10 +233,8 @@ class CertificateReport:
         }
 
 
-def build_certificate(
-    n: int, a_sq, cap: int = DEFAULT_CAP, workers: int = 1
-) -> CertificateReport:
-    """Enumerate all of M_n and check every ingredient of the membership proof.
+def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport:
+    """Census all of M_n and check every ingredient of the membership proof.
 
     Verdict true means: the minimal-cycle classes partition M_n, cycle
     duplication is injective on each class, every exact pre-image count is
@@ -204,14 +244,11 @@ def build_certificate(
     a_sq = Fraction(a_sq)
     if not a_sq > 0:
         raise ValueError("a_sq must be positive")
-    stats, total = _tally_all(n, cap, workers)
+    stats = _census(n, cap)
     per_k = []
-    ok = sum(s[0] for s in stats.values()) == total
+    ok = sum(cnt for cnt, _, _ in stats.values()) == n ** (n - 1)
     ok &= set(stats) == set(range(1, n))
-    for k in sorted(stats):
-        cnt, phis, psis = stats[k]
-        inj = len(phis) == cnt
-        nu = max(psis.values())
+    for k, (cnt, inj, nu) in stats.items():
         m = mu(n, k)
         per_k.append((k, cnt, inj, nu, m))
         ok &= inj and nu <= m and a_sq <= Fraction(4, m)

@@ -80,7 +80,8 @@ def cycle_witness(n: int, a, t=Fraction(1)) -> WitnessReport:
     A = mat_scale(t, cyclic_shift(n + 1))
     C = poly_eval_matrix(coeffs, A)
     value = C[0][n]
-    assert value == -a * t**n, "exact evaluation disagrees with construction"
+    if value != -a * t**n:
+        raise AssertionError("exact evaluation disagrees with construction")
     return WitnessReport(
         poly=coeffs, m=n + 1, matrix=A, entry=(1, n + 1), value=value,
         method="structured-cycle",

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -63,6 +64,21 @@ def test_enumerate_count(capsys):
     code, out = run(capsys, "enumerate", "--n", "3", "--j", "3", "--count")
     assert code == 0
     assert json.loads(out)["count"] == 9
+
+
+@pytest.mark.parametrize("n, j", [(2, 1), (2, 4), (3, 3), (4, 2), (4, 4)])
+def test_enumerate_count_matches_listing(capsys, n, j):
+    _, out = run(capsys, "enumerate", "--n", str(n), "--j", str(j), "--count")
+    count = json.loads(out)["count"]
+    _, out = run(capsys, "enumerate", "--n", str(n), "--j", str(j))
+    assert count == len(out.splitlines()) == n ** (j - 1)
+
+
+def test_enumerate_count_does_not_walk(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "enumerate", "--n", "10", "--j", "9", "--count")
+    assert code == 0 and json.loads(out)["count"] == 10**8
+    assert time.perf_counter() - start < 5  # walking 10^8 paths takes minutes
 
 
 def test_enumerate_listing(capsys):
@@ -150,3 +166,38 @@ def test_output_file(tmp_path, capsys):
     code, _ = run(capsys, "bound", "--n", "2", "--out", str(dest))
     assert code == 0
     assert json.loads(dest.read_text())["safe_a_sq"] == "2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "x"],
+    ["certify"],
+    ["bound", "--n", "3", "--bogus"],
+    ["no-such-command"],
+])
+def test_usage_error_exits_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--n", "1"],
+    ["bound", "--n", "1", "--nu"],
+    ["certify", "--n", "1"],
+    ["certify", "--n", "0", "--a-sq", "1"],
+    ["nu", "--n", "1", "--k", "1"],
+    ["nu", "--n", "-3", "--k", "1"],
+])
+def test_small_n_rejected(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: n must be >= 2\n"

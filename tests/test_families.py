@@ -69,6 +69,12 @@ def test_safe_a_squared(n, expected):
     assert safe_a_squared(n) == expected
 
 
+@pytest.mark.parametrize("n", [1, 0])
+def test_safe_a_squared_rejects_small_n(n):
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        safe_a_squared(n)
+
+
 def test_safe_a_squared_dominated_by_k1_row():
     for n in range(2, 9):
         assert safe_a_squared(n) <= F(4, n)

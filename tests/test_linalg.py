@@ -69,6 +69,11 @@ def test_poly_eval_matrix_1x1_witness():
     assert poly_eval_matrix([F(-1), F(0), F(1)], [[F(0)]]) == [[F(-1)]]
 
 
+def test_poly_eval_matrix_empty_poly():
+    with pytest.raises(ValueError):
+        poly_eval_matrix([], identity(2))
+
+
 def test_min_entry():
     assert min_entry(identity(2)) == (F(0), 1, 2)
     assert min_entry([[F(-1), F(3)], [F(2), F(0)]]) == (F(-1), 1, 1)

@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnpoly
 from nnpoly.families import mu, safe_a_squared
 from nnpoly.paths import (
     EnumerationCapExceeded,
     all_nu,
     build_certificate,
+    count_monomials,
     enumerate_monomials,
     exact_nu,
     first_cycle,
@@ -53,6 +58,15 @@ def test_enumerate_lexicographic_matches_index():
 def test_enumerate_cap_guard():
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_monomials(10, 12, cap=10**6))
+
+
+def test_count_monomials():
+    assert count_monomials(3, 3) == len(list(enumerate_monomials(3, 3))) == 9
+    assert count_monomials(10, 12, cap=10**11) == 10**11
+    with pytest.raises(EnumerationCapExceeded):
+        count_monomials(10, 12, cap=10**6)
+    with pytest.raises(ValueError):
+        count_monomials(1, 3)
 
 
 def test_min_cycle_length_loop():
@@ -126,10 +140,6 @@ def test_partition_sums_to_total():
         assert [k for k, _ in stats] == list(range(1, n))
 
 
-def test_partition_stats_parallel_matches_serial():
-    assert partition_stats(5, workers=4) == partition_stats(5)
-
-
 def test_exact_nu_small():
     assert exact_nu(2, 1) == 2
     assert exact_nu(3, 2) == 3
@@ -145,6 +155,8 @@ def test_exact_nu_bounded_by_mu():
 def test_exact_nu_k_out_of_range():
     with pytest.raises(ValueError):
         exact_nu(3, 3)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        exact_nu(1, 1)
 
 
 def test_build_certificate_n2():
@@ -159,11 +171,6 @@ def test_build_certificate_n3():
 
 def test_build_certificate_rejects_huge_a():
     assert not build_certificate(3, F(100)).verdict
-
-
-def test_build_certificate_parallel():
-    rep = build_certificate(4, safe_a_squared(4), workers=3)
-    assert rep.verdict
 
 
 def test_certificate_json_roundtrip():
@@ -224,3 +231,21 @@ def test_end_to_end_membership_on_random():
         for _ in range(20):
             A = [[F(rng.randint(0, 12), 4) for _ in range(n)] for _ in range(n)]
             assert verify_certificate_on_matrix(n, cap, A)
+
+
+def test_first_cycle_check_survives_optimize():
+    # a wrong minimal length makes the leftmost cycle non-simple; the check
+    # must raise even with asserts stripped by -O
+    script = (
+        "from nnpoly import paths\n"
+        "paths.min_cycle_length = lambda m: 2\n"
+        "try:\n"
+        "    paths.first_cycle((1, 1, 1, 2), 2)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('non-simple cycle accepted')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nnpoly.__file__))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import nnpoly
 from nnpoly.families import make_p_a
 from nnpoly.linalg import poly_eval_matrix
 from nnpoly.witness import WitnessReport, cycle_witness, search_witness
@@ -99,3 +103,20 @@ def test_soundness_exact_value():
     if rep is not None:
         C = poly_eval_matrix(rep.poly, rep.matrix)
         assert C[rep.entry[0] - 1][rep.entry[1] - 1] == rep.value < 0
+
+
+def test_cycle_witness_check_survives_optimize():
+    # a wrong evaluation must be caught even with asserts stripped by -O
+    script = (
+        "from nnpoly import witness\n"
+        "witness.poly_eval_matrix = lambda p, A: [[0] * len(A) for _ in A]\n"
+        "try:\n"
+        "    witness.cycle_witness(2, 1)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('wrong evaluation accepted')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nnpoly.__file__))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
