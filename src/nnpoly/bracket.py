@@ -17,7 +17,10 @@ from .linalg import format_scalar
 from .paths import all_nu, EnumerationCapExceeded
 from .witness import SCALE_SWEEP, WitnessReport, search_witness, _verified_report
 
-NU_FEASIBLE_LIMIT = 7  # n^(n-1) stays under ~300k
+# Not read by the package: certified_cap sharpens whenever the census fits
+# the enumeration cap.  perfbench/make_reference.py records certified_cap
+# up to this n.
+NU_FEASIBLE_LIMIT = 7
 CANDIDATE_DENOM = 10**4
 
 
@@ -48,10 +51,11 @@ class BoundEstimate:
 
 
 def certified_cap(n: int, sharpen: bool = True):
-    """(a^2 cap, provenance).  Sharpened caps use exact pre-image counts."""
+    """(a^2 cap, provenance).  Sharpened caps use exact pre-image counts,
+    whenever the census of M_n fits the default enumeration cap."""
     cap = safe_a_squared(n)
     provenance = "mu-formula cap"
-    if sharpen and n <= NU_FEASIBLE_LIMIT:
+    if sharpen:
         try:
             nus = all_nu(n)
         except EnumerationCapExceeded:

@@ -18,13 +18,15 @@ with relabeling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .families import mu
-from .linalg import is_nonneg, mat_pow, order_of
+from .linalg import exact_powers, is_nonneg, order_of
 
 DEFAULT_CAP = 10**8
 
@@ -176,6 +178,13 @@ def _census(n: int, cap: int = DEFAULT_CAP):
     if n < 2:
         raise ValueError("n must be >= 2")
     _check_cap(n, n, cap)
+    return _census_of(n)
+
+
+@functools.cache
+def _census_of(n):
+    """_census without the guards, computed once per n and read-only, since
+    every caller shares the one result."""
     size = _orbit_sizes(n)
     tally = {}  # k -> [count, representatives, phi images, psi target -> weight]
     for m, r in _orbit_representatives(n):
@@ -189,11 +198,11 @@ def _census(n: int, cap: int = DEFAULT_CAP):
         entry[2].add(phi(m, cyc))
         entry[3][_canonical(psi(m, cyc))] += size[r]
     # a canonical g uses the labels 1..max(g), so r_g = max(g) - 2
-    return {
+    return MappingProxyType({
         k: (count, len(phis) == reps,
             max(w // size[max(g) - 2] for g, w in psis.items()))
         for k, (count, reps, phis, psis) in sorted(tally.items())
-    }
+    })
 
 
 def partition_stats(n: int, cap: int = DEFAULT_CAP):
@@ -297,26 +306,37 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         if max(psis.values()) > mu(n, k):
             return False  # psi-image budget exceeded
         covered += lhs_sum
-    positive_part = sum(
-        mat_pow(A, j)[0][1] for j in range(1, 2 * n + 1) if j != n
-    )
-    return covered <= positive_part
+    S, _, E = _p_a_parts(n, A)
+    return covered <= Fraction(S[0][1], E)
+
+
+def _p_a_parts(n: int, A):
+    """(S, N, E) with sum_{j != n} A^j = S/E and A^n = N/E, where S and N
+    are integer matrices and E = D^(2n) for A = B/D; so p_a(A) = (S - a*N)/E.
+
+    S = sum_{j != n} B^j D^(2n-j) and N = B^n D^n, from one pass of powers.
+    """
+    D, powers = exact_powers(A, 2 * n)
+    scale = [D**i for i in range(2 * n + 1)]
+    m = len(A)
+    S = [[sum(P[r][c] * scale[2 * n - j] for j, P in enumerate(powers) if j != n)
+          for c in range(m)] for r in range(m)]
+    N = [[x * scale[n] for x in row] for row in powers[n]]
+    return S, N, scale[2 * n]
 
 
 def verify_certificate_on_matrix(n: int, a_sq, A) -> bool:
     """End-to-end sanity: certificate verdict implies p_a(A) >= 0 entrywise.
 
     a = sqrt(a_sq) may be irrational, so entries s - a*b (s, b >= 0 exact
-    rationals) are signed via s >= 0 and s^2 >= a_sq * b^2.
+    rationals) are signed via s >= 0 and s^2 >= a_sq * b^2.  On the integer
+    parts S, N of _p_a_parts, with a_sq = p/q, that is s >= 0 and
+    s^2 * q >= p * b^2.
     """
     a_sq = Fraction(a_sq)
-    S = mat_pow(A, 0)
-    for j in range(1, 2 * n + 1):
-        if j != n:
-            S = [[s + x for s, x in zip(rs, rx)] for rs, rx in zip(S, mat_pow(A, j))]
-    B = mat_pow(A, n)
-    for rs, rb in zip(S, B):
-        for s, b in zip(rs, rb):
-            if s < 0 or s * s < a_sq * b * b:
-                return False
-    return True
+    p, q = a_sq.numerator, a_sq.denominator
+    S, N, _ = _p_a_parts(n, A)
+    return all(
+        s >= 0 and s * s * q >= p * b * b
+        for rs, rb in zip(S, N) for s, b in zip(rs, rb)
+    )

@@ -9,6 +9,7 @@ inconclusive, never a membership proof.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,13 +125,22 @@ def search_witness(
         rep = _verified_report(coeffs, A, "search")
         if rep is not None:
             return rep
-    coeffs_f = [float(c) for c in coeffs]
+    coeffs_f = []
+    for d, c in enumerate(coeffs):
+        try:
+            coeffs_f.append(float(c))
+        except OverflowError:
+            raise ValueError(
+                f"coefficient of x^{d} is too large for the float search"
+            ) from None
     factors = [0.0, 0.25, 0.5, 0.8, 0.95, 1.05, 1.25, 2.0, 4.0]
     for idx in range(starts):
         rng = random.Random(f"{seed}:{idx}")
         scale = float(SCALE_SWEEP[idx % len(SCALE_SWEEP)])
         A = [[rng.random() * scale for _ in range(m)] for _ in range(m)]
         obj = _float_objective(coeffs_f, A)
+        if not math.isfinite(obj):
+            obj = math.inf  # any finite candidate beats it
         for _ in range(iterations):
             i, j = rng.randrange(m), rng.randrange(m)
             base = A[i][j]
@@ -139,7 +149,7 @@ def search_witness(
                 cand = base * f if base else scale * f * rng.random()
                 A[i][j] = max(cand, 0.0)
                 val = _float_objective(coeffs_f, A)
-                if val < best_val:
+                if val < best_val and math.isfinite(val):
                     best_val, best = val, A[i][j]
             A[i][j] = best
             obj = best_val

@@ -25,6 +25,18 @@ def test_certified_cap_n3_sharpened():
     assert cap >= safe_a_squared(3)
 
 
+def test_certified_cap_n8_sharpened():
+    cap, prov = certified_cap(8)
+    assert cap == F(1, 540)  # 4 / nu(8,6) = 4/1020 > 4/2160
+    assert prov == "nu-sharpened cap (exact pre-image enumeration)"
+    assert cap > safe_a_squared(8) == F(1, 2520)
+
+
+def test_certified_cap_n10_falls_back_to_mu_formula():
+    # 10^9 paths exceed the default enumeration cap
+    assert certified_cap(10) == (safe_a_squared(10), "mu-formula cap")
+
+
 def test_bracket_n2():
     est = bracket_optimal_a(2, steps=8, starts=4, iterations=60)
     assert est.a_lo_sq >= F(2)

@@ -86,6 +86,24 @@ def test_census_cap_is_on_all_paths():
         _census(5, cap=5**4 - 1)
 
 
+def test_census_computed_once_per_n(monkeypatch):
+    from nnpoly import paths
+
+    walks = []
+    walk = paths._orbit_representatives
+    monkeypatch.setattr(paths, "_orbit_representatives",
+                        lambda n: walks.append(n) or walk(n))
+    paths._census_of.cache_clear()
+    first = _census(6)
+    assert _census(6) is first
+    assert walks == [6]
+    with pytest.raises(EnumerationCapExceeded):
+        _census(6, cap=6**5 - 1)  # the cap still holds after a cached success
+    with pytest.raises(TypeError):
+        first[1] = (0, False, 0)
+    assert walks == [6] and first == brute_census(6)
+
+
 @pytest.mark.parametrize("n", [1, 0])
 def test_census_rejects_small_n(n):
     with pytest.raises(ValueError, match="n must be >= 2"):

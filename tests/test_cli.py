@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +128,23 @@ def test_search_a(capsys):
     payload = json.loads(out)
     assert Fraction(payload["a_lo"]) <= Fraction(payload["a_hi"])
     assert "witness" in payload
+
+
+def test_search_a_n3_report_is_pinned(capsys):
+    # recorded before the exact kernel moved onto integers; the float
+    # search and the exact re-verification must reproduce it byte for byte
+    golden = (Path(__file__).parent / "data" / "search_a_n3_seed0.json").read_text()
+    code, out = run(capsys, "search-a", "--n", "3", "--seed", "0")
+    assert code == 0
+    assert out == golden
+
+
+def test_falsify_float_overflow_is_usage_error(capsys):
+    code = main(["falsify", "--coeffs=-1,0,1e400", "--m", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: coefficient of x^2 is too large for the float search\n"
 
 
 def test_byte_identical_reports(capsys):

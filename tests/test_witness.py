@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 import nnpoly
 from nnpoly.families import make_p_a
+from nnpoly import witness
 from nnpoly.linalg import poly_eval_matrix
 from nnpoly.witness import WitnessReport, cycle_witness, search_witness
 
@@ -120,3 +122,45 @@ def test_cycle_witness_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_search_rejects_coefficient_too_large_for_float():
+    with pytest.raises(ValueError, match=r"coefficient of x\^2 is too large"):
+        search_witness([F(-1), F(0), F(10**400)], 1)
+
+
+def fake_objective(coeffs_f, A):
+    """-x on [0, 1], then -inf up to 2, then nan: the search descends into
+    the non-finite region unless it refuses it."""
+    x = A[0][0]
+    return -x if x <= 1 else -math.inf if x <= 2 else math.nan
+
+
+def rationalized(monkeypatch, objective):
+    """Run a search with a scripted float objective; return the float
+    matrices handed to exact re-verification."""
+    seen = []
+    rationalize = witness._rationalize
+    monkeypatch.setattr(witness, "_float_objective", objective)
+    monkeypatch.setattr(witness, "_rationalize", lambda A: seen.append(A) or rationalize(A))
+    return seen
+
+
+def test_search_never_moves_to_non_finite_objective(monkeypatch):
+    seen = rationalized(monkeypatch, fake_objective)
+    starts = 9  # one per scale, 1/16 .. 16
+    assert search_witness([F(1)], 1, starts=starts, iterations=30) is None
+    assert len(seen) == starts
+    assert all(math.isfinite(fake_objective(None, A)) for A in seen)
+
+
+def test_search_start_with_non_finite_objective_begins_at_inf(monkeypatch):
+    calls = []
+
+    def first_nan(coeffs_f, A):
+        calls.append(A)
+        return math.nan if len(calls) == 1 else -A[0][0]
+
+    seen = rationalized(monkeypatch, first_nan)
+    assert search_witness([F(1)], 1, starts=1, iterations=5) is None
+    assert len(seen) == 1 and seen[0][0][0] > 0
