@@ -5,10 +5,10 @@ entries carry (Fraction for exact work, float inside search loops).  All
 certification verdicts elsewhere in the package must be computed on
 Fraction matrices; floats are for exploration only.
 
-Exact work runs on Python integers: a rational matrix is written A = B/D,
-with D the lcm of its entry denominators and B an int matrix, so products
-and sums never normalise a Fraction.  mat_mul and mat_pow stay generic and
-serve as the reference.
+exact_powers is the exact kernel: it writes a rational matrix as A = B/D,
+with D the lcm of its entry denominators and B an int matrix, and builds
+the powers of B on Python integers, so no product or sum normalises a
+Fraction.  mat_mul and mat_pow stay generic and serve as the reference.
 
 Rows and columns are reported 1-based to match the usual vertex labels;
 storage is 0-based.
@@ -40,7 +40,7 @@ def mat_mul(A, B):
     if order_of(B) != n:
         raise ValueError(f"order mismatch: {n} vs {order_of(B)}")
     Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
 def mat_pow(A, j):
@@ -60,31 +60,20 @@ def mat_pow(A, j):
     return result
 
 
-def _clear_denominators(A):
-    """(B, D) with A = B/D: D the lcm of the entry denominators, B integer."""
-    D = lcm(*(x.denominator for row in A for x in row))
-    return [[x.numerator * (D // x.denominator) for x in row] for row in A], D
-
-
-def _int_mul(A, B):
-    """mat_mul for int matrices of one order, without its checks."""
-    Bt = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
-
-
 def exact_powers(A, top):
     """(D, [B^0, ..., B^top]) with A = B/D, so A^j = B^j / D^j.
 
-    A holds int or Fraction entries; each power is one integer product of
-    the previous one with B.
+    A holds int or Fraction entries and D is the lcm of their denominators;
+    each power is one integer mat_mul of the previous one with B.
     """
     if top < 0:
         raise ValueError("exponent must be >= 0")
     n = order_of(A)
-    B, D = _clear_denominators(A)
+    D = lcm(*(x.denominator for row in A for x in row))
+    B = [[x.numerator * (D // x.denominator) for x in row] for row in A]
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for _ in range(top):
-        powers.append(_int_mul(powers[-1], B))
+        powers.append(mat_mul(powers[-1], B))
     return D, powers
 
 
@@ -123,40 +112,11 @@ def poly_eval(coeffs, x):
     return acc
 
 
-_EXACT = (int, Fraction)
-
-
-def _is_exact(xs):
-    return all(isinstance(x, _EXACT) for x in xs)
-
-
 def poly_eval_matrix(coeffs, A):
-    """Horner on a matrix: sum_d coeffs[d] * A**d.
-
-    With int/Fraction coefficients and entries the result is exact, with
-    Fraction entries: Horner runs on B = D*A with integer coefficients
-    c_d * L * D^(deg-d), L the lcm of the coefficient denominators, and
-    each entry is divided by L * D^deg once at the end.  Any other scalar
-    type goes through the generic Horner, whose float rounding the witness
-    search depends on.
-    """
+    """Horner on a matrix: sum_d coeffs[d] * A**d."""
     if not coeffs:
         raise ValueError("empty coefficient list")
     n = order_of(A)
-    # the first entry turns float input away without a scan: the float
-    # search calls this in its inner loop
-    if isinstance(A[0][0], _EXACT) and _is_exact(coeffs) and all(map(_is_exact, A)):
-        B, D = _clear_denominators(A)
-        (scaled,), L = _clear_denominators([coeffs])
-        acc = [[scaled[-1] * (i == j) for j in range(n)] for i in range(n)]
-        Dk = 1
-        for c in reversed(scaled[:-1]):
-            Dk *= D
-            acc = _int_mul(acc, B)
-            for i in range(n):
-                acc[i][i] += c * Dk
-        den = L * Dk
-        return [[Fraction(x, den) for x in row] for row in acc]
     one = A[0][0] * 0 + 1
     I = identity(n, one)
     acc = mat_scale(coeffs[-1] * one, I)

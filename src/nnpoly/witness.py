@@ -139,8 +139,8 @@ def search_witness(
         scale = float(SCALE_SWEEP[idx % len(SCALE_SWEEP)])
         A = [[rng.random() * scale for _ in range(m)] for _ in range(m)]
         obj = _float_objective(coeffs_f, A)
-        if not math.isfinite(obj):
-            obj = math.inf  # any finite candidate beats it
+        if math.isnan(obj):
+            obj = math.inf  # nan compares false, so nothing could beat it
         for _ in range(iterations):
             i, j = rng.randrange(m), rng.randrange(m)
             base = A[i][j]
@@ -149,7 +149,7 @@ def search_witness(
                 cand = base * f if base else scale * f * rng.random()
                 A[i][j] = max(cand, 0.0)
                 val = _float_objective(coeffs_f, A)
-                if val < best_val and math.isfinite(val):
+                if val < best_val:  # false for nan; -inf is re-verified exactly
                     best_val, best = val, A[i][j]
             A[i][j] = best
             obj = best_val

@@ -1,9 +1,8 @@
 """The integer kernel of exact evaluation against Fraction oracles.
 
 The oracles are the Fraction list-of-lists implementations that the kernel
-replaced: Horner through mat_mul, powers by mat_pow from scratch for each j,
-and the membership and decomposition checks built on them.  They must agree
-exactly.
+replaced: powers by mat_pow from scratch for each j, and the membership and
+decomposition checks built on them.  They must agree exactly.
 """
 
 import random
@@ -18,14 +17,12 @@ from hypothesis import strategies as st
 from nnpoly.families import mu, safe_a_squared
 from nnpoly.linalg import (
     exact_powers,
-    identity,
     is_nonneg,
     mat_add,
     mat_mul,
     mat_pow,
     mat_scale,
     order_of,
-    poly_eval_matrix,
 )
 from nnpoly.paths import (
     enumerate_monomials,
@@ -44,14 +41,9 @@ F = Fraction
 # -- oracles ---------------------------------------------------------------
 
 
-def horner_oracle(coeffs, A):
-    n = order_of(A)
-    one = A[0][0] * 0 + 1
-    I = identity(n, one)
-    acc = mat_scale(coeffs[-1] * one, I)
-    for c in reversed(coeffs[:-1]):
-        acc = mat_add(mat_mul(acc, A), mat_scale(c * one, I))
-    return acc
+def mat_mul_oracle(A, B):
+    Bt = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
 def verify_oracle(n, a_sq, A):
@@ -132,9 +124,6 @@ def matrices(entry, max_order=4):
     )
 
 
-coefficients = st.lists(st.one_of(st.integers(-9, 9), rational), min_size=1, max_size=7)
-
-
 # -- the powers kernel ---------------------------------------------------------
 
 
@@ -154,28 +143,27 @@ def test_powers_reject_negative_exponent():
         exact_powers([[F(1)]], -1)
 
 
-# -- exact Horner --------------------------------------------------------------
-
-
-@settings(max_examples=120, deadline=None)
-@given(coefficients, matrices(rational))
-def test_exact_horner_matches_fraction_horner(coeffs, A):
-    assert poly_eval_matrix(coeffs, A) == horner_oracle(coeffs, A)
-
-
-def test_exact_horner_int_matrix_and_big_denominators():
-    A = [[2, 0, -1], [1, 3, 0], [0, 1, 1]]
-    coeffs = [F(1, 10**6), -3, F(7, 999_983), 1]
-    assert poly_eval_matrix(coeffs, A) == horner_oracle(coeffs, A)
-    assert poly_eval_matrix([F(-1), F(0), F(1)], [[F(1, 3)]]) == [[F(-8, 9)]]
+# -- the product it is built on -------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-4, 4), min_size=1, max_size=6),
-       matrices(st.floats(0, 8), max_order=3))
-def test_float_horner_is_unchanged(coeffs, A):
-    # the float search's rounding, and so every bracket, depends on this
-    assert poly_eval_matrix(coeffs, A) == horner_oracle(coeffs, A)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.tuples(*[st.lists(st.lists(st.floats(-8, 8), min_size=m, max_size=m),
+                                   min_size=m, max_size=m)] * 2)))
+def test_float_mat_mul_rounding_is_unchanged(AB):
+    # same additions in the same order: the float search, and so every
+    # bracket, depends on this rounding
+    A, B = AB
+    assert mat_mul(A, B) == mat_mul_oracle(A, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.tuples(*[st.lists(st.lists(rational, min_size=m, max_size=m),
+                                   min_size=m, max_size=m)] * 2)))
+def test_exact_mat_mul_matches_oracle(AB):
+    A, B = AB
+    assert mat_mul(A, B) == mat_mul_oracle(A, B)
 
 
 # -- membership check ----------------------------------------------------------

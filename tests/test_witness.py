@@ -130,8 +130,7 @@ def test_search_rejects_coefficient_too_large_for_float():
 
 
 def fake_objective(coeffs_f, A):
-    """-x on [0, 1], then -inf up to 2, then nan: the search descends into
-    the non-finite region unless it refuses it."""
+    """-x on [0, 1], then -inf up to 2, then nan."""
     x = A[0][0]
     return -x if x <= 1 else -math.inf if x <= 2 else math.nan
 
@@ -146,15 +145,27 @@ def rationalized(monkeypatch, objective):
     return seen
 
 
-def test_search_never_moves_to_non_finite_objective(monkeypatch):
+def test_search_moves_to_negative_inf_never_to_nan(monkeypatch):
     seen = rationalized(monkeypatch, fake_objective)
     starts = 9  # one per scale, 1/16 .. 16
     assert search_witness([F(1)], 1, starts=starts, iterations=30) is None
     assert len(seen) == starts
-    assert all(math.isfinite(fake_objective(None, A)) for A in seen)
+    objectives = [fake_objective(None, A) for A in seen]
+    assert not any(math.isnan(v) for v in objectives)
+    assert -math.inf in objectives
 
 
-def test_search_start_with_non_finite_objective_begins_at_inf(monkeypatch):
+def test_search_verifies_negative_inf_objective(monkeypatch):
+    # -inf means a negative term overflowed: the candidate is kept and
+    # re-verified exactly, and here it is a real witness of x^2 - 1
+    monkeypatch.setattr(witness, "_probe_matrices", lambda m: iter(()))
+    seen = rationalized(monkeypatch, lambda coeffs_f, A: -math.inf)
+    rep = search_witness([F(-1), F(0), F(1)], 1, starts=1, iterations=5)
+    assert len(seen) == 1
+    assert rep is not None and rep.value < 0 and rep.reverify()
+
+
+def test_search_start_with_nan_objective_begins_at_inf(monkeypatch):
     calls = []
 
     def first_nan(coeffs_f, A):
