@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .families import bound_table, rational_sqrt_floor, safe_a_squared, make_p_a
 from .linalg import format_scalar
-from .paths import all_nu, EnumerationCapExceeded
+from .paths import all_nu, EnumerationCapExceeded, verify_certificate_on_matrix
 from .witness import SCALE_SWEEP, WitnessReport, search_witness, _verified_report
 
 # Not read by the package: certified_cap sharpens whenever the census fits
@@ -50,22 +50,21 @@ class BoundEstimate:
         return out
 
 
-def certified_cap(n: int, sharpen: bool = True):
+def certified_cap(n: int):
     """(a^2 cap, provenance).  Sharpened caps use exact pre-image counts,
     whenever the census of M_n fits the default enumeration cap."""
     cap = safe_a_squared(n)
     provenance = "mu-formula cap"
-    if sharpen:
-        try:
-            nus = all_nu(n)
-        except EnumerationCapExceeded:
-            return cap, provenance
-        table = bound_table(n, nu_values=nus)
-        nu_cap = min(
-            Fraction(4, nu) if nu is not None else c for _, _, nu, c in table.rows
-        )
-        if nu_cap > cap:
-            return nu_cap, "nu-sharpened cap (exact pre-image enumeration)"
+    try:
+        nus = all_nu(n)
+    except EnumerationCapExceeded:
+        return cap, provenance
+    table = bound_table(n, nu_values=nus)
+    nu_cap = min(
+        Fraction(4, nu) if nu is not None else c for _, _, nu, c in table.rows
+    )
+    if nu_cap > cap:
+        return nu_cap, "nu-sharpened cap (exact pre-image enumeration)"
     return cap, provenance
 
 
@@ -162,8 +161,6 @@ def sample_pa_membership(n: int, a_sq, trials: int, seed: int = 0):
     so nonnegativity is decided by s >= 0 and s^2 >= a_sq * b^2.
     Returns the pass count; failures are collected as (matrix, entry).
     """
-    from .paths import verify_certificate_on_matrix
-
     a_sq = Fraction(a_sq)
     rng = random.Random(f"{seed}:pa-membership")
     passes = 0

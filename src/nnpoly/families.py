@@ -57,17 +57,7 @@ def safe_a_squared(n: int, d=None) -> Fraction:
 
     The k = n row (all-ones: 4/1) encodes the diagonal-entry condition.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if d is None:
-        d = [Fraction(1)] * (2 * n + 1)
-    elif len(d) != 2 * n + 1:
-        raise ValueError("d must have length 2n+1")
-    make_f_a(d, Fraction(1))  # validate positivity
-    return min(
-        Fraction(4) * Fraction(d[n - k]) * Fraction(d[n + k]) / mu(n, k)
-        for k in range(1, n + 1)
-    )
+    return bound_table(n, d).safe_a_sq
 
 
 @dataclass
@@ -94,6 +84,9 @@ def bound_table(n: int, d=None, nu_values=None) -> BoundTable:
         raise ValueError("n must be >= 2")
     if d is None:
         d = [Fraction(1)] * (2 * n + 1)
+    elif len(d) != 2 * n + 1:
+        raise ValueError("d must have length 2n+1")
+    make_f_a(d, Fraction(1))  # validate positivity
     if nu_values is not None and len(nu_values) != n - 1:
         raise ValueError("nu_values must cover k = 1..n-1")
     rows = []

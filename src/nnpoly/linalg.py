@@ -3,7 +3,7 @@
 Matrices are plain lists of row lists; the scalar type is whatever the
 entries carry (Fraction for exact work, float inside search loops).  All
 certification verdicts elsewhere in the package must be computed on
-Fraction matrices; floats are for exploration only.
+exact (int or Fraction) matrices; floats are for exploration only.
 
 exact_powers is the exact kernel: it writes a rational matrix as A = B/D,
 with D the lcm of its entry denominators and B an int matrix, and builds

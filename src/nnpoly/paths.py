@@ -271,41 +271,30 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     For every monomial m of length n with class k, the termwise piece
     value(psi)/mu - a*value(m) + value(phi) must be nonnegative; since a
     enters only linearly this is tested squared (value(psi)/mu + value(phi))^2
-    >= a_sq * value(m)^2, exact in rationals.  Budgets: each psi-image is
-    consumed at most mu(n,k) times (total weight <= 1) and each phi-image at
-    most once.  Finally the a-free part of the sum must fit inside the
-    positive entries sum_{j != n} (A^j)_{1,2}.
+    >= a_sq * value(m)^2, exact in rationals.  The budgets (each phi-image
+    consumed at most once, each psi-image at most mu(n,k) times) are facts
+    about paths alone and are read from the census.  Finally the a-free part
+    of the sum must fit inside the positive entries sum_{j != n} (A^j)_{1,2}.
     """
     if order_of(A) != n:
         raise ValueError("matrix order must equal n")
     if not is_nonneg(A):
         raise ValueError("matrix must be entrywise nonnegative")
     a_sq = Fraction(a_sq)
-    stats = {}
+    budgets = _census(n, cap)
+    if not all(inj and nu <= mu(n, k) for k, (_, inj, nu) in budgets.items()):
+        return False
+    covered = Fraction(0)
     for m in enumerate_monomials(n, n, cap):
         k = min_cycle_length(m)
         cyc = first_cycle(m, k)
-        f, g = phi(m, cyc), psi(m, cyc)
-        vm, vf, vg = (monomial_value(x, A) for x in (m, f, g))
+        vm, vf, vg = (monomial_value(x, A) for x in (m, phi(m, cyc), psi(m, cyc)))
         if vf * vg != vm * vm:
             return False
-        mk = mu(n, k)
-        lhs = vg / mk + vf
-        if lhs < 0 or lhs * lhs < a_sq * vm * vm:
+        lhs = Fraction(vg) / mu(n, k) + vf
+        if lhs * lhs < a_sq * vm * vm:
             return False
-        if k not in stats:
-            stats[k] = [Fraction(0), set(), Counter()]
-        entry = stats[k]
-        entry[0] += lhs
-        if f in entry[1]:
-            return False  # phi-image consumed twice
-        entry[1].add(f)
-        entry[2][g] += 1
-    covered = Fraction(0)
-    for k, (lhs_sum, _, psis) in stats.items():
-        if max(psis.values()) > mu(n, k):
-            return False  # psi-image budget exceeded
-        covered += lhs_sum
+        covered += lhs
     S, _, E = _p_a_parts(n, A)
     return covered <= Fraction(S[0][1], E)
 

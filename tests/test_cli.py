@@ -219,3 +219,15 @@ def test_small_n_rejected(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: n must be >= 2\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--n", "3", "--d", "1,2"], "d must have length 2n+1"),
+    (["bound", "--n", "2", "--d=1,-1,1,1,1"], "coefficient d[1] must be positive"),
+], ids=["short_d", "negative_weight"])
+def test_bound_rejects_bad_weights(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -225,3 +225,21 @@ def test_decomposition_positive_part_is_tight():
         A = [[F(0), y], [F(0), F(0)]]
         assert numeric_decomposition_check(2, F(2), A)
         assert decomposition_oracle(2, F(2), A)
+
+
+def test_decomposition_exact_on_huge_int_matrix():
+    # int entries stay exact: 10**200 overflows a float
+    A = [[10**200] * 2 for _ in range(2)]
+    assert numeric_decomposition_check(2, 2, A)
+    assert decomposition_oracle(2, 2, [[F(x) for x in row] for row in A])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_decomposition_int_matrix_matches_oracle(data):
+    n = data.draw(st.integers(2, 3))
+    entry = st.one_of(st.integers(0, 12), st.integers(10**30, 10**40))
+    A = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    a_sq = data.draw(st.sampled_from([safe_a_squared(n), F(1, 7), F(50), 2]))
+    exact = [[F(x) for x in row] for row in A]
+    assert numeric_decomposition_check(n, a_sq, A) == decomposition_oracle(n, a_sq, exact)

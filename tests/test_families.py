@@ -112,6 +112,19 @@ def test_bound_table_nu_length_mismatch():
         bound_table(3, nu_values=[2])
 
 
+@pytest.mark.parametrize("d", [
+    [F(1), F(2)],
+    [F(1)] * 9,
+    [F(1), F(-1), F(1), F(1), F(1)],
+    [F(1), F(1), F(5), F(1), F(0)],
+])
+def test_bound_table_validates_weights(d):
+    with pytest.raises(ValueError):
+        bound_table(2, d)
+    with pytest.raises(ValueError):
+        safe_a_squared(2, d)
+
+
 def test_bound_table_json_shape():
     j = bound_table(2).to_json()
     assert j["safe_a_sq"] == "2"

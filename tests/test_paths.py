@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nnpoly
+import nnpoly.paths as paths_module
 from nnpoly.families import mu, safe_a_squared
 from nnpoly.paths import (
     EnumerationCapExceeded,
@@ -215,6 +216,26 @@ def test_decomposition_check_random():
     for _ in range(10):
         A = [[F(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)]
         assert numeric_decomposition_check(3, F(1), A)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda count, inj, nu, m: (count, False, nu),
+    lambda count, inj, nu, m: (count, inj, m + 1),
+], ids=["phi_not_injective", "nu_above_mu"])
+def test_decomposition_check_reads_budgets_from_census(monkeypatch, tamper):
+    # the budgets come from the census alone, so a census in which one
+    # class breaks either budget must fail the check
+    census = paths_module._census
+
+    def broken(n, cap=paths_module.DEFAULT_CAP):
+        stats = dict(census(n, cap))
+        stats[1] = tamper(*stats[1], mu(n, 1))
+        return stats
+
+    A = [[F(1)] * 3 for _ in range(3)]
+    assert numeric_decomposition_check(3, F(1), A)
+    monkeypatch.setattr(paths_module, "_census", broken)
+    assert not numeric_decomposition_check(3, F(1), A)
 
 
 def test_decomposition_check_rejects_negative_matrix():
