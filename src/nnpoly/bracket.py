@@ -85,6 +85,8 @@ def bracket_optimal_a(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     tol = Fraction(tol)
     cap, lo_prov = certified_cap(n)
     a_lo = rational_sqrt_floor(cap)

@@ -5,10 +5,19 @@ entries carry (Fraction for exact work, float inside search loops).  All
 certification verdicts elsewhere in the package must be computed on
 exact (int or Fraction) matrices; floats are for exploration only.
 
-exact_powers is the exact kernel: it writes a rational matrix as A = B/D,
-with D the lcm of its entry denominators and B an int matrix, and builds
-the powers of B on Python integers, so no product or sum normalises a
-Fraction.  mat_mul and mat_pow stay generic and serve as the reference.
+There is one kernel per arithmetic, and a generic reference beside each:
+
+- exact: exact_powers writes a rational matrix as A = B/D, with D the lcm
+  of its entry denominators and B an int matrix, and builds the powers of B
+  on Python integers, so no product or sum normalises a Fraction.
+  poly_eval_matrix evaluates int and Fraction input on one pass of it.
+  mat_mul and mat_pow stay generic and are its reference.
+- float: poly_min_entries is a batched numpy Horner over a (batch, m, m)
+  stack.  Its products are explicit left-to-right sums of correctly
+  rounded elementwise operations, the same operations in the same order as
+  the generic Horner of poly_eval_matrix on float input, which is its
+  reference: the two agree bit for bit.  (Python 3.12 made sum() of floats
+  compensated, so there the reference itself rounds differently.)
 
 Rows and columns are reported 1-based to match the usual vertex labels;
 storage is 0-based.
@@ -19,6 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
+
+import numpy as np
 
 Matrix = list  # list[list[scalar]]
 
@@ -112,17 +123,68 @@ def poly_eval(coeffs, x):
     return acc
 
 
+def _is_exact(xs):
+    return all(isinstance(x, (int, Fraction)) for x in xs)
+
+
 def poly_eval_matrix(coeffs, A):
-    """Horner on a matrix: sum_d coeffs[d] * A**d."""
+    """sum_d coeffs[d] * A**d.
+
+    On int or Fraction input this is sum_d e_d B^d D^(top-d) / (L D^top)
+    over one exact_powers pass, with A = B/D and e_d = L*coeffs[d] for L the
+    lcm of the coefficient denominators; each entry is one Fraction.  Any
+    other scalar type (float, complex) takes the generic Horner.
+    """
     if not coeffs:
         raise ValueError("empty coefficient list")
     n = order_of(A)
+    if _is_exact(coeffs) and all(_is_exact(row) for row in A):
+        top = len(coeffs) - 1
+        D, powers = exact_powers(A, top)
+        L = lcm(*(c.denominator for c in coeffs))
+        scaled = [c.numerator * (L // c.denominator) * D ** (top - d)
+                  for d, c in enumerate(coeffs)]
+        den = L * D**top
+        return [[Fraction(sum(e * P[r][c] for e, P in zip(scaled, powers)), den)
+                 for c in range(n)] for r in range(n)]
     one = A[0][0] * 0 + 1
     I = identity(n, one)
     acc = mat_scale(coeffs[-1] * one, I)
     for c in reversed(coeffs[:-1]):
         acc = mat_add(mat_mul(acc, A), mat_scale(c * one, I))
     return acc
+
+
+def poly_min_entries(coeffs, As):
+    """[min_entry(poly_eval_matrix(coeffs, A))[0] for A in As], batched.
+
+    As is a (batch, m, m) stack of float matrices and coeffs are floats.
+    Each product is accumulated as a left-to-right sum over k of
+    acc[:, :, k] * A[:, k, :], and c is added on the diagonal only, so every
+    entry goes through the same IEEE operations as the generic Horner (no
+    matmul, einsum or BLAS, which may reorder or fuse the sums).  Like
+    min_entry, a matrix whose entry (1, 1) of p(A) is nan gets nan;
+    otherwise nan entries are skipped.  Like the generic Horner, whose
+    identity is built from A[0][0] * 0 + 1, a matrix with A[0][0] inf or nan
+    gets nan.  Overflow to inf or nan is expected and silent.
+    """
+    As = np.asarray(As, dtype=np.float64)
+    batch, m = As.shape[0], As.shape[2]
+    diag = np.arange(m)
+    rows = [As[:, None, k, :] for k in range(m)]  # rows[k][b, 0, j] = A[b, k, j]
+    with np.errstate(all="ignore"):
+        acc = np.zeros_like(As)
+        acc[:, diag, diag] = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            cols = acc.transpose(2, 0, 1)[..., None]  # cols[k][b, i, 0] = acc[b, i, k]
+            prod = cols[0] * rows[0]
+            for k in range(1, m):
+                prod += cols[k] * rows[k]
+            prod[:, diag, diag] += c
+            acc = prod
+        mins = np.fmin.reduce(acc.reshape(batch, m * m), axis=1)
+    mins[np.isnan(acc[:, 0, 0]) | ~np.isfinite(As[:, 0, 0])] = np.nan
+    return mins.tolist()
 
 
 def cyclic_shift(n, one=Fraction(1)):

@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .families import make_p_a
 from .linalg import (
     cyclic_shift,
@@ -23,6 +25,7 @@ from .linalg import (
     min_entry,
     order_of,
     poly_eval_matrix,
+    poly_min_entries,
 )
 
 SCALE_SWEEP = [Fraction(2) ** e for e in range(-4, 5)]
@@ -95,8 +98,9 @@ def _rationalize(A):
     ]
 
 
-def _float_objective(coeffs_f, A):
-    return min_entry(poly_eval_matrix(coeffs_f, A))[0]
+def _float_objective(coeffs_f, As):
+    """Min entry of p(A) for each float matrix of the stack As."""
+    return poly_min_entries(coeffs_f, As)
 
 
 def _probe_matrices(m):
@@ -121,6 +125,8 @@ def search_witness(
     coeffs = [Fraction(c) for c in coeffs]
     if m < 1:
         raise ValueError("order must be >= 1")
+    if starts < 0 or iterations < 0:
+        raise ValueError("starts and iterations must be >= 0")
     for A in _probe_matrices(m):
         rep = _verified_report(coeffs, A, "search")
         if rep is not None:
@@ -138,19 +144,22 @@ def search_witness(
         rng = random.Random(f"{seed}:{idx}")
         scale = float(SCALE_SWEEP[idx % len(SCALE_SWEEP)])
         A = [[rng.random() * scale for _ in range(m)] for _ in range(m)]
-        obj = _float_objective(coeffs_f, A)
+        obj = _float_objective(coeffs_f, [A])[0]
         if math.isnan(obj):
             obj = math.inf  # nan compares false, so nothing could beat it
         for _ in range(iterations):
             i, j = rng.randrange(m), rng.randrange(m)
             base = A[i][j]
+            cands = [
+                max(base * f if base else scale * f * rng.random(), 0.0)
+                for f in factors
+            ]
+            stack = np.array([A] * len(cands))
+            stack[:, i, j] = cands
             best_val, best = obj, base
-            for f in factors:
-                cand = base * f if base else scale * f * rng.random()
-                A[i][j] = max(cand, 0.0)
-                val = _float_objective(coeffs_f, A)
+            for val, cand in zip(_float_objective(coeffs_f, stack), cands):
                 if val < best_val:  # false for nan; -inf is re-verified exactly
-                    best_val, best = val, A[i][j]
+                    best_val, best = val, cand
             A[i][j] = best
             obj = best_val
         if obj < -1e-12:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import nnpoly
 from nnpoly.cli import main
 from nnpoly.linalg import format_matrix_csv
 from fractions import Fraction
@@ -231,3 +235,43 @@ def test_bound_rejects_bad_weights(capsys, argv, message):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["falsify", "--coeffs=1,-3,1", "--m", "2", "--starts", "-2"],
+     "starts and iterations must be >= 0"),
+    (["falsify", "--coeffs=1,-3,1", "--m", "2", "--iterations", "-4"],
+     "starts and iterations must be >= 0"),
+    (["search-a", "--n", "2", "--steps", "-3"], "steps must be >= 0"),
+], ids=["falsify_starts", "falsify_iterations", "search_a_steps"])
+def test_negative_search_budget_rejected(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_zero_search_budget_runs_probes_only(capsys):
+    code, out = run(capsys, "falsify", "--coeffs=1,-3,1", "--m", "2",
+                    "--starts", "0", "--iterations", "0")
+    assert code == 2
+    assert json.loads(out)["found"] is True
+
+
+@pytest.mark.parametrize("coeffs,starts,code,golden", [
+    # a probe matrix already falsifies it; the float search never runs
+    ("1e300,0,0,0,-1e300,0,0,0,0,0,0,1e300", "2", 2, "falsify_overflow_probe.json"),
+    # no witness exists: every start runs, and objectives overflow to inf and nan
+    ("1e300,0,0,0,0,0,0,0,0,0,0,0,1e300", "9", 0, "falsify_overflow_search.json"),
+], ids=["probe", "search"])
+def test_falsify_overflow_is_silent(coeffs, starts, code, golden):
+    # the reports were recorded before the float search moved onto numpy;
+    # overflow inside the batched kernel must not warn, even with -W error
+    argv = [sys.executable, "-W", "error", "-m", "nnpoly.cli", "falsify",
+            f"--coeffs={coeffs}", "--m", "3", "--starts", starts, "--iterations", "20"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nnpoly.__file__))}
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr == ""
+    assert proc.stdout == (Path(__file__).parent / "data" / golden).read_text()

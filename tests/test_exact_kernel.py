@@ -1,8 +1,9 @@
 """The integer kernel of exact evaluation against Fraction oracles.
 
 The oracles are the Fraction list-of-lists implementations that the kernel
-replaced: powers by mat_pow from scratch for each j, and the membership and
-decomposition checks built on them.  They must agree exactly.
+replaced: powers by mat_pow from scratch for each j, the generic Horner of
+poly_eval_matrix, and the membership and decomposition checks built on
+them.  They must agree exactly.
 """
 
 import random
@@ -14,15 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnpoly.families import mu, safe_a_squared
+from nnpoly.families import make_p_a, mu, safe_a_squared
 from nnpoly.linalg import (
     exact_powers,
+    identity,
     is_nonneg,
     mat_add,
     mat_mul,
     mat_pow,
     mat_scale,
     order_of,
+    poly_eval_matrix,
 )
 from nnpoly.paths import (
     enumerate_monomials,
@@ -34,6 +37,7 @@ from nnpoly.paths import (
     psi,
     verify_certificate_on_matrix,
 )
+from nnpoly.witness import WitnessReport, cycle_witness, search_witness
 
 F = Fraction
 
@@ -44,6 +48,16 @@ F = Fraction
 def mat_mul_oracle(A, B):
     Bt = list(zip(*B))
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+
+
+def horner_oracle(coeffs, A):
+    n = order_of(A)
+    one = A[0][0] * 0 + 1
+    I = identity(n, one)
+    acc = mat_scale(coeffs[-1] * one, I)
+    for c in reversed(coeffs[:-1]):
+        acc = mat_add(mat_mul(acc, A), mat_scale(c * one, I))
+    return acc
 
 
 def verify_oracle(n, a_sq, A):
@@ -243,3 +257,75 @@ def test_decomposition_int_matrix_matches_oracle(data):
     a_sq = data.draw(st.sampled_from([safe_a_squared(n), F(1, 7), F(50), 2]))
     exact = [[F(x) for x in row] for row in A]
     assert numeric_decomposition_check(n, a_sq, A) == decomposition_oracle(n, a_sq, exact)
+
+
+# -- polynomial evaluation and the witnesses it checks ---------------------------
+
+coefficient = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(coefficient, min_size=1, max_size=9),
+       matrices(st.one_of(rational, st.integers(-10**20, 10**20))))
+def test_poly_eval_matches_horner(coeffs, A):
+    C = poly_eval_matrix(coeffs, A)
+    assert all(type(x) is Fraction for row in C for x in row)
+    assert C == horner_oracle(coeffs, A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7),
+       matrices(st.integers(-9, 9)))
+def test_poly_eval_int_matrix_matches_horner(coeffs, A):
+    assert poly_eval_matrix(coeffs, A) == horner_oracle(coeffs, A)
+
+
+def test_poly_eval_float_input_keeps_generic_horner():
+    A = [[0.5, 0.25], [1.5, 0.1]]
+    coeffs = [0.3, -1.7, 0.9]
+    assert poly_eval_matrix(coeffs, A) == horner_oracle(coeffs, A)
+    assert poly_eval_matrix([F(1), F(-2), F(1, 3)], A) == horner_oracle([F(1), F(-2), F(1, 3)], A)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4),
+       st.fractions(min_value=F(1, 30), max_value=5, max_denominator=30),
+       st.fractions(min_value=F(1, 30), max_value=5, max_denominator=30))
+def test_cycle_witness_value(n, a, t):
+    rep = cycle_witness(n, a, t)
+    assert rep.value == -a * t**n
+    assert horner_oracle(rep.poly, rep.matrix)[0][n] == rep.value
+    assert rep.reverify()
+
+
+def tampered(rep):
+    """Copies of rep with one field changed so that it no longer holds."""
+    matrix = [row[:] for row in rep.matrix]
+    matrix[0][0] += 1
+    poly = [-c for c in rep.poly]
+    negative = [row[:] for row in rep.matrix]
+    negative[-1][-1] = F(-1)
+    changes = [dict(value=rep.value - F(1, 3)), dict(matrix=matrix), dict(poly=poly),
+               dict(matrix=negative)]
+    if rep.m > 1:
+        r, c = rep.entry
+        changes.append(dict(entry=(r % rep.m + 1, c)))
+    return [WitnessReport(**{**vars(rep), **change}) for change in changes]
+
+
+@pytest.mark.parametrize("rep", [
+    cycle_witness(2, F(1)),
+    cycle_witness(3, F(2, 3), F(3, 2)),
+    search_witness([F(-1), F(0), F(1)], 1, seed=3),
+    search_witness(make_p_a(2, F(3)), 2, seed=0),
+], ids=["cycle_n2", "cycle_n3", "search_x2_minus_1", "search_p_a"])
+def test_reverify_accepts_witnesses_and_rejects_tampering(rep):
+    assert rep is not None and rep.reverify()
+    C = horner_oracle(rep.poly, rep.matrix)
+    assert C[rep.entry[0] - 1][rep.entry[1] - 1] == rep.value < 0
+    for bad in tampered(rep):
+        assert not bad.reverify()

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from nnpoly.linalg import (
     parse_matrix_csv,
     parse_poly,
     poly_eval_matrix,
+    poly_min_entries,
 )
 
 F = Fraction
@@ -109,3 +112,74 @@ def test_matrix_csv_roundtrip():
 def test_parse_poly():
     assert parse_poly("1,1,-1,1,1") == [F(1), F(1), F(-1), F(1), F(1)]
     assert parse_poly("1/2, -3/4") == [F(1, 2), F(-3, 4)]
+
+
+# -- the batched float kernel against the generic Horner -------------------
+
+
+def same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def reference_min(coeffs, A):
+    return min_entry(poly_eval_matrix(coeffs, A))[0]
+
+
+float_entry = st.one_of(
+    st.just(0.0),
+    st.floats(0, 4),
+    st.floats(1e30, 1e120),  # powers of these overflow to inf
+)
+float_coeff = st.one_of(
+    st.just(0.0),
+    st.floats(-10, 10),
+    st.floats(-1e300, 1e300),  # overflows, and inf - inf gives nan
+)
+
+
+@st.composite
+def float_stacks(draw):
+    m = draw(st.integers(1, 4))
+    matrix = st.lists(st.lists(float_entry, min_size=m, max_size=m),
+                      min_size=m, max_size=m)
+    return draw(st.lists(matrix, min_size=1, max_size=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(float_coeff, min_size=1, max_size=9), float_stacks())
+def test_batched_kernel_is_bit_identical_to_horner(coeffs, As):
+    got = poly_min_entries(coeffs, As)
+    assert len(got) == len(As)
+    for value, A in zip(got, As):
+        assert same_float(value, reference_min(coeffs, A))
+
+
+def test_batched_kernel_on_random_stacks():
+    # generic floats, where any reordering or fused multiply-add of the
+    # sums shows in the last bits
+    rng = random.Random(0)
+    for _ in range(200):
+        m, batch = rng.randint(1, 4), rng.randint(1, 9)
+        coeffs = [rng.uniform(-3, 3) for _ in range(rng.randint(1, 9))]
+        As = [[[rng.random() * 4 for _ in range(m)] for _ in range(m)] for _ in range(batch)]
+        assert poly_min_entries(coeffs, As) == [reference_min(coeffs, A) for A in As]
+
+
+def test_batched_kernel_nan_at_entry_1_1():
+    # (A - 1e300 I) A: entry (1, 1) is -inf + inf, the others are +-inf;
+    # min_entry starts from entry (1, 1), and nan compares false
+    A = [[1e10, 1e200], [1e200, 1.0]]
+    coeffs = [0.0, -1e300, 1.0]
+    C = poly_eval_matrix(coeffs, A)
+    assert math.isnan(C[0][0])
+    assert not any(math.isnan(x) for row in C for x in row[1:])
+    assert math.isnan(reference_min(coeffs, A))
+    assert math.isnan(poly_min_entries(coeffs, [A])[0])
+
+
+def test_batched_kernel_non_finite_corner_entry():
+    # the generic Horner builds its identity from A[0][0] * 0 + 1
+    A = [[math.inf, 1.0], [1.0, 1.0]]
+    assert math.isnan(reference_min([1.0, 1.0], A))
+    assert math.isnan(poly_min_entries([1.0, 1.0], [A])[0])
+

@@ -135,12 +135,18 @@ def fake_objective(coeffs_f, A):
     return -x if x <= 1 else -math.inf if x <= 2 else math.nan
 
 
+def batched(objective):
+    """The batch signature of witness._float_objective around a scripted
+    per-matrix objective."""
+    return lambda coeffs_f, As: [objective(coeffs_f, A) for A in As]
+
+
 def rationalized(monkeypatch, objective):
     """Run a search with a scripted float objective; return the float
     matrices handed to exact re-verification."""
     seen = []
     rationalize = witness._rationalize
-    monkeypatch.setattr(witness, "_float_objective", objective)
+    monkeypatch.setattr(witness, "_float_objective", batched(objective))
     monkeypatch.setattr(witness, "_rationalize", lambda A: seen.append(A) or rationalize(A))
     return seen
 
