@@ -34,7 +34,7 @@ from .paths import (
     psi,
 )
 from .witness import WitnessReport, cycle_witness, search_witness
-from .bracket import BoundEstimate, bracket_optimal_a, membership_sample
+from .bracket import BoundEstimate, bracket_optimal_a
 from .niep import jll_check, power_sum, transform_list
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "make_p_a",
     "mat_mul",
     "mat_pow",
-    "membership_sample",
     "min_cycle_length",
     "min_entry",
     "mu",

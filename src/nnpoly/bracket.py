@@ -12,10 +12,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import bound_table, rational_sqrt_floor, safe_a_squared, make_p_a
+from .families import rational_sqrt_floor, safe_a_squared, make_p_a
 from .linalg import format_scalar
-from .paths import all_nu, EnumerationCapExceeded, verify_certificate_on_matrix
-from .witness import SCALE_SWEEP, WitnessReport, search_witness, _verified_report
+from .paths import EnumerationCapExceeded, census_cap, verify_certificate_on_matrix
+from .witness import SCALE_SWEEP, WitnessReport, probe_witness, search_witness
 
 # Not read by the package: certified_cap sharpens whenever the census fits
 # the enumeration cap.  perfbench/make_reference.py records certified_cap
@@ -51,21 +51,16 @@ class BoundEstimate:
 
 
 def certified_cap(n: int):
-    """(a^2 cap, provenance).  Sharpened caps use exact pre-image counts,
-    whenever the census of M_n fits the default enumeration cap."""
+    """(a^2 cap, provenance): paths.census_cap when the census of M_n fits the
+    default enumeration cap and its facts hold, else the mu-formula cap."""
     cap = safe_a_squared(n)
-    provenance = "mu-formula cap"
     try:
-        nus = all_nu(n)
+        sharp = census_cap(n)
     except EnumerationCapExceeded:
-        return cap, provenance
-    table = bound_table(n, nu_values=nus)
-    nu_cap = min(
-        Fraction(4, nu) if nu is not None else c for _, _, nu, c in table.rows
-    )
-    if nu_cap > cap:
-        return nu_cap, "nu-sharpened cap (exact pre-image enumeration)"
-    return cap, provenance
+        sharp = None
+    if sharp is not None and sharp > cap:
+        return sharp, "nu-sharpened cap (exact pre-image enumeration)"
+    return cap, "mu-formula cap"
 
 
 def bracket_optimal_a(
@@ -87,22 +82,20 @@ def bracket_optimal_a(
         raise ValueError("n must be >= 2")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if starts < 0 or iterations < 0:
+        raise ValueError("starts and iterations must be >= 0")
     tol = Fraction(tol)
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
     cap, lo_prov = certified_cap(n)
     a_lo = rational_sqrt_floor(cap)
 
-    # initial failing coefficient: grow until the searcher's exact probes hit
+    # entry (1,1) of p_a(P) is 2 - a for the n-cycle shift P, so a probe
+    # falsifies p_a at a = 2n
     a_hi = Fraction(2 * n)
-    hi_witness = None
-    for _ in range(16):
-        hi_witness = search_witness(
-            make_p_a(n, a_hi), n, starts=starts, iterations=iterations, seed=seed
-        )
-        if hi_witness is not None:
-            break
-        a_hi *= 2
+    hi_witness = probe_witness(make_p_a(n, a_hi), n)
     if hi_witness is None:
-        raise RuntimeError(f"no failing coefficient found up to a = {a_hi}")
+        raise RuntimeError(f"no probe falsifies p_a at a = {a_hi}")
 
     budget_exhausted = True
     probe = a_lo
@@ -134,26 +127,6 @@ def random_rational_matrix(n: int, rng: random.Random, scale=Fraction(1)):
     return [
         [Fraction(rng.randint(0, 16), 16) * scale for _ in range(n)] for _ in range(n)
     ]
-
-
-def membership_sample(coeffs, n: int, trials: int, seed: int = 0):
-    """Evaluate p exactly on random nonnegative rational matrices across the
-    scale sweep.  Returns (pass count, witness reports for any failures).
-    Passing every trial is evidence, not proof, of membership."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    coeffs = [Fraction(c) for c in coeffs]
-    rng = random.Random(f"{seed}:membership")
-    passes = 0
-    witnesses = []
-    for t in range(trials):
-        A = random_rational_matrix(n, rng, SCALE_SWEEP[t % len(SCALE_SWEEP)])
-        rep = _verified_report(coeffs, A, "search")
-        if rep is None:
-            passes += 1
-        else:
-            witnesses.append(rep)
-    return passes, witnesses
 
 
 def sample_pa_membership(n: int, a_sq, trials: int, seed: int = 0):

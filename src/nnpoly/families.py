@@ -5,6 +5,7 @@ the positively-weighted generalization with coefficients d_i (i != n).
 Membership of p_a in the preserver set of n x n nonnegative matrices is
 guaranteed whenever a**2 <= min_k 4*d_{n-k}*d_{n+k}/mu(n,k); the caps are
 carried as exact rational bounds on a**2 because 2/sqrt(mu) is irrational.
+bound_table computes every cap, also those that divide by nu(n,k) <= mu(n,k).
 """
 
 from __future__ import annotations
@@ -63,23 +64,24 @@ def safe_a_squared(n: int, d=None) -> Fraction:
 @dataclass
 class BoundTable:
     n: int
-    rows: list  # (k, mu, nu or None, cap_sq)
-    safe_a_sq: Fraction
+    rows: list  # (k, mu, nu or None, cap_sq, nu_cap_sq or None)
+    safe_a_sq: Fraction  # min over rows of cap_sq
+    sharp_a_sq: Fraction  # min over rows of nu_cap_sq, cap_sq where nu is unknown
 
     def to_json(self):
         rows = []
-        for k, m, nu, cap in self.rows:
+        for k, m, nu, cap, nu_cap in self.rows:
             row = {"k": k, "mu": m, "cap_sq": str(cap)}
             if nu is not None:
                 row["nu"] = nu
-                row["nu_cap_sq"] = str(Fraction(cap) * m / nu)
+                row["nu_cap_sq"] = str(nu_cap)
             rows.append(row)
         return {"n": self.n, "rows": rows, "safe_a_sq": str(self.safe_a_sq)}
 
 
 def bound_table(n: int, d=None, nu_values=None) -> BoundTable:
-    """Per-k cap table; nu_values (exact pre-image maxima for k = 1..n-1)
-    yield caps at least as large as the mu-based ones."""
+    """Per-k caps 4*d_{n-k}*d_{n+k}/c, c = mu(n,k) and, for given nu_values
+    (k = 1..n-1), c = nu(n,k) <= mu(n,k); row k = n is the diagonal cap."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if d is None:
@@ -92,14 +94,19 @@ def bound_table(n: int, d=None, nu_values=None) -> BoundTable:
     rows = []
     for k in range(1, n + 1):
         m = mu(n, k)
-        nu = None
+        weight = Fraction(4) * Fraction(d[n - k]) * Fraction(d[n + k])
+        nu = nu_cap = None
         if nu_values is not None and k <= n - 1:
             nu = nu_values[k - 1]
             if not 1 <= nu <= m:
                 raise ValueError(f"nu({n},{k})={nu} outside 1..mu={m}")
-        cap = Fraction(4) * Fraction(d[n - k]) * Fraction(d[n + k]) / m
-        rows.append((k, m, nu, cap))
-    return BoundTable(n=n, rows=rows, safe_a_sq=min(r[3] for r in rows))
+            nu_cap = weight / nu
+        rows.append((k, m, nu, weight / m, nu_cap))
+    return BoundTable(
+        n=n, rows=rows,
+        safe_a_sq=min(r[3] for r in rows),
+        sharp_a_sq=min(r[3] if r[4] is None else r[4] for r in rows),
+    )
 
 
 def rational_sqrt_floor(c: Fraction, denom: int = 10**6) -> Fraction:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .families import mu
+from .families import bound_table, mu
 from .linalg import exact_powers, is_nonneg, order_of
 
 DEFAULT_CAP = 10**8
@@ -242,27 +242,44 @@ class CertificateReport:
         }
 
 
+def _census_facts_hold(n: int, stats) -> bool:
+    """The census facts behind every cap: the classes k = 1..n-1 partition
+    all n^(n-1) paths, phi is injective and nu(n,k) <= mu(n,k) on each."""
+    return (
+        set(stats) == set(range(1, n))
+        and sum(cnt for cnt, _, _ in stats.values()) == n ** (n - 1)
+        and all(inj and nu <= mu(n, k) for k, (_, inj, nu) in stats.items())
+    )
+
+
+def census_cap(n: int, cap: int = DEFAULT_CAP) -> Fraction | None:
+    """Largest a^2 the census of M_n certifies: the minimum of 4/nu(n,k) over
+    k = 1..n-1 and the diagonal cap 4.  None when a census fact fails."""
+    stats = _census(n, cap)
+    if not _census_facts_hold(n, stats):
+        return None
+    return bound_table(n, nu_values=[nu for _, _, nu in stats.values()]).sharp_a_sq
+
+
 def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport:
     """Census all of M_n and check every ingredient of the membership proof.
 
-    Verdict true means: the minimal-cycle classes partition M_n, cycle
-    duplication is injective on each class, every exact pre-image count is
-    within mu(n,k), and a_sq clears 4/mu(n,k) for every k plus the diagonal
-    cap 4.  Together these certify p_a at a = sqrt(a_sq).
+    Verdict true means a_sq <= census_cap(n), which certifies p_a at
+    a = sqrt(a_sq).  Off the diagonal, pair each length-n path m of class k
+    with g = psi(m) and f = phi(m), so v(m)^2 = v(g) v(f); AM-GM gives
+    a*v(m) <= v(g)/nu + v(f) for a^2 <= 4/nu(n,k), and as phi is injective
+    and each g has at most nu(n,k) pre-images, the right-hand sides use each
+    term of A^(n-k) and A^(n+k) at most once.  On the diagonal,
+    (A^(2n))_ii >= ((A^n)_ii)^2 leaves only a <= 2, since 1 + x^2 >= 2x.
     """
     a_sq = Fraction(a_sq)
     if not a_sq > 0:
         raise ValueError("a_sq must be positive")
-    stats = _census(n, cap)
-    per_k = []
-    ok = sum(cnt for cnt, _, _ in stats.values()) == n ** (n - 1)
-    ok &= set(stats) == set(range(1, n))
-    for k, (cnt, inj, nu) in stats.items():
-        m = mu(n, k)
-        per_k.append((k, cnt, inj, nu, m))
-        ok &= inj and nu <= m and a_sq <= Fraction(4, m)
-    ok &= a_sq <= 4  # diagonal entries, the mu(n,n) = 1 row
-    return CertificateReport(n=n, a_sq=a_sq, per_k=per_k, verdict=bool(ok))
+    per_k = [(k, cnt, inj, nu, mu(n, k))
+             for k, (cnt, inj, nu) in _census(n, cap).items()]
+    limit = census_cap(n, cap)
+    verdict = limit is not None and a_sq <= limit
+    return CertificateReport(n=n, a_sq=a_sq, per_k=per_k, verdict=verdict)
 
 
 def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool:
@@ -281,8 +298,7 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     if not is_nonneg(A):
         raise ValueError("matrix must be entrywise nonnegative")
     a_sq = Fraction(a_sq)
-    budgets = _census(n, cap)
-    if not all(inj and nu <= mu(n, k) for k, (_, inj, nu) in budgets.items()):
+    if not _census_facts_hold(n, _census(n, cap)):
         return False
     covered = Fraction(0)
     for m in enumerate_monomials(n, n, cap):

@@ -103,19 +103,26 @@ def _float_objective(coeffs_f, As):
     return poly_min_entries(coeffs_f, As)
 
 
-def _probe_matrices(m):
-    """Deterministic exact candidates tried before any random start."""
+def probe_witness(coeffs, m: int) -> WitnessReport | None:
+    """First exact witness among the deterministic probes t*J and t*P
+    (all-ones, cyclic shift) over a sweep of t, or None."""
+    coeffs = [Fraction(c) for c in coeffs]
+    if m < 1:
+        raise ValueError("order must be >= 1")
     ones = [[Fraction(1)] * m for _ in range(m)]
     shift = cyclic_shift(m)
     for t in SCALE_SWEEP + [Fraction(1, m), Fraction(1, 2 * m)]:
-        yield mat_scale(t, ones)
-        yield mat_scale(t, shift)
+        for A in (mat_scale(t, ones), mat_scale(t, shift)):
+            rep = _verified_report(coeffs, A, "search")
+            if rep is not None:
+                return rep
+    return None
 
 
 def search_witness(
     coeffs, m: int, starts: int = 16, iterations: int = 200, seed: int = 0
 ) -> WitnessReport | None:
-    """Multi-start projected coordinate descent on min entry of p(A), A >= 0.
+    """probe_witness, then multi-start projected coordinate descent on min p(A).
 
     Floating point drives the search; any negative candidate is rationalized
     (continued fractions, bounded denominator) and kept only if the exact
@@ -123,14 +130,11 @@ def search_witness(
     (seed, start index), so the first verified index is reproducible.
     """
     coeffs = [Fraction(c) for c in coeffs]
-    if m < 1:
-        raise ValueError("order must be >= 1")
     if starts < 0 or iterations < 0:
         raise ValueError("starts and iterations must be >= 0")
-    for A in _probe_matrices(m):
-        rep = _verified_report(coeffs, A, "search")
-        if rep is not None:
-            return rep
+    rep = probe_witness(coeffs, m)
+    if rep is not None:
+        return rep
     coeffs_f = []
     for d, c in enumerate(coeffs):
         try:

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import nnpoly.paths as paths_module
 from nnpoly.bracket import (
     bracket_optimal_a,
     certified_cap,
-    membership_sample,
     sample_pa_membership,
 )
-from nnpoly.families import make_p_a, safe_a_squared
+from nnpoly.families import safe_a_squared
+from nnpoly.paths import build_certificate
 
 F = Fraction
 
@@ -37,6 +38,30 @@ def test_certified_cap_n10_falls_back_to_mu_formula():
     assert certified_cap(10) == (safe_a_squared(10), "mu-formula cap")
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certificate_accepts_exactly_up_to_certified_cap(n):
+    cap, _ = certified_cap(n)
+    assert build_certificate(n, cap).verdict
+    assert not build_certificate(n, cap + F(1, 10**12)).verdict
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda count, inj, nu: (count, False, nu),
+    lambda count, inj, nu: (count + 1, inj, nu),
+], ids=["phi_not_injective", "partition_miscounted"])
+def test_failed_census_fact_falls_back_to_mu_formula(monkeypatch, tamper):
+    census = paths_module._census
+
+    def broken(n, cap=paths_module.DEFAULT_CAP):
+        stats = dict(census(n, cap))
+        stats[1] = tamper(*stats[1])
+        return stats
+
+    monkeypatch.setattr(paths_module, "_census", broken)
+    assert certified_cap(3) == (safe_a_squared(3), "mu-formula cap")
+    assert not build_certificate(3, safe_a_squared(3)).verdict
+
+
 def test_bracket_n2():
     est = bracket_optimal_a(2, steps=8, starts=4, iterations=60)
     assert est.a_lo_sq >= F(2)
@@ -63,22 +88,6 @@ def test_bracket_deterministic():
     a = bracket_optimal_a(2, steps=4, starts=3, iterations=40, seed=9)
     b = bracket_optimal_a(2, steps=4, starts=3, iterations=40, seed=9)
     assert a.to_json() == b.to_json()
-
-
-def test_membership_sample_nonneg_coeffs():
-    passes, witnesses = membership_sample([F(1), F(2), F(3)], 3, trials=20)
-    assert passes == 20 and not witnesses
-
-
-def test_membership_sample_certified_pa():
-    passes, witnesses = membership_sample(make_p_a(3, F(1)), 3, trials=30)
-    assert passes == 30 and not witnesses
-
-
-def test_membership_sample_catches_x2_minus_1():
-    passes, witnesses = membership_sample([F(-1), F(0), F(1)], 1, trials=30)
-    assert passes < 30
-    assert witnesses and all(w.reverify() for w in witnesses)
 
 
 def test_sample_pa_membership_at_irrational_a():

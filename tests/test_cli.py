@@ -38,6 +38,13 @@ def test_certify_verdict_true(capsys):
     assert json.loads(out)["verdict"] is True
 
 
+def test_certify_accepts_nu_sharpened_cap(capsys):
+    # 4/7 = 4/nu(4,2) lies above the mu-formula cap 1/3
+    code, out = run(capsys, "certify", "--n", "4", "--a-sq", "4/7")
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+
+
 def test_certify_verdict_false_exits_2(capsys):
     code, out = run(capsys, "certify", "--n", "2", "--a-sq", "100")
     assert code == 2
@@ -243,7 +250,12 @@ def test_bound_rejects_bad_weights(capsys, argv, message):
     (["falsify", "--coeffs=1,-3,1", "--m", "2", "--iterations", "-4"],
      "starts and iterations must be >= 0"),
     (["search-a", "--n", "2", "--steps", "-3"], "steps must be >= 0"),
-], ids=["falsify_starts", "falsify_iterations", "search_a_steps"])
+    (["search-a", "--n", "2", "--tol=-1", "--steps", "3"], "tol must be >= 0"),
+    # with no bisection step, search-a never calls search_witness
+    (["search-a", "--n", "2", "--steps", "0", "--starts", "-1"],
+     "starts and iterations must be >= 0"),
+], ids=["falsify_starts", "falsify_iterations", "search_a_steps", "search_a_tol",
+        "search_a_starts_no_steps"])
 def test_negative_search_budget_rejected(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()

@@ -88,7 +88,7 @@ def test_safe_a_squared_diagonal_cap():
 
 def test_bound_table_rows():
     table = bound_table(2)
-    assert [(k, m) for k, m, _, _ in table.rows] == [(1, 2), (2, 1)]
+    assert [(k, m) for k, m, *_ in table.rows] == [(1, 2), (2, 1)]
     assert table.safe_a_sq == F(2)
 
 
@@ -102,7 +102,7 @@ def test_bound_table_with_nu():
 
     nus = all_nu(3)
     table = bound_table(3, nu_values=nus)
-    for k, m, nu, _ in table.rows:
+    for k, m, nu, *_ in table.rows:
         if nu is not None:
             assert 1 <= nu <= m
 

@@ -10,9 +10,17 @@ import nnpoly
 from nnpoly.families import make_p_a
 from nnpoly import witness
 from nnpoly.linalg import poly_eval_matrix
-from nnpoly.witness import WitnessReport, cycle_witness, search_witness
+from nnpoly.witness import WitnessReport, cycle_witness, probe_witness, search_witness
 
 F = Fraction
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_probe_falsifies_p_a_at_2n(n):
+    # search-a starts its bracket here: entry (1,1) of p_{2n}(P) is 2 - 2n
+    # for the n-cycle shift P
+    rep = probe_witness(make_p_a(n, 2 * n), n)
+    assert rep is not None and rep.reverify()
 
 
 def test_cycle_witness_n2():
@@ -164,7 +172,7 @@ def test_search_moves_to_negative_inf_never_to_nan(monkeypatch):
 def test_search_verifies_negative_inf_objective(monkeypatch):
     # -inf means a negative term overflowed: the candidate is kept and
     # re-verified exactly, and here it is a real witness of x^2 - 1
-    monkeypatch.setattr(witness, "_probe_matrices", lambda m: iter(()))
+    monkeypatch.setattr(witness, "probe_witness", lambda coeffs, m: None)
     seen = rationalized(monkeypatch, lambda coeffs_f, A: -math.inf)
     rep = search_witness([F(-1), F(0), F(1)], 1, starts=1, iterations=5)
     assert len(seen) == 1
