@@ -134,7 +134,7 @@ def sample_pa_membership(n: int, a_sq, trials: int, seed: int = 0):
 
     Entries of p_a(A) have the form s - a*b with s, b >= 0 exact rationals,
     so nonnegativity is decided by s >= 0 and s^2 >= a_sq * b^2.
-    Returns the pass count; failures are collected as (matrix, entry).
+    Returns (pass count, list of the matrices that failed).
     """
     a_sq = Fraction(a_sq)
     rng = random.Random(f"{seed}:pa-membership")

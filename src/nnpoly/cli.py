@@ -43,6 +43,9 @@ def cmd_bound(args):
 
 
 def cmd_certify(args):
+    # the enumeration guards come first: at a census-sized n the default
+    # a^2 alone would take seconds before the cap is exceeded
+    paths.count_monomials(args.n, args.n, cap=args.cap)
     a_sq = Fraction(args.a_sq) if args.a_sq else families.safe_a_squared(args.n)
     report = paths.build_certificate(args.n, a_sq, cap=args.cap)
     payload = {"config": {"n": str(args.n), "a_sq": str(a_sq)}, **report.to_json()}

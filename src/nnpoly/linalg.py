@@ -10,8 +10,10 @@ There is one kernel per arithmetic, and a generic reference beside each:
 - exact: exact_powers writes a rational matrix as A = B/D, with D the lcm
   of its entry denominators and B an int matrix, and builds the powers of B
   on Python integers, so no product or sum normalises a Fraction.
-  poly_eval_matrix evaluates int and Fraction input on one pass of it.
-  mat_mul and mat_pow stay generic and are its reference.
+  poly_numerators turns one pass of it into the integer numerators of
+  polynomials in A over the common denominator D^top; poly_eval_matrix on
+  int and Fraction input and the p_a checks in paths read it.  mat_mul and
+  mat_pow stay generic and are its reference.
 - float: poly_min_entries is a batched numpy Horner over a (batch, m, m)
   stack.  Its products are explicit left-to-right sums of correctly
   rounded elementwise operations, the same operations in the same order as
@@ -88,6 +90,24 @@ def exact_powers(A, top):
     return D, powers
 
 
+def poly_numerators(polys, A):
+    """(D^top, [N_p for p in polys]) with p(A) = N_p / D^top, for integer
+    coefficient lists p of one length top + 1, from one exact_powers pass.
+
+    N_p = sum_d p[d] D^(top-d) B^d for A = B/D: one integer weight per
+    power, and each entry one sum of products over the powers p uses.
+    """
+    top = len(polys[0]) - 1
+    D, powers = exact_powers(A, top)
+    numerators = []
+    for p in polys:
+        terms = [(c * D ** (top - d), P) for d, (c, P) in enumerate(zip(p, powers)) if c]
+        weights, used = zip(*(terms or [(0, powers[0])]))
+        numerators.append([[sum(map(mul, weights, col)) for col in zip(*rows)]
+                           for rows in zip(*used)])
+    return D**top, numerators
+
+
 def mat_scale(t, A):
     return [[t * x for x in row] for row in A]
 
@@ -130,23 +150,19 @@ def _is_exact(xs):
 def poly_eval_matrix(coeffs, A):
     """sum_d coeffs[d] * A**d.
 
-    On int or Fraction input this is sum_d e_d B^d D^(top-d) / (L D^top)
-    over one exact_powers pass, with A = B/D and e_d = L*coeffs[d] for L the
-    lcm of the coefficient denominators; each entry is one Fraction.  Any
-    other scalar type (float, complex) takes the generic Horner.
+    On int or Fraction input this is N / (L D^top) from poly_numerators of
+    the integer coefficients e_d = L*coeffs[d], for L the lcm of the
+    coefficient denominators; each entry is one Fraction.  Any other scalar
+    type (float, complex) takes the generic Horner.
     """
     if not coeffs:
         raise ValueError("empty coefficient list")
     n = order_of(A)
     if _is_exact(coeffs) and all(_is_exact(row) for row in A):
-        top = len(coeffs) - 1
-        D, powers = exact_powers(A, top)
         L = lcm(*(c.denominator for c in coeffs))
-        scaled = [c.numerator * (L // c.denominator) * D ** (top - d)
-                  for d, c in enumerate(coeffs)]
-        den = L * D**top
-        return [[Fraction(sum(e * P[r][c] for e, P in zip(scaled, powers)), den)
-                 for c in range(n)] for r in range(n)]
+        den, (N,) = poly_numerators([[c.numerator * (L // c.denominator) for c in coeffs]], A)
+        den *= L
+        return [[Fraction(x, den) for x in row] for row in N]
     one = A[0][0] * 0 + 1
     I = identity(n, one)
     acc = mat_scale(coeffs[-1] * one, I)
@@ -197,10 +213,6 @@ def cyclic_shift(n, one=Fraction(1)):
 
 
 # -- text formats ------------------------------------------------------------
-
-
-def parse_scalar(tok: str) -> Fraction:
-    return Fraction(tok.strip())
 
 
 def format_scalar(x) -> str:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .families import bound_table, mu
-from .linalg import exact_powers, is_nonneg, order_of
+from .linalg import is_nonneg, order_of, poly_numerators
 
 DEFAULT_CAP = 10**8
 
@@ -35,7 +35,17 @@ class EnumerationCapExceeded(Exception):
     pass
 
 
-def _check_cap(n: int, j: int, cap: int):
+def count_monomials(n: int, j: int, cap: int = DEFAULT_CAP) -> int:
+    """n^(j-1), the number of paths enumerate_monomials yields, under the
+    same guards."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    # n^(j-1) >= 2^((j-1)(b-1)) for b the bit length of n: when that passes
+    # the cap, the power is never built, as it may be too long to print
+    if (j - 1) * (n.bit_length() - 1) > cap.bit_length():
+        raise EnumerationCapExceeded(f"n^(j-1) = {n}^{j - 1} exceeds cap {cap}")
     total = n ** (j - 1)
     if total > cap:
         raise EnumerationCapExceeded(
@@ -44,28 +54,11 @@ def _check_cap(n: int, j: int, cap: int):
     return total
 
 
-def count_monomials(n: int, j: int, cap: int = DEFAULT_CAP) -> int:
-    """n^(j-1), the number of paths enumerate_monomials yields, under the
-    same guards."""
-    if n < 2 or j < 1:
-        raise ValueError("need n >= 2 and j >= 1")
-    return _check_cap(n, j, cap)
-
-
 def enumerate_monomials(n: int, j: int, cap: int = DEFAULT_CAP):
     """All n^(j-1) vertex sequences (1, i_1, ..., i_{j-1}, 2), lexicographic."""
     count_monomials(n, j, cap)
     for interior in itertools.product(range(1, n + 1), repeat=j - 1):
         yield (1, *interior, 2)
-
-
-def path_from_index(n: int, j: int, idx: int):
-    """idx-th path in the lexicographic order of enumerate_monomials."""
-    digits = []
-    for _ in range(j - 1):
-        idx, d = divmod(idx, n)
-        digits.append(d + 1)
-    return (1, *reversed(digits), 2)
 
 
 def monomial_value(m, A):
@@ -175,9 +168,7 @@ def _census(n: int, cap: int = DEFAULT_CAP):
     has sum over representatives m with canon(psi(m)) = g of
     (n-2)_{r_m} / (n-2)_{r_g} pre-images, each term an exact integer.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    _check_cap(n, n, cap)
+    count_monomials(n, n, cap)
     return _census_of(n)
 
 
@@ -242,21 +233,15 @@ class CertificateReport:
         }
 
 
-def _census_facts_hold(n: int, stats) -> bool:
-    """The census facts behind every cap: the classes k = 1..n-1 partition
-    all n^(n-1) paths, phi is injective and nu(n,k) <= mu(n,k) on each."""
-    return (
-        set(stats) == set(range(1, n))
-        and sum(cnt for cnt, _, _ in stats.values()) == n ** (n - 1)
-        and all(inj and nu <= mu(n, k) for k, (_, inj, nu) in stats.items())
-    )
-
-
 def census_cap(n: int, cap: int = DEFAULT_CAP) -> Fraction | None:
     """Largest a^2 the census of M_n certifies: the minimum of 4/nu(n,k) over
-    k = 1..n-1 and the diagonal cap 4.  None when a census fact fails."""
+    k = 1..n-1 and the diagonal cap 4.  None when a census fact fails: the
+    classes k = 1..n-1 partition all n^(n-1) paths, phi is injective and
+    nu(n,k) <= mu(n,k) on each."""
     stats = _census(n, cap)
-    if not _census_facts_hold(n, stats):
+    if (set(stats) != set(range(1, n))
+            or sum(cnt for cnt, _, _ in stats.values()) != n ** (n - 1)
+            or not all(inj and nu <= mu(n, k) for k, (_, inj, nu) in stats.items())):
         return None
     return bound_table(n, nu_values=[nu for _, _, nu in stats.values()]).sharp_a_sq
 
@@ -283,23 +268,31 @@ def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport
 
 
 def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool:
-    """Exact check of the decomposition of entry (1,2) on a concrete matrix.
+    """Exact replay on one matrix of the termwise proof behind census_cap.
 
-    For every monomial m of length n with class k, the termwise piece
-    value(psi)/mu - a*value(m) + value(phi) must be nonnegative; since a
-    enters only linearly this is tested squared (value(psi)/mu + value(phi))^2
-    >= a_sq * value(m)^2, exact in rationals.  The budgets (each phi-image
-    consumed at most once, each psi-image at most mu(n,k) times) are facts
-    about paths alone and are read from the census.  Finally the a-free part
-    of the sum must fit inside the positive entries sum_{j != n} (A^j)_{1,2}.
+    Each length-n path m of class k is paired with g = psi(m) and
+    f = phi(m); the identity v(f) v(g) == v(m)^2 is checked, and the term
+    a*v(m) must be bounded by lhs = v(g)/nu(n,k) + v(f), tested squared as
+    lhs^2 >= a_sq * v(m)^2, exact in rationals.  Finally the sum of the lhs
+    must fit inside the positive part sum_{j != n} (A^j)_{1,2} of entry (1,2)
+    of p_a(A).  nu and the other path facts come from the census: the check
+    is False when census_cap(n) is None.
+
+    For every nonnegative A it is True at every a_sq <= census_cap(n), the
+    range build_certificate accepts.  AM-GM gives lhs >= 2 v(m)/sqrt(nu) >=
+    a v(m) for a^2 <= 4/nu(n,k).  phi is injective and maps class k to
+    length n+k, so the v(f) of class k use each term of (A^(n+k))_{1,2} at
+    most once; each g has at most nu(n,k) pre-images in class k, so the
+    v(g)/nu use each term of (A^(n-k))_{1,2} at most once in total.
     """
     if order_of(A) != n:
         raise ValueError("matrix order must equal n")
     if not is_nonneg(A):
         raise ValueError("matrix must be entrywise nonnegative")
     a_sq = Fraction(a_sq)
-    if not _census_facts_hold(n, _census(n, cap)):
+    if census_cap(n, cap) is None:
         return False
+    nu = {k: nu_k for k, (_, _, nu_k) in _census(n, cap).items()}
     covered = Fraction(0)
     for m in enumerate_monomials(n, n, cap):
         k = min_cycle_length(m)
@@ -307,40 +300,30 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         vm, vf, vg = (monomial_value(x, A) for x in (m, phi(m, cyc), psi(m, cyc)))
         if vf * vg != vm * vm:
             return False
-        lhs = Fraction(vg) / mu(n, k) + vf
+        lhs = Fraction(vg) / nu[k] + vf
         if lhs * lhs < a_sq * vm * vm:
             return False
         covered += lhs
-    S, _, E = _p_a_parts(n, A)
-    return covered <= Fraction(S[0][1], E)
+    den, (S,) = poly_numerators(_p_a_split(n)[:1], A)
+    return covered <= Fraction(S[0][1], den)
 
 
-def _p_a_parts(n: int, A):
-    """(S, N, E) with sum_{j != n} A^j = S/E and A^n = N/E, where S and N
-    are integer matrices and E = D^(2n) for A = B/D; so p_a(A) = (S - a*N)/E.
-
-    S = sum_{j != n} B^j D^(2n-j) and N = B^n D^n, from one pass of powers.
-    """
-    D, powers = exact_powers(A, 2 * n)
-    scale = [D**i for i in range(2 * n + 1)]
-    m = len(A)
-    S = [[sum(P[r][c] * scale[2 * n - j] for j, P in enumerate(powers) if j != n)
-          for c in range(m)] for r in range(m)]
-    N = [[x * scale[n] for x in row] for row in powers[n]]
-    return S, N, scale[2 * n]
+def _p_a_split(n: int):
+    """Integer coefficients of P = sum_{j != n} x^j and of x^n: p_a = P - a*x^n."""
+    pos = [int(j != n) for j in range(2 * n + 1)]
+    return pos, [1 - c for c in pos]
 
 
 def verify_certificate_on_matrix(n: int, a_sq, A) -> bool:
     """End-to-end sanity: certificate verdict implies p_a(A) >= 0 entrywise.
 
-    a = sqrt(a_sq) may be irrational, so entries s - a*b (s, b >= 0 exact
-    rationals) are signed via s >= 0 and s^2 >= a_sq * b^2.  On the integer
-    parts S, N of _p_a_parts, with a_sq = p/q, that is s >= 0 and
-    s^2 * q >= p * b^2.
+    a = sqrt(a_sq) may be irrational, so each entry s - a*b (s, b >= 0) is
+    signed exactly on the integer numerators of _p_a_split over one common
+    denominator: with a_sq = p/q, s >= 0 and s^2 * q >= p * b^2.
     """
     a_sq = Fraction(a_sq)
     p, q = a_sq.numerator, a_sq.denominator
-    S, N, _ = _p_a_parts(n, A)
+    _, (S, N) = poly_numerators(_p_a_split(n), A)
     return all(
         s >= 0 and s * s * q >= p * b * b
         for rs, rb in zip(S, N) for s, b in zip(rs, rb)

@@ -38,6 +38,11 @@ def test_certified_cap_n10_falls_back_to_mu_formula():
     assert certified_cap(10) == (safe_a_squared(10), "mu-formula cap")
 
 
+def test_certified_cap_census_sized_n_falls_back_to_mu_formula():
+    # 1400^1399 is too long to print; the cap check must not try
+    assert certified_cap(1400) == (safe_a_squared(1400), "mu-formula cap")
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_certificate_accepts_exactly_up_to_certified_cap(n):
     cap, _ = certified_cap(n)

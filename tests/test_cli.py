@@ -190,6 +190,27 @@ def test_cap_exceeded_is_resource_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["nu", "--n", "2000", "--k", "1"],
+    ["enumerate", "--n", "2000", "--j", "2000", "--count"],
+    ["certify", "--n", "2000"],
+    ["bound", "--n", "2000", "--nu"],
+], ids=["nu", "enumerate_count", "certify", "bound_nu"])
+def test_census_sized_n_fails_with_cap_message(capsys, monkeypatch, argv):
+    # the default a^2 of certify takes seconds at this n, so it must not run
+    # before the cap check
+    def too_slow(*args, **kwargs):
+        raise AssertionError("default a^2 computed before the cap check")
+
+    monkeypatch.setattr(nnpoly.cli.families, "safe_a_squared", too_slow)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: n^(j-1) = 2000^1999 exceeds cap 100000000 "
+                            "(raise --cap to override)\n")
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, _ = run(capsys, "bound", "--n", "2", "--out", str(dest))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnpoly.bracket import certified_cap
 from nnpoly.families import make_p_a, mu, safe_a_squared
 from nnpoly.linalg import (
     exact_powers,
@@ -78,30 +79,31 @@ def decomposition_oracle(n, a_sq, A):
     if order_of(A) != n or not is_nonneg(A):
         raise ValueError
     a_sq = Fraction(a_sq)
-    stats = {}
+    # first pass, paths only: phi injective on each class, and nu(n,k) the
+    # largest psi pre-image count, at most mu(n,k)
+    classes = {}
     for m in enumerate_monomials(n, n):
         k = min_cycle_length(m)
         cyc = first_cycle(m, k)
-        f, g = phi(m, cyc), psi(m, cyc)
-        vm, vf, vg = (monomial_value(x, A) for x in (m, f, g))
-        if vf * vg != vm * vm:
+        classes.setdefault(k, []).append((m, phi(m, cyc), psi(m, cyc)))
+    nu = {}
+    for k, triples in classes.items():
+        if len({f for _, f, _ in triples}) != len(triples):
             return False
-        lhs = vg / mu(n, k) + vf
-        if lhs < 0 or lhs * lhs < a_sq * vm * vm:
+        nu[k] = max(Counter(g for _, _, g in triples).values())
+        if nu[k] > mu(n, k):
             return False
-        if k not in stats:
-            stats[k] = [Fraction(0), set(), Counter()]
-        entry = stats[k]
-        entry[0] += lhs
-        if f in entry[1]:
-            return False
-        entry[1].add(f)
-        entry[2][g] += 1
+    # second pass, on the matrix: identity, termwise AM-GM, covered sum
     covered = Fraction(0)
-    for k, (lhs_sum, _, psis) in stats.items():
-        if max(psis.values()) > mu(n, k):
-            return False
-        covered += lhs_sum
+    for k, triples in classes.items():
+        for m, f, g in triples:
+            vm, vf, vg = (monomial_value(x, A) for x in (m, f, g))
+            if vf * vg != vm * vm:
+                return False
+            lhs = Fraction(vg) / nu[k] + vf
+            if lhs < 0 or lhs * lhs < a_sq * vm * vm:
+                return False
+            covered += lhs
     positive_part = sum(
         mat_pow(A, j)[0][1] for j in range(1, 2 * n + 1) if j != n
     )
@@ -225,10 +227,11 @@ def test_verify_boundary_examples():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_decomposition_matches_oracle(data):
-    n = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(2, 4))
     A = [[F(data.draw(st.integers(0, 12)), data.draw(st.integers(1, 4)))
           for _ in range(n)] for _ in range(n)]
-    a_sq = data.draw(st.sampled_from([safe_a_squared(n), F(1, 7), F(50)]))
+    a_sq = data.draw(st.sampled_from(
+        [safe_a_squared(n), certified_cap(n)[0], F(1, 7), F(50)]))
     assert numeric_decomposition_check(n, a_sq, A) == decomposition_oracle(n, a_sq, A)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import nnpoly
 import nnpoly.paths as paths_module
+from nnpoly.bracket import certified_cap
 from nnpoly.families import mu, safe_a_squared
 from nnpoly.paths import (
     EnumerationCapExceeded,
@@ -22,7 +23,6 @@ from nnpoly.paths import (
     monomial_value,
     numeric_decomposition_check,
     partition_stats,
-    path_from_index,
     phi,
     psi,
     verify_certificate_on_matrix,
@@ -53,7 +53,8 @@ def test_enumerate_keeps_order_distinct():
 def test_enumerate_lexicographic_matches_index():
     paths = list(enumerate_monomials(3, 3))
     assert paths == sorted(paths)
-    assert paths == [path_from_index(3, 3, i) for i in range(9)]
+    # the i-th path spells i in base 3, digits shifted to vertices 1..3
+    assert paths == [(1, i // 3 + 1, i % 3 + 1, 2) for i in range(9)]
 
 
 def test_enumerate_cap_guard():
@@ -68,6 +69,16 @@ def test_count_monomials():
         count_monomials(10, 12, cap=10**6)
     with pytest.raises(ValueError):
         count_monomials(1, 3)
+
+
+def test_count_monomials_cap_beyond_printable_power():
+    # 10^4999 has more digits than int-to-str conversion allows; the cap
+    # is decided without building or printing it
+    with pytest.raises(EnumerationCapExceeded, match=r"^n\^\(j-1\) = 10\^4999 exceeds cap"):
+        count_monomials(10, 5000)
+    # near the cap the power is still built and reported exactly
+    with pytest.raises(EnumerationCapExceeded, match="= 1000000000 exceeds"):
+        count_monomials(10, 10)
 
 
 def test_min_cycle_length_loop():
@@ -190,7 +201,7 @@ def test_value_identity(data):
     n = data.draw(st.integers(2, 4))
     A = [[F(data.draw(st.integers(0, 6))) for _ in range(n)] for _ in range(n)]
     idx = data.draw(st.integers(0, n ** (n - 1) - 1))
-    m = path_from_index(n, n, idx)
+    m = list(enumerate_monomials(n, n))[idx]
     k = min_cycle_length(m)
     cyc = first_cycle(m, k)
     f, g = phi(m, cyc), psi(m, cyc)
@@ -236,6 +247,30 @@ def test_decomposition_check_reads_budgets_from_census(monkeypatch, tamper):
     assert numeric_decomposition_check(3, F(1), A)
     monkeypatch.setattr(paths_module, "_census", broken)
     assert not numeric_decomposition_check(3, F(1), A)
+
+
+@pytest.mark.parametrize("n,A", [
+    (3, [[0, 5, F(15, 2)], [1, F(13, 9), 1], [1, F(2, 3), F(11, 4)]]),
+    (4, [[3, F(1, 3), 4, 4], [5, F(2, 3), F(4, 3), 4], [F(8, 9), F(4, 3), 3, F(5, 2)],
+         [1, F(13, 3), F(2, 3), F(15, 4)]]),
+], ids=["n3", "n4"])
+def test_decomposition_check_holds_at_certified_cap(n, A):
+    # p_a(A) >= 0 at the certified cap (4/3 and 4/7), and the check replays
+    # the proof of that with the weight 1/nu(n,k) that the cap divides by
+    a_sq, _ = certified_cap(n)
+    assert verify_certificate_on_matrix(n, a_sq, A)
+    assert numeric_decomposition_check(n, a_sq, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decomposition_check_holds_up_to_certified_cap(data):
+    n = data.draw(st.integers(2, 4))
+    # entries near 1 balance v(g)/nu against v(f), where a weight 1/mu fails
+    entry = st.one_of(st.integers(0, 3),
+                      st.fractions(min_value=0, max_value=3, max_denominator=8))
+    A = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    assert numeric_decomposition_check(n, certified_cap(n)[0], A)
 
 
 def test_decomposition_check_rejects_negative_matrix():
