@@ -43,10 +43,8 @@ def cmd_bound(args):
 
 
 def cmd_certify(args):
-    # the enumeration guards come first: at a census-sized n the default
-    # a^2 alone would take seconds before the cap is exceeded
-    paths.count_monomials(args.n, args.n, cap=args.cap)
-    a_sq = Fraction(args.a_sq) if args.a_sq else families.safe_a_squared(args.n)
+    a_sq = (Fraction(args.a_sq) if args.a_sq
+            else paths.census_cap(args.n, args.cap) or families.safe_a_squared(args.n))
     report = paths.build_certificate(args.n, a_sq, cap=args.cap)
     payload = {"config": {"n": str(args.n), "a_sq": str(a_sq)}, **report.to_json()}
     _emit(payload, args)
@@ -110,7 +108,7 @@ def _load_spectrum(args):
         import numpy as np
 
         with open(args.matrix_file) as fh:
-            A = linalg.parse_matrix_csv(fh.read(), exact=False)
+            A = linalg.parse_matrix_csv(fh.read())
         return list(np.linalg.eigvals(np.array(A, dtype=float)))
     raise SystemExit("one of --spectrum or --matrix-file is required")
 

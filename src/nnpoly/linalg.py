@@ -12,14 +12,16 @@ There is one kernel per arithmetic, and a generic reference beside each:
   on Python integers, so no product or sum normalises a Fraction.
   poly_numerators turns one pass of it into the integer numerators of
   polynomials in A over the common denominator D^top; poly_eval_matrix on
-  int and Fraction input and the p_a checks in paths read it.  mat_mul and
-  mat_pow stay generic and are its reference.
+  int and Fraction input and the p_a checks in paths read it, and the
+  decomposition check values its paths on B.  mat_mul and mat_pow stay
+  generic and are its reference.
 - float: poly_min_entries is a batched numpy Horner over a (batch, m, m)
   stack.  Its products are explicit left-to-right sums of correctly
-  rounded elementwise operations, the same operations in the same order as
-  the generic Horner of poly_eval_matrix on float input, which is its
-  reference: the two agree bit for bit.  (Python 3.12 made sum() of floats
-  compensated, so there the reference itself rounds differently.)
+  rounded elementwise operations, so it agrees bit for bit with the generic
+  Horner of poly_eval_matrix on float input whenever that adds left to
+  right too.  mat_mul sums with built-in sum(), which Python 3.12 made
+  compensated for floats, so from 3.12 on the two may differ in the last
+  bits; the kernel itself gives the same floats on every Python.
 
 Rows and columns are reported 1-based to match the usual vertex labels;
 storage is 0-based.
@@ -32,8 +34,6 @@ from math import lcm
 from operator import mul
 
 import numpy as np
-
-Matrix = list  # list[list[scalar]]
 
 
 def order_of(A) -> int:
@@ -177,12 +177,13 @@ def poly_min_entries(coeffs, As):
     As is a (batch, m, m) stack of float matrices and coeffs are floats.
     Each product is accumulated as a left-to-right sum over k of
     acc[:, :, k] * A[:, k, :], and c is added on the diagonal only, so every
-    entry goes through the same IEEE operations as the generic Horner (no
-    matmul, einsum or BLAS, which may reorder or fuse the sums).  Like
-    min_entry, a matrix whose entry (1, 1) of p(A) is nan gets nan;
-    otherwise nan entries are skipped.  Like the generic Horner, whose
-    identity is built from A[0][0] * 0 + 1, a matrix with A[0][0] inf or nan
-    gets nan.  Overflow to inf or nan is expected and silent.
+    entry goes through the same IEEE operations as a generic Horner that
+    adds left to right (no matmul, einsum or BLAS, which may reorder or
+    fuse the sums).  Like min_entry, a matrix whose entry (1, 1) of p(A) is
+    nan gets nan; otherwise nan entries are skipped.  Like the generic
+    Horner, whose identity is built from A[0][0] * 0 + 1, a matrix with
+    A[0][0] inf or nan gets nan.  Overflow to inf or nan is expected and
+    silent.
     """
     As = np.asarray(As, dtype=np.float64)
     batch, m = As.shape[0], As.shape[2]
@@ -219,14 +220,9 @@ def format_scalar(x) -> str:
     return str(Fraction(x))
 
 
-def parse_matrix_csv(text: str, exact: bool = True):
-    rows = []
-    for line in text.strip().splitlines():
-        toks = line.split(",")
-        if exact:
-            rows.append([Fraction(t.strip()) for t in toks])
-        else:
-            rows.append([float(Fraction(t.strip())) for t in toks])
+def parse_matrix_csv(text: str):
+    rows = [[Fraction(t.strip()) for t in line.split(",")]
+            for line in text.strip().splitlines()]
     order_of(rows)
     return rows
 

@@ -23,10 +23,11 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from types import MappingProxyType
 
 from .families import bound_table, mu
-from .linalg import is_nonneg, order_of, poly_numerators
+from .linalg import exact_powers, is_nonneg, order_of, poly_numerators
 
 DEFAULT_CAP = 10**8
 
@@ -62,10 +63,7 @@ def enumerate_monomials(n: int, j: int, cap: int = DEFAULT_CAP):
 
 
 def monomial_value(m, A):
-    val = A[0][0] * 0 + 1
-    for s, t in zip(m, m[1:]):
-        val = val * A[s - 1][t - 1]
-    return val
+    return prod(A[s - 1][t - 1] for s, t in zip(m, m[1:]))
 
 
 def min_cycle_length(m) -> int:
@@ -271,12 +269,18 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     """Exact replay on one matrix of the termwise proof behind census_cap.
 
     Each length-n path m of class k is paired with g = psi(m) and
-    f = phi(m); the identity v(f) v(g) == v(m)^2 is checked, and the term
-    a*v(m) must be bounded by lhs = v(g)/nu(n,k) + v(f), tested squared as
-    lhs^2 >= a_sq * v(m)^2, exact in rationals.  Finally the sum of the lhs
-    must fit inside the positive part sum_{j != n} (A^j)_{1,2} of entry (1,2)
-    of p_a(A).  nu and the other path facts come from the census: the check
-    is False when census_cap(n) is None.
+    f = phi(m); the identity v(f) v(g) == v(m)^2 is checked, and a*v(m)
+    must be bounded by lhs = v(g)/nu(n,k) + v(f), tested as lhs^2 >=
+    a_sq v(m)^2.  The lhs must sum to at most the positive part
+    sum_{j != n} (A^j)_{1,2} of entry (1,2) of p_a(A).  nu and the path
+    facts come from the census; the check is False if census_cap(n) is None.
+
+    It runs on integers: paths are valued on the int matrix B of A = B/D
+    from exact_powers, a path of length l being worth v_B/D^l.  With N the
+    lcm of the nu and a_sq = p/q, L = v_B(g) D^(2k) N/nu + N v_B(f) is
+    N D^(n+k) lhs, so the termwise test is q L^2 >= p (N D^k v_B(m))^2, and
+    the sum of the L D^(n-k) is compared with N S for S/D^(2n) the positive
+    part from poly_numerators.
 
     For every nonnegative A it is True at every a_sq <= census_cap(n), the
     range build_certificate accepts.  AM-GM gives lhs >= 2 v(m)/sqrt(nu) >=
@@ -289,23 +293,29 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         raise ValueError("matrix order must equal n")
     if not is_nonneg(A):
         raise ValueError("matrix must be entrywise nonnegative")
-    a_sq = Fraction(a_sq)
+    p, q = Fraction(a_sq).as_integer_ratio()
     if census_cap(n, cap) is None:
         return False
-    nu = {k: nu_k for k, (_, _, nu_k) in _census(n, cap).items()}
-    covered = Fraction(0)
+    census = _census(n, cap)
+    N = lcm(*(nu for _, _, nu in census.values()))
+    D, (_, B) = exact_powers(A, 1)
+    # k -> the weights of v_B(g) in L, of v_B(m) in the test and of L in covered
+    scale = {k: (D ** (2 * k) * (N // nu), N * D**k, D ** (n - k))
+             for k, (_, _, nu) in census.items()}
+    covered = 0
     for m in enumerate_monomials(n, n, cap):
         k = min_cycle_length(m)
         cyc = first_cycle(m, k)
-        vm, vf, vg = (monomial_value(x, A) for x in (m, phi(m, cyc), psi(m, cyc)))
+        vm, vf, vg = (monomial_value(x, B) for x in (m, phi(m, cyc), psi(m, cyc)))
         if vf * vg != vm * vm:
             return False
-        lhs = Fraction(vg) / nu[k] + vf
-        if lhs * lhs < a_sq * vm * vm:
+        wg, wm, wc = scale[k]
+        L = wg * vg + N * vf
+        if q * L * L < p * (wm * vm) ** 2:
             return False
-        covered += lhs
-    den, (S,) = poly_numerators(_p_a_split(n)[:1], A)
-    return covered <= Fraction(S[0][1], den)
+        covered += wc * L
+    _, (S,) = poly_numerators(_p_a_split(n)[:1], A)
+    return covered <= N * S[0][1]
 
 
 def _p_a_split(n: int):

@@ -98,11 +98,6 @@ def _rationalize(A):
     ]
 
 
-def _float_objective(coeffs_f, As):
-    """Min entry of p(A) for each float matrix of the stack As."""
-    return poly_min_entries(coeffs_f, As)
-
-
 def probe_witness(coeffs, m: int) -> WitnessReport | None:
     """First exact witness among the deterministic probes t*J and t*P
     (all-ones, cyclic shift) over a sweep of t, or None."""
@@ -148,7 +143,7 @@ def search_witness(
         rng = random.Random(f"{seed}:{idx}")
         scale = float(SCALE_SWEEP[idx % len(SCALE_SWEEP)])
         A = [[rng.random() * scale for _ in range(m)] for _ in range(m)]
-        obj = _float_objective(coeffs_f, [A])[0]
+        obj = poly_min_entries(coeffs_f, [A])[0]
         if math.isnan(obj):
             obj = math.inf  # nan compares false, so nothing could beat it
         for _ in range(iterations):
@@ -161,7 +156,7 @@ def search_witness(
             stack = np.array([A] * len(cands))
             stack[:, i, j] = cands
             best_val, best = obj, base
-            for val, cand in zip(_float_objective(coeffs_f, stack), cands):
+            for val, cand in zip(poly_min_entries(coeffs_f, stack), cands):
                 if val < best_val:  # false for nan; -inf is re-verified exactly
                     best_val, best = val, cand
             A[i][j] = best

@@ -45,6 +45,15 @@ def test_certify_accepts_nu_sharpened_cap(capsys):
     assert json.loads(out)["verdict"] is True
 
 
+def test_certify_defaults_to_certified_cap(capsys):
+    # the census certifies 4/nu(3,k) = 4/3, above the mu-formula cap 1
+    code, out = run(capsys, "certify", "--n", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["a_sq"] == payload["config"]["a_sq"] == "4/3"
+    assert payload["verdict"] is True
+
+
 def test_certify_verdict_false_exits_2(capsys):
     code, out = run(capsys, "certify", "--n", "2", "--a-sq", "100")
     assert code == 2

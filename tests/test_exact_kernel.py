@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnpoly import paths as paths_module
 from nnpoly.bracket import certified_cap
 from nnpoly.families import make_p_a, mu, safe_a_squared
 from nnpoly.linalg import (
@@ -233,6 +234,21 @@ def test_decomposition_matches_oracle(data):
     a_sq = data.draw(st.sampled_from(
         [safe_a_squared(n), certified_cap(n)[0], F(1, 7), F(50)]))
     assert numeric_decomposition_check(n, a_sq, A) == decomposition_oracle(n, a_sq, A)
+
+
+def test_decomposition_values_paths_on_int_matrix(monkeypatch):
+    # every path is valued on the integer matrix B = D*A, never on Fractions
+    seen = []
+
+    def spy(m, A):
+        seen.append(A)
+        return monomial_value(m, A)
+
+    monkeypatch.setattr(paths_module, "monomial_value", spy)
+    A = [[F(1, 2), F(3, 4), F(5)], [F(2, 3), F(0), F(1, 6)], [F(7), F(1, 2), F(4, 3)]]
+    assert numeric_decomposition_check(3, certified_cap(3)[0], A)
+    assert seen
+    assert all(type(x) is int for B in seen for row in B for x in row)
 
 
 def test_decomposition_positive_part_is_tight():

@@ -1,6 +1,8 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from nnpoly.linalg import (
     cyclic_shift,
     format_matrix_csv,
     identity,
+    mat_add,
     mat_mul,
     mat_pow,
+    mat_scale,
     min_entry,
     parse_matrix_csv,
     parse_poly,
@@ -122,7 +126,16 @@ def same_float(x, y):
 
 
 def reference_min(coeffs, A):
-    return min_entry(poly_eval_matrix(coeffs, A))[0]
+    """min_entry of the generic Horner of poly_eval_matrix, with each sum of
+    products added left to right as the kernel does: built-in sum() of
+    floats, which mat_mul uses, is compensated from Python 3.12 on."""
+    one = A[0][0] * 0 + 1
+    I = identity(len(A), one)
+    acc = mat_scale(coeffs[-1] * one, I)
+    for c in reversed(coeffs[:-1]):
+        prod = [[reduce(add, map(mul, row, col)) for col in zip(*A)] for row in acc]
+        acc = mat_add(prod, mat_scale(c * one, I))
+    return min_entry(acc)[0]
 
 
 float_entry = st.one_of(

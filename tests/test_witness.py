@@ -144,7 +144,7 @@ def fake_objective(coeffs_f, A):
 
 
 def batched(objective):
-    """The batch signature of witness._float_objective around a scripted
+    """The batch signature of linalg.poly_min_entries around a scripted
     per-matrix objective."""
     return lambda coeffs_f, As: [objective(coeffs_f, A) for A in As]
 
@@ -154,7 +154,7 @@ def rationalized(monkeypatch, objective):
     matrices handed to exact re-verification."""
     seen = []
     rationalize = witness._rationalize
-    monkeypatch.setattr(witness, "_float_objective", batched(objective))
+    monkeypatch.setattr(witness, "poly_min_entries", batched(objective))
     monkeypatch.setattr(witness, "_rationalize", lambda A: seen.append(A) or rationalize(A))
     return seen
 
