@@ -250,6 +250,9 @@ def main(argv=None):
     except paths.EnumerationCapExceeded as exc:
         print(f"error: {exc} (raise --cap to override)", file=sys.stderr)
         return EXIT_ERROR
+    except ZeroDivisionError as exc:  # Fraction("1/0") in a rational argument
+        print(f"error: zero denominator in {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

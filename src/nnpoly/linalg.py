@@ -1,30 +1,20 @@
-"""Dense matrices and univariate polynomials over a generic scalar.
+"""Dense matrices and univariate polynomials.
 
-Matrices are plain lists of row lists; the scalar type is whatever the
-entries carry (Fraction for exact work, float inside search loops).  All
-certification verdicts elsewhere in the package must be computed on
-exact (int or Fraction) matrices; floats are for exploration only.
-
-There is one kernel per arithmetic, and a generic reference beside each:
+Matrices are plain lists of row lists.  Certification verdicts are computed
+exactly; floats are for exploration only.  There is one kernel per
+arithmetic:
 
 - exact: exact_powers writes a rational matrix as A = B/D, with D the lcm
   of its entry denominators and B an int matrix, and builds the powers of B
-  on Python integers, so no product or sum normalises a Fraction.
-  poly_numerators turns one pass of it into the integer numerators of
-  polynomials in A over the common denominator D^top; poly_eval_matrix on
-  int and Fraction input and the p_a checks in paths read it, and the
-  decomposition check values its paths on B.  mat_mul and mat_pow stay
-  generic and are its reference.
+  on Python integers.  It is the one door into exact evaluation: it reads
+  int, Fraction and numpy integer entries as Python ints and refuses
+  floats.  poly_numerators, poly_eval_matrix and the checks in paths read it.
 - float: poly_min_entries is a batched numpy Horner over a (batch, m, m)
-  stack.  Its products are explicit left-to-right sums of correctly
-  rounded elementwise operations, so it agrees bit for bit with the generic
-  Horner of poly_eval_matrix on float input whenever that adds left to
-  right too.  mat_mul sums with built-in sum(), which Python 3.12 made
-  compensated for floats, so from 3.12 on the two may differ in the last
-  bits; the kernel itself gives the same floats on every Python.
+  stack of left-to-right sums, so it gives the same floats on every Python.
 
-Rows and columns are reported 1-based to match the usual vertex labels;
-storage is 0-based.
+identity, mat_mul, mat_pow, mat_add, mat_scale and min_entry stay generic
+over the scalar type: the tests build each kernel's reference from them.
+Rows and columns are reported 1-based; storage is 0-based.
 """
 
 from __future__ import annotations
@@ -73,17 +63,27 @@ def mat_pow(A, j):
     return result
 
 
+def _scaled_ints(rows):
+    """(D, rows * D) in Python ints, D the lcm of the denominators.  Numpy
+    integers are read as Python ints; floats raise ValueError."""
+    try:
+        ratios = [[(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
+    except AttributeError:
+        raise ValueError("exact evaluation takes only int or Fraction values") from None
+    D = lcm(*(d for row in ratios for _, d in row))
+    return D, [[p * (D // d) for p, d in row] for row in ratios]
+
+
 def exact_powers(A, top):
     """(D, [B^0, ..., B^top]) with A = B/D, so A^j = B^j / D^j.
 
-    A holds int or Fraction entries and D is the lcm of their denominators;
-    each power is one integer mat_mul of the previous one with B.
+    A holds int, Fraction or numpy integer entries and D is the lcm of their
+    denominators; each power is one integer mat_mul of the previous one with B.
     """
     if top < 0:
         raise ValueError("exponent must be >= 0")
     n = order_of(A)
-    D = lcm(*(x.denominator for row in A for x in row))
-    B = [[x.numerator * (D // x.denominator) for x in row] for row in A]
+    D, B = _scaled_ints(A)
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for _ in range(top):
         powers.append(mat_mul(powers[-1], B))
@@ -143,47 +143,35 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def _is_exact(xs):
-    return all(isinstance(x, (int, Fraction)) for x in xs)
-
-
 def poly_eval_matrix(coeffs, A):
-    """sum_d coeffs[d] * A**d.
+    """sum_d coeffs[d] * A**d, exactly, as a matrix of Fractions.
 
-    On int or Fraction input this is N / (L D^top) from poly_numerators of
-    the integer coefficients e_d = L*coeffs[d], for L the lcm of the
-    coefficient denominators; each entry is one Fraction.  Any other scalar
-    type (float, complex) takes the generic Horner.
+    Coefficients and entries are int, Fraction or numpy integers; floats
+    raise ValueError (poly_min_entries is the float kernel).  With L the lcm
+    of the coefficient denominators this is N / (L D^top), N from
+    poly_numerators of the integer coefficients L*coeffs[d].
     """
     if not coeffs:
         raise ValueError("empty coefficient list")
-    n = order_of(A)
-    if _is_exact(coeffs) and all(_is_exact(row) for row in A):
-        L = lcm(*(c.denominator for c in coeffs))
-        den, (N,) = poly_numerators([[c.numerator * (L // c.denominator) for c in coeffs]], A)
-        den *= L
-        return [[Fraction(x, den) for x in row] for row in N]
-    one = A[0][0] * 0 + 1
-    I = identity(n, one)
-    acc = mat_scale(coeffs[-1] * one, I)
-    for c in reversed(coeffs[:-1]):
-        acc = mat_add(mat_mul(acc, A), mat_scale(c * one, I))
-    return acc
+    L, (ints,) = _scaled_ints([coeffs])
+    den, (N,) = poly_numerators([ints], A)
+    den *= L
+    return [[Fraction(x, den) for x in row] for row in N]
 
 
 def poly_min_entries(coeffs, As):
-    """[min_entry(poly_eval_matrix(coeffs, A))[0] for A in As], batched.
+    """min_entry(p(A))[0] for each A in As, batched, with p the coefficients.
 
     As is a (batch, m, m) stack of float matrices and coeffs are floats.
     Each product is accumulated as a left-to-right sum over k of
     acc[:, :, k] * A[:, k, :], and c is added on the diagonal only, so every
-    entry goes through the same IEEE operations as a generic Horner that
-    adds left to right (no matmul, einsum or BLAS, which may reorder or
-    fuse the sums).  Like min_entry, a matrix whose entry (1, 1) of p(A) is
-    nan gets nan; otherwise nan entries are skipped.  Like the generic
-    Horner, whose identity is built from A[0][0] * 0 + 1, a matrix with
-    A[0][0] inf or nan gets nan.  Overflow to inf or nan is expected and
-    silent.
+    entry goes through the same IEEE operations as the left-to-right generic
+    Horner reference_horner in tests/test_linalg.py (no matmul, einsum or
+    BLAS, which may reorder or fuse the sums).  Like min_entry, a matrix
+    whose entry (1, 1) of p(A) is nan gets nan; otherwise nan entries are
+    skipped.  Like that Horner, whose identity is built from
+    A[0][0] * 0 + 1, a matrix with A[0][0] inf or nan gets nan.  Overflow
+    to inf or nan is expected and silent.
     """
     As = np.asarray(As, dtype=np.float64)
     batch, m = As.shape[0], As.shape[2]
@@ -204,12 +192,11 @@ def poly_min_entries(coeffs, As):
     return mins.tolist()
 
 
-def cyclic_shift(n, one=Fraction(1)):
+def cyclic_shift(n):
     """Permutation matrix of the n-cycle 1 -> 2 -> ... -> n -> 1."""
-    zero = one - one
-    P = [[zero] * n for _ in range(n)]
+    P = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        P[i][(i + 1) % n] = one
+        P[i][(i + 1) % n] = Fraction(1)
     return P
 
 

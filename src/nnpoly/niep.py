@@ -32,6 +32,8 @@ def jll_check(values, k_max: int = 4, m_max: int = 4, tol: float = DEFAULT_TOL):
     values = [complex(v) for v in values]
     if not values:
         raise ValueError("empty list")
+    if k_max < 1 or m_max < 1:
+        raise ValueError("k_max and m_max must be >= 1")
     n = len(values)
     s = {k: power_sum(values, k) for k in range(1, k_max * m_max + 1)}
     scale = max(1.0, max(abs(x) for x in s.values()))

@@ -293,7 +293,7 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         raise ValueError("matrix order must equal n")
     if not is_nonneg(A):
         raise ValueError("matrix must be entrywise nonnegative")
-    p, q = Fraction(a_sq).as_integer_ratio()
+    p, q = _a_sq_ratio(a_sq)
     if census_cap(n, cap) is None:
         return False
     census = _census(n, cap)
@@ -318,6 +318,14 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     return covered <= N * S[0][1]
 
 
+def _a_sq_ratio(a_sq):
+    """(p, q) with a_sq = p/q in Python ints; a = sqrt(a_sq) must be real."""
+    p, q = map(int, Fraction(a_sq).as_integer_ratio())
+    if p < 0:
+        raise ValueError("a_sq must be >= 0")
+    return p, q
+
+
 def _p_a_split(n: int):
     """Integer coefficients of P = sum_{j != n} x^j and of x^n: p_a = P - a*x^n."""
     pos = [int(j != n) for j in range(2 * n + 1)]
@@ -331,8 +339,7 @@ def verify_certificate_on_matrix(n: int, a_sq, A) -> bool:
     signed exactly on the integer numerators of _p_a_split over one common
     denominator: with a_sq = p/q, s >= 0 and s^2 * q >= p * b^2.
     """
-    a_sq = Fraction(a_sq)
-    p, q = a_sq.numerator, a_sq.denominator
+    p, q = _a_sq_ratio(a_sq)
     _, (S, N) = poly_numerators(_p_a_split(n), A)
     return all(
         s >= 0 and s * s * q >= p * b * b

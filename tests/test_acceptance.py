@@ -17,7 +17,6 @@ from nnpoly.paths import (
     exact_nu,
     first_cycle,
     min_cycle_length,
-    monomial_value,
     numeric_decomposition_check,
     partition_stats,
     phi,

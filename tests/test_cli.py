@@ -294,6 +294,33 @@ def test_negative_search_budget_rejected(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "3", "--a-sq", "1/0"],
+    ["witness-cycle", "--n", "2", "--a", "1", "--t", "1/0"],
+    ["search-a", "--n", "2", "--tol", "1/0"],
+    ["falsify", "--coeffs=1/0,1", "--m", "1"],
+    ["bound", "--n", "2", "--d", "1/0,1,1,1,1"],
+    ["jll", "--matrix-file", "{zero_cell_csv}"],
+], ids=["certify", "witness_cycle", "search_a", "falsify", "bound", "jll_matrix_file"])
+def test_zero_denominator_is_usage_error(tmp_path, capsys, argv):
+    matrix_file = tmp_path / "m.csv"
+    matrix_file.write_text("1,1/0\n0,1\n")
+    code = main([a.format(zero_cell_csv=matrix_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in Fraction(1, 0)\n"
+
+
+@pytest.mark.parametrize("flag", ["--k-max", "--m-max"])
+def test_jll_empty_table_is_usage_error(capsys, flag):
+    code = main(["jll", "--spectrum", "1", flag, "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: k_max and m_max must be >= 1\n"
+
+
 def test_zero_search_budget_runs_probes_only(capsys):
     code, out = run(capsys, "falsify", "--coeffs=1,-3,1", "--m", "2",
                     "--starts", "0", "--iterations", "0")

@@ -1,16 +1,19 @@
 """The integer kernel of exact evaluation against Fraction oracles.
 
 The oracles are the Fraction list-of-lists implementations that the kernel
-replaced: powers by mat_pow from scratch for each j, the generic Horner of
-poly_eval_matrix, and the membership and decomposition checks built on
-them.  They must agree exactly.
+replaced: powers by mat_pow from scratch for each j, a generic Horner on
+mat_mul, and the membership and decomposition checks built on them.  They
+must agree exactly.  The kernel reads its input through exact_powers,
+which takes int, Fraction and numpy integers and refuses floats.
 """
 
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,6 +281,61 @@ def test_decomposition_int_matrix_matches_oracle(data):
     assert numeric_decomposition_check(n, a_sq, A) == decomposition_oracle(n, a_sq, exact)
 
 
+# -- the input contract of exact evaluation ------------------------------------
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, np.float64(0.5), np.float32(2), 1 + 0j],
+                         ids=["float", "integral_float", "np_float64", "np_float32", "complex"])
+def test_exact_entry_points_refuse_inexact_entries(entry):
+    A = [[entry, F(1)], [F(1), F(0)]]
+    with pytest.raises(ValueError, match="exact evaluation"):
+        verify_certificate_on_matrix(2, 2, A)
+    with pytest.raises(ValueError, match="exact evaluation"):
+        poly_eval_matrix([F(1), F(-2), F(1, 3)], A)
+    if not isinstance(entry, complex):  # is_nonneg cannot order a complex
+        with pytest.raises(ValueError, match="exact evaluation"):
+            numeric_decomposition_check(2, 2, A)
+
+
+def test_poly_eval_refuses_float_coefficients():
+    A = [[F(1, 2), F(1)], [F(3), F(0)]]
+    for coeffs in ([0.3, -1.7, 0.9], [F(1), 2.0], [np.float64(1)]):
+        with pytest.raises(ValueError, match="exact evaluation"):
+            poly_eval_matrix(coeffs, A)
+
+
+def test_numpy_integers_evaluate_as_python_ints():
+    # powers of 10**4 pass 2**63 from B^5 on, where np.int64 would wrap
+    big = [[10**4] * 4 for _ in range(4)]
+    for A in ([[np.int64(x) for x in row] for row in big], np.array(big, dtype=np.int64)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_certificate_on_matrix(4, F(1, 3), A)
+            assert numeric_decomposition_check(4, F(1, 3), A)
+            C = poly_eval_matrix([np.int64(1)] * 9, A)
+        assert C == poly_eval_matrix([1] * 9, big)
+        assert all(type(x) is Fraction for row in C for x in row)
+    assert verify_certificate_on_matrix(4, F(1, 3), big)
+    assert numeric_decomposition_check(4, F(1, 3), big)
+    # a_sq is read the same way
+    A = [[10**10] * 2 for _ in range(2)]
+    assert verify_certificate_on_matrix(2, np.int64(2), A)
+    assert numeric_decomposition_check(2, np.int64(2), A)
+
+
+@pytest.mark.parametrize("a_sq", [-5, F(-1, 3), np.int64(-2)])
+def test_exact_checks_refuse_negative_a_sq(a_sq):
+    # a negative p would make s^2 q >= p b^2 hold however negative b is;
+    # a = 0 is real and stays valid
+    A = [[1, 2], [3, 0]]
+    with pytest.raises(ValueError, match="a_sq must be >= 0"):
+        verify_certificate_on_matrix(2, a_sq, A)
+    with pytest.raises(ValueError, match="a_sq must be >= 0"):
+        numeric_decomposition_check(2, a_sq, A)
+    assert verify_certificate_on_matrix(2, 0, A)
+    assert numeric_decomposition_check(2, 0, A)
+
+
 # -- polynomial evaluation and the witnesses it checks ---------------------------
 
 coefficient = st.one_of(
@@ -301,13 +359,6 @@ def test_poly_eval_matches_horner(coeffs, A):
        matrices(st.integers(-9, 9)))
 def test_poly_eval_int_matrix_matches_horner(coeffs, A):
     assert poly_eval_matrix(coeffs, A) == horner_oracle(coeffs, A)
-
-
-def test_poly_eval_float_input_keeps_generic_horner():
-    A = [[0.5, 0.25], [1.5, 0.1]]
-    coeffs = [0.3, -1.7, 0.9]
-    assert poly_eval_matrix(coeffs, A) == horner_oracle(coeffs, A)
-    assert poly_eval_matrix([F(1), F(-2), F(1, 3)], A) == horner_oracle([F(1), F(-2), F(1, 3)], A)
 
 
 @settings(max_examples=30, deadline=None)

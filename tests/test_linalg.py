@@ -125,17 +125,21 @@ def same_float(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
-def reference_min(coeffs, A):
-    """min_entry of the generic Horner of poly_eval_matrix, with each sum of
-    products added left to right as the kernel does: built-in sum() of
-    floats, which mat_mul uses, is compensated from Python 3.12 on."""
+def reference_horner(coeffs, A):
+    """The generic Horner on float matrices, with each sum of products added
+    left to right as the kernel does: built-in sum() of floats, which
+    mat_mul uses, is compensated from Python 3.12 on."""
     one = A[0][0] * 0 + 1
     I = identity(len(A), one)
     acc = mat_scale(coeffs[-1] * one, I)
     for c in reversed(coeffs[:-1]):
         prod = [[reduce(add, map(mul, row, col)) for col in zip(*A)] for row in acc]
         acc = mat_add(prod, mat_scale(c * one, I))
-    return min_entry(acc)[0]
+    return acc
+
+
+def reference_min(coeffs, A):
+    return min_entry(reference_horner(coeffs, A))[0]
 
 
 float_entry = st.one_of(
@@ -183,7 +187,7 @@ def test_batched_kernel_nan_at_entry_1_1():
     # min_entry starts from entry (1, 1), and nan compares false
     A = [[1e10, 1e200], [1e200, 1.0]]
     coeffs = [0.0, -1e300, 1.0]
-    C = poly_eval_matrix(coeffs, A)
+    C = reference_horner(coeffs, A)
     assert math.isnan(C[0][0])
     assert not any(math.isnan(x) for row in C for x in row[1:])
     assert math.isnan(reference_min(coeffs, A))

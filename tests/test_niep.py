@@ -29,6 +29,12 @@ def test_power_sum_rejects_k0():
         power_sum([1], 0)
 
 
+@pytest.mark.parametrize("k_max, m_max", [(0, 4), (4, 0), (-1, -1)])
+def test_jll_rejects_empty_table(k_max, m_max):
+    with pytest.raises(ValueError, match="k_max and m_max must be >= 1"):
+        jll_check([1, 2], k_max=k_max, m_max=m_max)
+
+
 def test_jll_fails_for_non_realizable_list():
     report = jll_check([1, 1j, -1j])
     assert not report["all_hold"]
