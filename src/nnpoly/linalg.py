@@ -8,7 +8,7 @@ arithmetic:
   of its entry denominators and B an int matrix, and builds the powers of B
   on Python integers.  It is the one door into exact evaluation: it reads
   int, Fraction and numpy integer entries as Python ints and refuses
-  floats.  poly_numerators, poly_eval_matrix and the checks in paths read it.
+  floats and booleans.  poly_numerators, poly_eval_matrix and the checks in paths read it.
 - float: poly_min_entries is a batched numpy Horner over a (batch, m, m)
   stack of left-to-right sums, so it gives the same floats on every Python.
 
@@ -63,13 +63,18 @@ def mat_pow(A, j):
     return result
 
 
+_EXACT_ONLY = "exact evaluation takes only int or Fraction values"
+
+
 def _scaled_ints(rows):
     """(D, rows * D) in Python ints, D the lcm of the denominators.  Numpy
-    integers are read as Python ints; floats raise ValueError."""
+    integers are read as Python ints; floats and booleans raise ValueError."""
+    if any(type(x) is bool for row in rows for x in row):  # np.bool_ fails below
+        raise ValueError(_EXACT_ONLY)
     try:
         ratios = [[(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
     except AttributeError:
-        raise ValueError("exact evaluation takes only int or Fraction values") from None
+        raise ValueError(_EXACT_ONLY) from None
     D = lcm(*(d for row in ratios for _, d in row))
     return D, [[p * (D // d) for p, d in row] for row in ratios]
 

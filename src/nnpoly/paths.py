@@ -291,14 +291,14 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     """
     if order_of(A) != n:
         raise ValueError("matrix order must equal n")
-    if not is_nonneg(A):
+    D, (_, B) = exact_powers(A, 1)
+    if not is_nonneg(B):  # D > 0, so B has the signs of A
         raise ValueError("matrix must be entrywise nonnegative")
     p, q = _a_sq_ratio(a_sq)
     if census_cap(n, cap) is None:
         return False
     census = _census(n, cap)
     N = lcm(*(nu for _, _, nu in census.values()))
-    D, (_, B) = exact_powers(A, 1)
     # k -> the weights of v_B(g) in L, of v_B(m) in the test and of L in covered
     scale = {k: (D ** (2 * k) * (N // nu), N * D**k, D ** (n - k))
              for k, (_, _, nu) in census.items()}

@@ -9,7 +9,6 @@ inconclusive, never a membership proof.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +29,7 @@ from .linalg import (
 
 SCALE_SWEEP = [Fraction(2) ** e for e in range(-4, 5)]
 RATIONALIZE_DENOM = 10**6
+SEARCH_BLOCK = 64  # starts advanced together, bounding the stack at 9 * 64
 
 
 @dataclass
@@ -122,7 +122,11 @@ def search_witness(
     Floating point drives the search; any negative candidate is rationalized
     (continued fractions, bounded denominator) and kept only if the exact
     re-evaluation is still negative.  Starts are seeded independently from
-    (seed, start index), so the first verified index is reproducible.
+    (seed, start index) and advance in lockstep, SEARCH_BLOCK at a time, so
+    a coordinate step of a whole block is one poly_min_entries call.  Each
+    start's path depends only on its own stream and its own kernel values,
+    so it is the path the start would take alone, and the lowest verified
+    start index is returned; later blocks are not run.
     """
     coeffs = [Fraction(c) for c in coeffs]
     if starts < 0 or iterations < 0:
@@ -138,31 +142,53 @@ def search_witness(
             raise ValueError(
                 f"coefficient of x^{d} is too large for the float search"
             ) from None
+    for first in range(0, starts, SEARCH_BLOCK):
+        block = range(first, min(first + SEARCH_BLOCK, starts))
+        objs, As = _descend_block(coeffs_f, m, block, iterations, seed)
+        for obj, A in zip(objs, As):
+            if obj < -1e-12:
+                rep = _verified_report(coeffs, _rationalize(A), "search")
+                if rep is not None:
+                    return rep
+    return None
+
+
+def _descend_block(coeffs_f, m, block, iterations, seed):
+    """(objectives, matrices) after `iterations` coordinate steps from each
+    start index in block, as float lists.
+
+    Start idx draws from random.Random(f"{seed}:{idx}") its initial matrix,
+    then per step i, j and the candidate entries.  Its nine candidates
+    become nine rows of one (len(block) * 9, m, m) stack, and it moves to
+    the first candidate whose value is strictly below its objective and
+    below every earlier candidate's, as a strict `val < best_val` scan does.
+    """
     factors = [0.0, 0.25, 0.5, 0.8, 0.95, 1.05, 1.25, 2.0, 4.0]
-    for idx in range(starts):
-        rng = random.Random(f"{seed}:{idx}")
-        scale = float(SCALE_SWEEP[idx % len(SCALE_SWEEP)])
-        A = [[rng.random() * scale for _ in range(m)] for _ in range(m)]
-        obj = poly_min_entries(coeffs_f, [A])[0]
-        if math.isnan(obj):
-            obj = math.inf  # nan compares false, so nothing could beat it
-        for _ in range(iterations):
+    rngs = [random.Random(f"{seed}:{idx}") for idx in block]
+    scales = [float(SCALE_SWEEP[idx % len(SCALE_SWEEP)]) for idx in block]
+    As = np.array([[[rng.random() * scale for _ in range(m)] for _ in range(m)]
+                   for rng, scale in zip(rngs, scales)])
+    obj = np.array(poly_min_entries(coeffs_f, As))
+    obj[np.isnan(obj)] = np.inf  # nan compares false, so nothing could beat it
+    rows = np.arange(len(block))
+    for _ in range(iterations):
+        steps = []
+        for rng, scale, A in zip(rngs, scales, As):
             i, j = rng.randrange(m), rng.randrange(m)
-            base = A[i][j]
-            cands = [
+            base = float(A[i, j])
+            steps.append((i, j, [
                 max(base * f if base else scale * f * rng.random(), 0.0)
                 for f in factors
-            ]
-            stack = np.array([A] * len(cands))
-            stack[:, i, j] = cands
-            best_val, best = obj, base
-            for val, cand in zip(poly_min_entries(coeffs_f, stack), cands):
-                if val < best_val:  # false for nan; -inf is re-verified exactly
-                    best_val, best = val, cand
-            A[i][j] = best
-            obj = best_val
-        if obj < -1e-12:
-            rep = _verified_report(coeffs, _rationalize(A), "search")
-            if rep is not None:
-                return rep
-    return None
+            ]))
+        ii, jj, cands = map(np.array, zip(*steps))
+        stack = np.repeat(As[:, None], len(factors), axis=1)
+        stack[rows, :, ii, jj] = cands
+        vals = np.array(poly_min_entries(coeffs_f, stack.reshape(-1, m, m)))
+        vals = vals.reshape(cands.shape)
+        vals[np.isnan(vals)] = np.inf  # never chosen; -inf is re-verified exactly
+        pick = vals.argmin(axis=1)  # the first of equal minima
+        best = vals[rows, pick]
+        moved = best < obj
+        As[rows[moved], ii[moved], jj[moved]] = cands[rows, pick][moved]
+        obj = np.where(moved, best, obj)
+    return obj.tolist(), As.tolist()

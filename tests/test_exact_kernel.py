@@ -284,22 +284,24 @@ def test_decomposition_int_matrix_matches_oracle(data):
 # -- the input contract of exact evaluation ------------------------------------
 
 
-@pytest.mark.parametrize("entry", [0.5, 1.0, np.float64(0.5), np.float32(2), 1 + 0j],
-                         ids=["float", "integral_float", "np_float64", "np_float32", "complex"])
+@pytest.mark.parametrize(
+    "entry", [0.5, 1.0, np.float64(0.5), np.float32(2), 1 + 0j, True, np.bool_(True)],
+    ids=["float", "integral_float", "np_float64", "np_float32", "complex", "bool", "np_bool"])
 def test_exact_entry_points_refuse_inexact_entries(entry):
+    # the decomposition check reads A through exact_powers before it tests
+    # the signs, so a complex entry is refused, not compared
     A = [[entry, F(1)], [F(1), F(0)]]
     with pytest.raises(ValueError, match="exact evaluation"):
         verify_certificate_on_matrix(2, 2, A)
     with pytest.raises(ValueError, match="exact evaluation"):
         poly_eval_matrix([F(1), F(-2), F(1, 3)], A)
-    if not isinstance(entry, complex):  # is_nonneg cannot order a complex
-        with pytest.raises(ValueError, match="exact evaluation"):
-            numeric_decomposition_check(2, 2, A)
+    with pytest.raises(ValueError, match="exact evaluation"):
+        numeric_decomposition_check(2, 2, A)
 
 
 def test_poly_eval_refuses_float_coefficients():
     A = [[F(1, 2), F(1)], [F(3), F(0)]]
-    for coeffs in ([0.3, -1.7, 0.9], [F(1), 2.0], [np.float64(1)]):
+    for coeffs in ([0.3, -1.7, 0.9], [F(1), 2.0], [np.float64(1)], [1, True], [np.bool_(True)]):
         with pytest.raises(ValueError, match="exact evaluation"):
             poly_eval_matrix(coeffs, A)
 

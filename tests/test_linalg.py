@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from nnpoly.linalg import (
     poly_eval_matrix,
     poly_min_entries,
 )
+from nnpoly.witness import SEARCH_BLOCK
 
 F = Fraction
 
@@ -200,3 +202,20 @@ def test_batched_kernel_non_finite_corner_entry():
     assert math.isnan(reference_min([1.0, 1.0], A))
     assert math.isnan(poly_min_entries([1.0, 1.0], [A])[0])
 
+
+
+def test_batched_kernel_value_does_not_depend_on_the_stack():
+    # the witness search puts the candidates of a whole block of starts in
+    # one stack; each value must be bit for bit what the matrix gets alone
+    rng = random.Random(1)
+    special = [0.0, math.inf, math.nan, 1e200]
+    for m in (1, 2, 3, 4):
+        coeffs = [rng.uniform(-3, 3) for _ in range(5)] + [1e300]
+        As = np.array([[[rng.choice(special) if rng.random() < 0.1 else rng.random() * 4
+                         for _ in range(m)] for _ in range(m)]
+                       for _ in range(9 * SEARCH_BLOCK + 1)])
+        As[0, 0, :], As[1, -1, :] = math.inf, math.nan  # whole rows
+        stacked = np.array(poly_min_entries(coeffs, As))
+        alone = np.array([poly_min_entries(coeffs, A[None])[0] for A in As])
+        assert np.isnan(stacked).any() and np.isinf(stacked).any()
+        assert stacked.view(np.int64).tolist() == alone.view(np.int64).tolist()

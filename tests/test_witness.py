@@ -1,16 +1,25 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import nnpoly
 from nnpoly.families import make_p_a
 from nnpoly import witness
-from nnpoly.linalg import poly_eval_matrix
-from nnpoly.witness import WitnessReport, cycle_witness, probe_witness, search_witness
+from nnpoly.linalg import poly_eval_matrix, poly_min_entries
+from nnpoly.witness import (
+    SCALE_SWEEP,
+    SEARCH_BLOCK,
+    WitnessReport,
+    cycle_witness,
+    probe_witness,
+    search_witness,
+)
 
 F = Fraction
 
@@ -189,3 +198,115 @@ def test_search_start_with_nan_objective_begins_at_inf(monkeypatch):
     seen = rationalized(monkeypatch, first_nan)
     assert search_witness([F(1)], 1, starts=1, iterations=5) is None
     assert len(seen) == 1 and seen[0][0][0] > 0
+
+
+# -- lockstep blocks against the one-start-at-a-time search ---------------------
+
+
+def sequential_descent(coeffs_f, m, idx, iterations, seed):
+    """(objective, matrix) of start idx run alone, each coordinate step a
+    kernel call on its own nine candidates: the search before its starts
+    advanced in blocks."""
+    factors = [0.0, 0.25, 0.5, 0.8, 0.95, 1.05, 1.25, 2.0, 4.0]
+    rng = random.Random(f"{seed}:{idx}")
+    scale = float(SCALE_SWEEP[idx % len(SCALE_SWEEP)])
+    A = [[rng.random() * scale for _ in range(m)] for _ in range(m)]
+    obj = poly_min_entries(coeffs_f, [A])[0]
+    if math.isnan(obj):
+        obj = math.inf
+    for _ in range(iterations):
+        i, j = rng.randrange(m), rng.randrange(m)
+        base = A[i][j]
+        cands = [
+            max(base * f if base else scale * f * rng.random(), 0.0)
+            for f in factors
+        ]
+        stack = np.array([A] * len(cands))
+        stack[:, i, j] = cands
+        best_val, best = obj, base
+        for val, cand in zip(poly_min_entries(coeffs_f, stack), cands):
+            if val < best_val:
+                best_val, best = val, cand
+        A[i][j] = best
+        obj = best_val
+    return obj, A
+
+
+def sequential_search(coeffs, m, starts, iterations, seed):
+    """(report, winning start index) of the search run one start at a time.
+    The probe matrices are left out: the cases below have no probe witness."""
+    coeffs = [F(c) for c in coeffs]
+    coeffs_f = [float(c) for c in coeffs]
+    for idx in range(starts):
+        obj, A = sequential_descent(coeffs_f, m, idx, iterations, seed)
+        if obj < -1e-12:
+            rep = witness._verified_report(coeffs, witness._rationalize(A), "search")
+            if rep is not None:
+                return rep, idx
+    return None, None
+
+
+def search_cases(count, seed):
+    """Seeded (x - r)^2 - eps, some with a small x^3 term, that no probe
+    matrix falsifies, with the search budget to run on each.  At m >= 2 a
+    probe t*J with small t falsifies every one of them, so only m = 1 stays."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        m = rng.randint(1, 3)
+        r = F(rng.randint(10, 40), 10)
+        coeffs = [r * r - F(1, rng.choice([100, 1000])), -2 * r, 1,
+                  rng.choice([0, F(1, 1000)])]
+        if probe_witness(coeffs, m) is None:
+            cases.append((coeffs, m, rng.choice([1, 3, 6, SEARCH_BLOCK + 6]),
+                          rng.choice([0, 1, 5, 20]), rng.randrange(1000)))
+    return cases
+
+
+def test_lockstep_search_matches_sequential_search():
+    # the last case's first verified start, 68, lies in the second block
+    r = F(17, 10)
+    cases = search_cases(120, seed=0) + [([r * r - F(1, 100), -2 * r, 1], 1,
+                                          SEARCH_BLOCK + 6, 0, 48)]
+    winners = []
+    for coeffs, m, starts, iterations, seed in cases:
+        want, idx = sequential_search(coeffs, m, starts, iterations, seed)
+        got = search_witness(coeffs, m, starts, iterations, seed)
+        assert (got and got.to_json()) == (want and want.to_json()), (coeffs, m, seed)
+        winners.append(idx)
+    assert any(idx is not None and 0 < idx < SEARCH_BLOCK for idx in winners)
+    assert any(idx is not None and idx >= SEARCH_BLOCK for idx in winners)
+    assert None in winners
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lockstep_starts_follow_their_own_paths(m):
+    # every start of a block ends where it ends alone, at m = 2 and 3 too,
+    # where no search case above survives the probes.  A top coefficient of
+    # -1e300 makes several candidates of a step overflow to the same -inf,
+    # and a start must then move to the first of them.
+    rng = random.Random(m)
+    for top in (1.0, 1.0, 1.0, -1e300, -1e300):
+        coeffs_f = [rng.uniform(-3, 3) for _ in range(rng.randint(1, 5))] + [top]
+        first, seed = rng.randrange(20), rng.randrange(1000)
+        block = range(first, first + rng.choice([1, 5, 11]))
+        objs, As = witness._descend_block(coeffs_f, m, block, 12, seed)
+        assert list(zip(objs, As)) == [
+            sequential_descent(coeffs_f, m, idx, 12, seed) for idx in block]
+
+
+def test_each_block_step_is_one_kernel_call(monkeypatch):
+    batches = []
+
+    def recording(coeffs_f, As):
+        batches.append(len(As))
+        return poly_min_entries(coeffs_f, As)
+
+    monkeypatch.setattr(witness, "poly_min_entries", recording)
+    coeffs = [F(1), F(2), F(1)]  # (1 + x)^2: no witness, every start runs
+    assert search_witness(coeffs, 2, starts=2 * SEARCH_BLOCK + 3, iterations=4) is None
+    assert len(batches) == 3 * (4 + 1)
+    assert max(batches) <= 9 * SEARCH_BLOCK
+    batches.clear()
+    assert search_witness(coeffs, 2, starts=0, iterations=4) is None
+    assert batches == []
