@@ -9,6 +9,7 @@ in canonical "p/q" form, so identical invocations give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -155,7 +156,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on first use; parse_args keeps
+    no state in it between calls."""
     parser = _Parser(
         prog="nnpoly",
         description="Polynomials preserving nonnegative matrices: certified "

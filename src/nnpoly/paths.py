@@ -14,6 +14,15 @@ certifies that p_a preserves nonnegativity at order n.  The census of M_n
 visits one path per orbit of the relabelings of vertices 3..n and weighs
 it by the orbit size, which is exact because every map involved commutes
 with relabeling.
+
+Each path fact is computed once.  One depth-first walk yields every path
+with its minimal cycle length k and the start p of its first k-cycle,
+tracked as the path grows, so phi and psi are slices at (p, k) and no
+path is rescanned.  Over orbits it feeds the census, computed once per n;
+over all of M_n it feeds the plan of the decomposition check, also built
+once per n, which leaves each check only the values of the paths on its
+matrix.  min_cycle_length and first_cycle are the rescanning references
+the tests pin the walk to.
 """
 
 from __future__ import annotations
@@ -129,20 +138,37 @@ def _orbit_sizes(n):
     return sizes
 
 
-def _orbit_representatives(n):
-    """(path, r) for one path of length n per orbit, r its labels >= 3.
+def _cycle_walk(n, orbits):
+    """(m, r, k, p) for each path m of length n, r its labels >= 3, k its
+    minimal cycle length and p the start of its leftmost k-cycle, so that
+    (p, k) == first_cycle(m, k).  With orbits, one canonical path per orbit,
+    else all n^(n-1) paths.
 
-    Depth-first: each interior vertex is 1, 2, a label >= 3 already used,
-    or the next unused one.
+    Depth-first: with orbits each interior vertex is 1, 2, a label >= 3
+    already used or the next unused one, else any vertex.  A prefix carries
+    the last position of each vertex, so appending v at position q closes
+    the cycle q - last[v]; k and p change only when it is shorter than every
+    earlier one, so p is the leftmost start.  That k-cycle is simple: a
+    repeat inside it would close a shorter cycle.
     """
-    stack = [((1,), 0)]
+    far = -n - 1  # the last position of an unseen vertex: no cycle from it counts
+    stack = [((1,), 0, (far, 0) + (far,) * (n - 1), n + 1, 0)]
     while stack:
-        m, r = stack.pop()
-        if len(m) == n:
-            yield m + (2,), r
+        m, r, last, k, p = stack.pop()
+        q = len(m)
+        if q < n:
+            for v in range(1, (min(r + 3, n) if orbits else n) + 1):
+                at = last[v]
+                kv, pv = (q - at, at) if q - at < k else (k, p)
+                stack.append((m + (v,), r + (v > 2 and at < 0),
+                              last[:v] + (q,) + last[v + 1 :], kv, pv))
             continue
-        for v in range(1, min(r + 3, n) + 1):
-            stack.append((m + (v,), r + (v == r + 3)))
+        if q - last[2] < k:
+            k, p = q - last[2], last[2]
+        m += (2,)
+        if len(set(m[p : p + k])) != k:  # also catches k = n + 1, no repeat
+            raise AssertionError("first k-cycle must be simple")
+        yield m, r, k, p
 
 
 def _canonical(m):
@@ -152,7 +178,7 @@ def _canonical(m):
     for v in m:
         if v not in relabel:
             relabel[v] = len(relabel) + 1
-    return tuple(relabel[v] for v in m)
+    return tuple(map(relabel.__getitem__, m))
 
 
 def _census(n: int, cap: int = DEFAULT_CAP):
@@ -176,9 +202,8 @@ def _census_of(n):
     every caller shares the one result."""
     size = _orbit_sizes(n)
     tally = {}  # k -> [count, representatives, phi images, psi target -> weight]
-    for m, r in _orbit_representatives(n):
-        k = min_cycle_length(m)
-        cyc = first_cycle(m, k)
+    for m, r, k, p in _cycle_walk(n, orbits=True):
+        cyc = (p, k)
         entry = tally.get(k)
         if entry is None:
             entry = tally[k] = [0, 0, set(), Counter()]
@@ -265,6 +290,26 @@ def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport
     return CertificateReport(n=n, a_sq=a_sq, per_k=per_k, verdict=verdict)
 
 
+@functools.cache
+def _decomposition_plan(n):
+    """{k: ((m, phi(m), psi(m)), ...)} over all n^(n-1) paths m of M_n of
+    class k, each path given by its edges as flat indices (s-1) n + (t-1)
+    into the row-major matrix.  The path facts of the decomposition check
+    depend on n alone, so they are walked once per n and read-only.
+
+    An index is one byte, since n <= 16 (the cap stops far below that).  The
+    plan holds 3 n^(n-1) such strings: 1.4 MB RSS at n = 6, 25 MB at n = 7,
+    and roughly 18 times that at n = 8.
+    """
+    plan = {}
+    for m, _, k, p in _cycle_walk(n, orbits=False):
+        e = bytes(s * n + t - n - 1 for s, t in zip(m, m[1:]))
+        # m[p] == m[p+k], so phi and psi cut and repeat the edges of m
+        # where they cut and repeat m
+        plan.setdefault(k, []).append((e, e[: p + k] + e[p:], e[:p] + e[p + k :]))
+    return MappingProxyType({k: tuple(plan[k]) for k in sorted(plan)})
+
+
 def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool:
     """Exact replay on one matrix of the termwise proof behind census_cap.
 
@@ -274,6 +319,9 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     a_sq v(m)^2.  The lhs must sum to at most the positive part
     sum_{j != n} (A^j)_{1,2} of entry (1,2) of p_a(A).  nu and the path
     facts come from the census; the check is False if census_cap(n) is None.
+    The paths, their classes and the edges of m, f and g are read from a
+    plan walked once per n (_decomposition_plan), so a call only values
+    them on its matrix; the cap guard still runs on every call.
 
     It runs on integers: paths are valued on the int matrix B of A = B/D
     from exact_powers, a path of length l being worth v_B/D^l.  With N the
@@ -299,21 +347,21 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         return False
     census = _census(n, cap)
     N = lcm(*(nu for _, _, nu in census.values()))
-    # k -> the weights of v_B(g) in L, of v_B(m) in the test and of L in covered
-    scale = {k: (D ** (2 * k) * (N // nu), N * D**k, D ** (n - k))
-             for k, (_, _, nu) in census.items()}
+    value = [x for row in B for x in row].__getitem__
     covered = 0
-    for m in enumerate_monomials(n, n, cap):
-        k = min_cycle_length(m)
-        cyc = first_cycle(m, k)
-        vm, vf, vg = (monomial_value(x, B) for x in (m, phi(m, cyc), psi(m, cyc)))
-        if vf * vg != vm * vm:
-            return False
-        wg, wm, wc = scale[k]
-        L = wg * vg + N * vf
-        if q * L * L < p * (wm * vm) ** 2:
-            return False
-        covered += wc * L
+    for k, triples in _decomposition_plan(n).items():
+        wg = D ** (2 * k) * (N // census[k][2])  # the weight of v_B(g) in L
+        wm = p * (N * D**k) ** 2  # the weight of v_B(m)^2 in the test
+        total = 0
+        for em, ef, eg in triples:
+            vm, vf, vg = prod(map(value, em)), prod(map(value, ef)), prod(map(value, eg))
+            if vf * vg != vm * vm:
+                return False
+            L = wg * vg + N * vf
+            if q * L * L < wm * vm * vm:
+                return False
+            total += L
+        covered += D ** (n - k) * total
     _, (S,) = poly_numerators(_p_a_split(n)[:1], A)
     return covered <= N * S[0][1]
 
@@ -333,12 +381,15 @@ def _p_a_split(n: int):
 
 
 def verify_certificate_on_matrix(n: int, a_sq, A) -> bool:
-    """End-to-end sanity: certificate verdict implies p_a(A) >= 0 entrywise.
+    """End-to-end sanity: certificate verdict implies p_a(A) >= 0 entrywise,
+    for A of order n.
 
     a = sqrt(a_sq) may be irrational, so each entry s - a*b (s, b >= 0) is
     signed exactly on the integer numerators of _p_a_split over one common
     denominator: with a_sq = p/q, s >= 0 and s^2 * q >= p * b^2.
     """
+    if order_of(A) != n:
+        raise ValueError("matrix order must equal n")
     p, q = _a_sq_ratio(a_sq)
     _, (S, N) = poly_numerators(_p_a_split(n), A)
     return all(

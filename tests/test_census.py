@@ -16,7 +16,7 @@ from nnpoly.paths import (
     EnumerationCapExceeded,
     _canonical,
     _census,
-    _orbit_representatives,
+    _cycle_walk,
     _orbit_sizes,
     build_certificate,
     enumerate_monomials,
@@ -69,13 +69,13 @@ def test_census_n8_pinned():
 @pytest.mark.parametrize("n, reps", [(2, 2), (3, 9), (7, 3262), (8, 17006)])
 def test_orbit_weights_cover_m_n(n, reps):
     size = _orbit_sizes(n)
-    weights = [size[r] for _, r in _orbit_representatives(n)]
+    weights = [size[r] for _, r, _, _ in _cycle_walk(n, orbits=True)]
     assert len(weights) == reps
     assert sum(weights) == n ** (n - 1)
 
 
 def test_representatives_are_canonical_and_distinct():
-    reps = [m for m, _ in _orbit_representatives(6)]
+    reps = [m for m, *_ in _cycle_walk(6, orbits=True)]
     assert all(_canonical(m) == m for m in reps)
     assert len(set(reps)) == len(reps)
 
@@ -90,18 +90,34 @@ def test_census_computed_once_per_n(monkeypatch):
     from nnpoly import paths
 
     walks = []
-    walk = paths._orbit_representatives
-    monkeypatch.setattr(paths, "_orbit_representatives",
-                        lambda n: walks.append(n) or walk(n))
+    walk = paths._cycle_walk
+    monkeypatch.setattr(paths, "_cycle_walk",
+                        lambda n, orbits: walks.append((n, orbits)) or walk(n, orbits))
     paths._census_of.cache_clear()
     first = _census(6)
     assert _census(6) is first
-    assert walks == [6]
+    assert walks == [(6, True)]
     with pytest.raises(EnumerationCapExceeded):
         _census(6, cap=6**5 - 1)  # the cap still holds after a cached success
     with pytest.raises(TypeError):
         first[1] = (0, False, 0)
-    assert walks == [6] and first == brute_census(6)
+    assert walks == [(6, True)] and first == brute_census(6)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_walk_cycle_matches_first_cycle(n):
+    # the walk's incremental (k, p) against the rescanning oracle
+    for m, _, k, p in _cycle_walk(n, orbits=True):
+        assert (p, k) == first_cycle(m, min_cycle_length(m))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_full_walk_is_m_n(n):
+    walk = list(_cycle_walk(n, orbits=False))
+    assert sorted(m for m, *_ in walk) == list(enumerate_monomials(n, n))
+    for m, r, k, p in walk:
+        assert r == len(set(m) - {1, 2})
+        assert (p, k) == first_cycle(m, min_cycle_length(m))
 
 
 @pytest.mark.parametrize("n", [1, 0])

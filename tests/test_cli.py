@@ -227,6 +227,33 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["safe_a_sq"] == "2"
 
 
+def test_shared_parser_keeps_no_state(tmp_path, capsys):
+    # one parser serves every main() call of a process; nothing a call
+    # parses may reach the next one
+    from nnpoly.cli import build_parser
+
+    assert build_parser() is build_parser()
+    code, out = run(capsys, "certify", "--n", "3", "--a-sq", "1")
+    assert code == 0 and json.loads(out)["a_sq"] == "1"
+    code, out = run(capsys, "certify", "--n", "3")
+    assert code == 0 and json.loads(out)["a_sq"] == "4/3"
+
+    dest = tmp_path / "report.json"
+    code, out = run(capsys, "bound", "--n", "2", "--out", str(dest))
+    assert code == 0 and out == ""
+    dest.unlink()
+    code, out = run(capsys, "bound", "--n", "2")
+    assert code == 0 and json.loads(out)["safe_a_sq"] == "2"
+    assert not dest.exists()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--n", "3", "--bogus"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    code, out = run(capsys, "nu", "--n", "3", "--k", "1")
+    assert code == 0 and json.loads(out)["nu"] == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--n", "x"],
     ["certify"],

@@ -11,7 +11,7 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -189,16 +189,24 @@ def test_exact_mat_mul_matches_oracle(AB):
 # -- membership check ----------------------------------------------------------
 
 
+def order_and_matrix(entry, max_order=4):
+    """(n, an n x n matrix): p_a at order n is checked on matrices of order n."""
+    return st.integers(1, max_order).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.lists(entry, min_size=n, max_size=n),
+                                                 min_size=n, max_size=n)))
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4), matrices(nonneg, max_order=3),
-       st.fractions(min_value=0, max_value=10, max_denominator=20))
-def test_verify_matches_oracle(n, A, a_sq):
+@given(order_and_matrix(nonneg), st.fractions(min_value=0, max_value=10, max_denominator=20))
+def test_verify_matches_oracle(nA, a_sq):
+    n, A = nA
     assert verify_certificate_on_matrix(n, a_sq, A) == verify_oracle(n, a_sq, A)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), matrices(st.one_of(rational, nonneg), max_order=3))
-def test_verify_at_the_boundary(n, A):
+@given(order_and_matrix(st.one_of(rational, nonneg)))
+def test_verify_at_the_boundary(nA):
+    n, A = nA
     # at a_sq = min s^2/b^2 some entry has s^2 == a_sq * b^2 exactly
     a_sq = tight_a_sq(n, A)
     if a_sq is None:
@@ -209,8 +217,9 @@ def test_verify_at_the_boundary(n, A):
 
 
 def test_verify_boundary_examples():
-    # [[1/2]] at n = 2: s = 1 + 1/2 + 1/8 + 1/16 = 27/16, b = 1/4
-    A = [[F(1, 2)]]
+    # diag(1/2, 0) at n = 2, entry (1,1): s = 1 + 1/2 + 1/8 + 1/16 = 27/16,
+    # b = 1/4; the other entries hold at every a_sq
+    A = [[F(1, 2), F(0)], [F(0), F(0)]]
     assert verify_certificate_on_matrix(2, F(729, 16), A)
     assert not verify_certificate_on_matrix(2, F(729, 16) + F(1, 10**12), A)
     rng = random.Random(5)
@@ -240,18 +249,33 @@ def test_decomposition_matches_oracle(data):
 
 
 def test_decomposition_values_paths_on_int_matrix(monkeypatch):
-    # every path is valued on the integer matrix B = D*A, never on Fractions
-    seen = []
+    # every path is valued on the integer matrix B = D*A, never on Fractions:
+    # each product the check takes is over ints, and it multiplies fewer
+    # Fractions than there are paths
+    n = 5
+    A = [[F(i + 1, j + 2) for j in range(n)] for i in range(n)]
+    a_sq = certified_cap(n)[0]
+    assert numeric_decomposition_check(n, a_sq, A)  # builds the cached plan
+    factors, fraction_mults = [], []
 
-    def spy(m, A):
-        seen.append(A)
-        return monomial_value(m, A)
+    def spy_prod(values):
+        values = list(values)
+        factors.extend(values)
+        return prod(values)
 
-    monkeypatch.setattr(paths_module, "monomial_value", spy)
-    A = [[F(1, 2), F(3, 4), F(5)], [F(2, 3), F(0), F(1, 6)], [F(7), F(1, 2), F(4, 3)]]
-    assert numeric_decomposition_check(3, certified_cap(3)[0], A)
-    assert seen
-    assert all(type(x) is int for B in seen for row in B for x in row)
+    def counted(op):
+        def wrapper(a, b):
+            fraction_mults.append(op)
+            return op(a, b)
+        return wrapper
+
+    monkeypatch.setattr(paths_module, "prod", spy_prod)
+    monkeypatch.setattr(Fraction, "__mul__", counted(Fraction.__mul__))
+    monkeypatch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
+    assert numeric_decomposition_check(n, a_sq, A)
+    assert len(factors) == 3 * n ** n  # the edges of m, phi(m) and psi(m), per path
+    assert all(type(x) is int for x in factors)
+    assert len(fraction_mults) < n ** (n - 1)
 
 
 def test_decomposition_positive_part_is_tight():

@@ -278,6 +278,55 @@ def test_decomposition_check_rejects_negative_matrix():
         numeric_decomposition_check(2, F(2), [[F(-1), F(0)], [F(0), F(0)]])
 
 
+def flat_edges(x, n):
+    return bytes((s - 1) * n + t - 1 for s, t in zip(x, x[1:]))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_decomposition_plan_matches_oracle(n):
+    # the plan's edge triples against rescanning every path of M_n
+    expect = {}
+    for m in enumerate_monomials(n, n):
+        k = min_cycle_length(m)
+        cyc = first_cycle(m, k)
+        expect.setdefault(k, []).append(
+            tuple(flat_edges(x, n) for x in (m, phi(m, cyc), psi(m, cyc))))
+    plan = paths_module._decomposition_plan(n)
+    assert {k: sorted(t) for k, t in plan.items()} == {k: sorted(t) for k, t in expect.items()}
+
+
+def test_decomposition_plan_built_once_per_n(monkeypatch):
+    walks = []
+    walk = paths_module._cycle_walk
+    monkeypatch.setattr(paths_module, "_cycle_walk",
+                        lambda n, orbits: walks.append((n, orbits)) or walk(n, orbits))
+    paths_module._decomposition_plan.cache_clear()
+    for A in ([[F(1)] * 4 for _ in range(4)], [[F(i, j + 1) for j in range(4)] for i in range(4)]):
+        assert numeric_decomposition_check(4, F(1, 3), A)
+        assert numeric_decomposition_check(4, F(1, 3), A)
+    assert walks.count((4, False)) == 1
+    plan = paths_module._decomposition_plan(4)
+    assert plan is paths_module._decomposition_plan(4)
+    with pytest.raises(TypeError):
+        plan[1] = ()
+
+
+def test_decomposition_cap_guard_after_cached_success():
+    A = [[F(1)] * 5 for _ in range(5)]
+    a_sq = certified_cap(5)[0]
+    assert numeric_decomposition_check(5, a_sq, A, cap=5**4)
+    with pytest.raises(EnumerationCapExceeded):
+        numeric_decomposition_check(5, a_sq, A, cap=5**4 - 1)
+
+
+@pytest.mark.parametrize("check", [verify_certificate_on_matrix, numeric_decomposition_check])
+def test_matrix_order_must_equal_n(check):
+    with pytest.raises(ValueError, match="matrix order must equal n"):
+        check(4, F(1, 3), [[F(1)] * 3 for _ in range(3)])
+    with pytest.raises(ValueError, match="matrix order must equal n"):
+        check(2, F(2), [[F(1)] * 3 for _ in range(3)])
+
+
 def test_end_to_end_membership_on_random():
     import random
 
