@@ -20,9 +20,9 @@ with its minimal cycle length k and the start p of its first k-cycle,
 tracked as the path grows, so phi and psi are slices at (p, k) and no
 path is rescanned.  Over orbits it feeds the census, computed once per n;
 over all of M_n it feeds the plan of the decomposition check, also built
-once per n, which leaves each check only the values of the paths on its
-matrix.  min_cycle_length and first_cycle are the rescanning references
-the tests pin the walk to.
+once per n: one byte per path for its k and p, which leaves each check
+only listing the paths and valuing them on its matrix.  min_cycle_length
+and first_cycle are the rescanning references the tests pin the walk to.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def _cycle_walk(n, orbits):
     """(m, r, k, p) for each path m of length n, r its labels >= 3, k its
     minimal cycle length and p the start of its leftmost k-cycle, so that
     (p, k) == first_cycle(m, k).  With orbits, one canonical path per orbit,
-    else all n^(n-1) paths.
+    else all n^(n-1) paths; either way in lexicographic order, the order of
+    enumerate_monomials.
 
     Depth-first: with orbits each interior vertex is 1, 2, a label >= 3
     already used or the next unused one, else any vertex.  A prefix carries
@@ -157,7 +158,7 @@ def _cycle_walk(n, orbits):
         m, r, last, k, p = stack.pop()
         q = len(m)
         if q < n:
-            for v in range(1, (min(r + 3, n) if orbits else n) + 1):
+            for v in range(min(r + 3, n) if orbits else n, 0, -1):  # 1 pops first
                 at = last[v]
                 kv, pv = (q - at, at) if q - at < k else (k, p)
                 stack.append((m + (v,), r + (v > 2 and at < 0),
@@ -292,22 +293,29 @@ def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport
 
 @functools.cache
 def _decomposition_plan(n):
-    """{k: ((m, phi(m), psi(m)), ...)} over all n^(n-1) paths m of M_n of
-    class k, each path given by its edges as flat indices (s-1) n + (t-1)
-    into the row-major matrix.  The path facts of the decomposition check
-    depend on n alone, so they are walked once per n and read-only.
+    """p n + k for each path m of M_n, in the order of enumerate_monomials:
+    k its class and (p, k) its first k-cycle.  These path facts depend on n
+    alone, so they are walked once per n; the plan is read-only.
 
-    An index is one byte, since n <= 16 (the cap stops far below that).  The
-    plan holds 3 n^(n-1) such strings: 1.4 MB RSS at n = 6, 25 MB at n = 7,
-    and roughly 18 times that at n = 8.
+    One byte per path (p n + k < n^2 <= 256 while n <= 16, and the cap
+    stops far below that), so n^(n-1) bytes, no more than the cap: 117 KB
+    at n = 7, 2.1 MB at n = 8 and 43 MB at n = 9.  Checking one matrix
+    twice, a process peaked at 34 MB RSS at n = 8 and 88 MB at n = 9.
     """
-    plan = {}
-    for m, _, k, p in _cycle_walk(n, orbits=False):
-        e = bytes(s * n + t - n - 1 for s, t in zip(m, m[1:]))
+    return bytes(p * n + k for _, _, k, p in _cycle_walk(n, orbits=False))
+
+
+def _planned_paths(n, rows, cap):
+    """(k, m, phi(m), psi(m)) for each path m of M_n, in the order of
+    enumerate_monomials: k its class and each path given by the entries
+    rows[s][t] of its edges s -> t.  Read from the plan, without rescanning.
+    """
+    for m, pk in zip(enumerate_monomials(n, n, cap), _decomposition_plan(n)):
+        p, k = divmod(pk, n)
+        x = [rows[s][t] for s, t in zip(m, m[1:])]
         # m[p] == m[p+k], so phi and psi cut and repeat the edges of m
         # where they cut and repeat m
-        plan.setdefault(k, []).append((e, e[: p + k] + e[p:], e[:p] + e[p + k :]))
-    return MappingProxyType({k: tuple(plan[k]) for k in sorted(plan)})
+        yield k, x, x[: p + k] + x[p:], x[:p] + x[p + k :]
 
 
 def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool:
@@ -319,9 +327,10 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     a_sq v(m)^2.  The lhs must sum to at most the positive part
     sum_{j != n} (A^j)_{1,2} of entry (1,2) of p_a(A).  nu and the path
     facts come from the census; the check is False if census_cap(n) is None.
-    The paths, their classes and the edges of m, f and g are read from a
-    plan walked once per n (_decomposition_plan), so a call only values
-    them on its matrix; the cap guard still runs on every call.
+    Each path's class and first k-cycle are read from a plan walked once
+    per n (_decomposition_plan, one byte per path), so a call only lists
+    the paths and values them on its matrix; the cap guard still runs on
+    every call.
 
     It runs on integers: paths are valued on the int matrix B of A = B/D
     from exact_powers, a path of length l being worth v_B/D^l.  With N the
@@ -347,21 +356,19 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         return False
     census = _census(n, cap)
     N = lcm(*(nu for _, _, nu in census.values()))
-    value = [x for row in B for x in row].__getitem__
-    covered = 0
-    for k, triples in _decomposition_plan(n).items():
-        wg = D ** (2 * k) * (N // census[k][2])  # the weight of v_B(g) in L
-        wm = p * (N * D**k) ** 2  # the weight of v_B(m)^2 in the test
-        total = 0
-        for em, ef, eg in triples:
-            vm, vf, vg = prod(map(value, em)), prod(map(value, ef)), prod(map(value, eg))
-            if vf * vg != vm * vm:
-                return False
-            L = wg * vg + N * vf
-            if q * L * L < wm * vm * vm:
-                return False
-            total += L
-        covered += D ** (n - k) * total
+    wg = {k: D ** (2 * k) * (N // nu) for k, (_, _, nu) in census.items()}  # of v_B(g) in L
+    wm = {k: p * (N * D**k) ** 2 for k in census}  # of v_B(m)^2 in the test
+    total = dict.fromkeys(census, 0)
+    rows = [(), *((0, *row) for row in B)]  # rows[s][t] is B_{s,t}
+    for k, xm, xf, xg in _planned_paths(n, rows, cap):
+        vm, vf, vg = prod(xm), prod(xf), prod(xg)
+        if vf * vg != vm * vm:
+            return False
+        L = wg[k] * vg + N * vf
+        if q * L * L < wm[k] * vm * vm:
+            return False
+        total[k] += L
+    covered = sum(D ** (n - k) * t for k, t in total.items())
     _, (S,) = poly_numerators(_p_a_split(n)[:1], A)
     return covered <= N * S[0][1]
 

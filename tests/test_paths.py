@@ -278,21 +278,22 @@ def test_decomposition_check_rejects_negative_matrix():
         numeric_decomposition_check(2, F(2), [[F(-1), F(0)], [F(0), F(0)]])
 
 
-def flat_edges(x, n):
-    return bytes((s - 1) * n + t - 1 for s, t in zip(x, x[1:]))
+def edges(x):
+    return [(s, t) for s, t in zip(x, x[1:])]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_decomposition_plan_matches_oracle(n):
-    # the plan's edge triples against rescanning every path of M_n
-    expect = {}
+    # the planned paths, given by their edges, against rescanning every
+    # path of M_n in the same order
+    labels = [(), *([(), *((s, t) for t in range(1, n + 1))] for s in range(1, n + 1))]
+    expect = []
     for m in enumerate_monomials(n, n):
         k = min_cycle_length(m)
         cyc = first_cycle(m, k)
-        expect.setdefault(k, []).append(
-            tuple(flat_edges(x, n) for x in (m, phi(m, cyc), psi(m, cyc))))
-    plan = paths_module._decomposition_plan(n)
-    assert {k: sorted(t) for k, t in plan.items()} == {k: sorted(t) for k, t in expect.items()}
+        expect.append((k, edges(m), edges(phi(m, cyc)), edges(psi(m, cyc))))
+    assert list(paths_module._planned_paths(n, labels, paths_module.DEFAULT_CAP)) == expect
+    assert len(paths_module._decomposition_plan(n)) == n ** (n - 1)
 
 
 def test_decomposition_plan_built_once_per_n(monkeypatch):
@@ -308,7 +309,7 @@ def test_decomposition_plan_built_once_per_n(monkeypatch):
     plan = paths_module._decomposition_plan(4)
     assert plan is paths_module._decomposition_plan(4)
     with pytest.raises(TypeError):
-        plan[1] = ()
+        plan[1] = 0
 
 
 def test_decomposition_cap_guard_after_cached_success():
