@@ -22,12 +22,17 @@ EXIT_FALSIFIED = 2
 
 
 def _emit(payload, args, text=None):
-    out = text if text is not None else json.dumps(payload, indent=2) + "\n"
+    if text is None:
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # inf or nan: JSON has no literal for them
+            raise ValueError("the report holds an inf or nan float, "
+                             "which is not valid JSON") from None
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(out)
+            fh.write(text)
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(text)
 
 
 def _config_dict(args, keys):

@@ -6,9 +6,13 @@ arithmetic:
 
 - exact: exact_powers writes a rational matrix as A = B/D, with D the lcm
   of its entry denominators and B an int matrix, and builds the powers of B
-  on Python integers.  It is the one door into exact evaluation: it reads
-  int, Fraction and numpy integer entries as Python ints and refuses
-  floats and booleans.  poly_numerators, poly_eval_matrix and the checks in paths read it.
+  in a numpy object array of Python ints, one .dot per power;
+  poly_numerators turns them into numerators with one more .dot.  Numpy's
+  object loop calls the ints' own * and +, so the arithmetic is exact at
+  any size; numpy only runs the loops.  exact_powers is the one door into
+  exact evaluation: it reads int, Fraction and numpy integer entries as
+  Python ints and refuses floats and booleans.  poly_numerators,
+  poly_eval_matrix and the checks in paths read it.
 - float: poly_min_entries is a batched numpy Horner over a (batch, m, m)
   stack of left-to-right sums, so it gives the same floats on every Python.
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -80,37 +84,42 @@ def _scaled_ints(rows):
 
 
 def exact_powers(A, top):
-    """(D, [B^0, ..., B^top]) with A = B/D, so A^j = B^j / D^j.
+    """(D, P) with A = B/D and P[j] = B^j, so A^j = P[j] / D^j.
 
     A holds int, Fraction or numpy integer entries and D is the lcm of their
-    denominators; each power is one integer mat_mul of the previous one with B.
+    denominators.  P is a (top+1, n, n) numpy object array of Python ints;
+    each power is one P[j].dot(B).  Numpy's object loop calls the ints' own
+    * and +, so the products are exact at any size and no numpy scalar
+    enters them.
     """
     if top < 0:
         raise ValueError("exponent must be >= 0")
     n = order_of(A)
     D, B = _scaled_ints(A)
-    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    for _ in range(top):
-        powers.append(mat_mul(powers[-1], B))
-    return D, powers
+    B = np.array(B, dtype=object)
+    P = np.empty((top + 1, n, n), dtype=object)
+    P[0] = np.identity(n, dtype=object)
+    for j in range(top):
+        P[j + 1] = P[j].dot(B)
+    return D, P
 
 
 def poly_numerators(polys, A):
-    """(D^top, [N_p for p in polys]) with p(A) = N_p / D^top, for integer
-    coefficient lists p of one length top + 1, from one exact_powers pass.
+    """(D^top, N) with p(A) = N[i] / D^top for p = polys[i], for integer
+    coefficient lists of one length top + 1, from one exact_powers pass.
 
-    N_p = sum_d p[d] D^(top-d) B^d for A = B/D: one integer weight per
-    power, and each entry one sum of products over the powers p uses.
+    N[i] = sum_d p[d] D^(top-d) B^d for A = B/D, so N is one product of the
+    object weight matrix W[i][d] = polys[i][d] D^(top-d) with the powers
+    read as a (top+1, n*n) matrix: a (len(polys), n, n) object array of
+    Python ints, exact like exact_powers.
     """
     top = len(polys[0]) - 1
-    D, powers = exact_powers(A, top)
-    numerators = []
-    for p in polys:
-        terms = [(c * D ** (top - d), P) for d, (c, P) in enumerate(zip(p, powers)) if c]
-        weights, used = zip(*(terms or [(0, powers[0])]))
-        numerators.append([[sum(map(mul, weights, col)) for col in zip(*rows)]
-                           for rows in zip(*used)])
-    return D**top, numerators
+    D, P = exact_powers(A, top)
+    scale = [D ** (top - d) for d in range(top + 1)]
+    W = np.array([[index(c) * s for c, s in zip(p, scale, strict=True)] for p in polys],
+                 dtype=object)
+    n = P.shape[1]
+    return D**top, W.dot(P.reshape(top + 1, n * n)).reshape(len(polys), n, n)
 
 
 def mat_scale(t, A):
@@ -161,7 +170,7 @@ def poly_eval_matrix(coeffs, A):
     L, (ints,) = _scaled_ints([coeffs])
     den, (N,) = poly_numerators([ints], A)
     den *= L
-    return [[Fraction(x, den) for x in row] for row in N]
+    return [[Fraction(x, den) for x in row] for row in N.tolist()]
 
 
 def poly_min_entries(coeffs, As):

@@ -19,7 +19,10 @@ DEFAULT_TOL = 1e-8
 def power_sum(values, k: int) -> complex:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return sum(complex(v) ** k for v in values)
+    try:
+        return sum(complex(v) ** k for v in values)
+    except OverflowError:
+        raise ValueError(f"power sum s_{k} is too large for float arithmetic") from None
 
 
 def jll_check(values, k_max: int = 4, m_max: int = 4, tol: float = DEFAULT_TOL):
@@ -42,8 +45,13 @@ def jll_check(values, k_max: int = 4, m_max: int = 4, tol: float = DEFAULT_TOL):
     rows = []
     for k in range(1, k_max + 1):
         for m in range(1, m_max + 1):
-            lhs = s[k].real ** m
-            rhs = n ** (m - 1) * s[k * m].real
+            try:
+                lhs = s[k].real ** m
+                rhs = n ** (m - 1) * s[k * m].real
+            except OverflowError:
+                raise ValueError(
+                    f"row k={k}, m={m} is too large for float arithmetic"
+                ) from None
             slack = tol * max(1.0, abs(lhs), abs(rhs))
             rows.append((k, m, lhs, rhs, lhs <= rhs + slack))
     return {
@@ -57,7 +65,15 @@ def jll_check(values, k_max: int = 4, m_max: int = 4, tol: float = DEFAULT_TOL):
 
 def transform_list(coeffs, values):
     """Elementwise polynomial evaluation on a spectrum list."""
-    return [poly_eval([complex(c) for c in coeffs], complex(v)) for v in values]
+    coeffs_c = []
+    for d, c in enumerate(coeffs):
+        try:
+            coeffs_c.append(complex(c))
+        except OverflowError:
+            raise ValueError(
+                f"coefficient of x^{d} is too large for float arithmetic"
+            ) from None
+    return [poly_eval(coeffs_c, complex(v)) for v in values]
 
 
 def parse_complex(tok: str) -> complex:

@@ -371,3 +371,38 @@ def test_falsify_overflow_is_silent(coeffs, starts, code, golden):
     assert proc.returncode == code
     assert proc.stderr == ""
     assert proc.stdout == (Path(__file__).parent / "data" / golden).read_text()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["jll", "--spectrum", "1e200", "--k-max", "1", "--m-max", "2"],
+     "power sum s_2 is too large for float arithmetic"),
+    (["jll", "--spectrum", ",".join(["5e153"] * 10), "--k-max", "1", "--m-max", "2"],
+     "row k=1, m=2 is too large for float arithmetic"),
+    (["transform", "--coeffs=1e400", "--spectrum", "1"],
+     "coefficient of x^0 is too large for float arithmetic"),
+], ids=["jll_power_sum", "jll_row", "transform_coeff"])
+def test_spectrum_float_overflow_is_usage_error(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_non_finite_report_is_usage_error(tmp_path, capsys):
+    # p(1e400) is inf - inf = nan, and NaN is not JSON: no report is written
+    out = tmp_path / "report.json"
+    for extra in ([], ["--out", str(out)]):
+        code = main(["transform", "--coeffs=1,0,1", "--spectrum", "1e400", *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: the report holds an inf or nan float, which is not valid JSON\n"
+    assert not out.exists()
+
+
+def test_finite_float_reports_are_unchanged(capsys):
+    code, out = run(capsys, "transform", "--coeffs=1,1", "--spectrum", "1e308,-2")
+    assert code == 0
+    assert out == json.dumps(
+        {"config": {"coeffs": "1,1"}, "values": [[1e308, 0.0], [-1.0, 0.0]]}, indent=2) + "\n"

@@ -31,6 +31,7 @@ from nnpoly.linalg import (
     mat_scale,
     order_of,
     poly_eval_matrix,
+    poly_numerators,
 )
 from nnpoly.paths import (
     enumerate_monomials,
@@ -155,12 +156,89 @@ def test_powers_are_scaled_mat_pow(A, top):
     assert len(powers) == top + 1
     for j, P in enumerate(powers):
         assert all(type(x) is int for row in P for x in row)
-        assert P == mat_scale(D**j, mat_pow(A, j))
+        assert P.tolist() == mat_scale(D**j, mat_pow(A, j))
 
 
 def test_powers_reject_negative_exponent():
     with pytest.raises(ValueError):
         exact_powers([[F(1)]], -1)
+
+
+def numerators_oracle(polys, A):
+    """(D^top, [sum_d p[d] D^top A^d for p in polys]) on mat_pow and mat_scale."""
+    top = len(polys[0]) - 1
+    D = lcm(*(F(x).denominator for row in A for x in row))
+    zero = [[0] * len(A) for _ in A]
+    numerators = []
+    for p in polys:
+        N = zero
+        for d, c in enumerate(p):
+            N = mat_add(N, mat_scale(c * D**top, mat_pow([[F(x) for x in row] for row in A], d)))
+        numerators.append(N)
+    return D**top, numerators
+
+
+def assert_python_ints(arr):
+    assert all(type(x) is int for x in np.asarray(arr, dtype=object).flat)
+
+
+huge = st.one_of(st.integers(10**200 - 9, 10**200 + 9), st.integers(-10**200 - 9, -10**200 + 9))
+coefficient_lists = st.integers(0, 6).flatmap(lambda top: st.lists(
+    st.one_of(
+        st.lists(st.integers(-9, 9), min_size=top + 1, max_size=top + 1),
+        st.just([0] * (top + 1)),  # all zero
+        st.integers(0, top).map(lambda d: [int(i == d) for i in range(top + 1)]),  # one term
+    ),
+    min_size=1, max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(st.one_of(rational, huge)), coefficient_lists)
+def test_numerators_match_scaled_mat_pow(A, polys):
+    den, N = poly_numerators(polys, A)
+    assert type(den) is int
+    assert_python_ints(N)
+    assert (den, N.tolist()) == numerators_oracle(polys, A)
+    D, P = exact_powers(A, len(polys[0]) - 1)
+    assert_python_ints(P)
+    for j in range(len(P)):
+        assert P[j].tolist() == mat_scale(D**j, mat_pow(A, j))
+
+
+@pytest.mark.parametrize("polys", [
+    [[5]],  # top = 0: the constant times the identity
+    [[0]],
+    [[0, 0, 0]],
+    [[0, 0, 1]],
+    [[0, -3, 0, 0], [1, 0, 0, 0]],
+    [[np.int64(2), np.int64(-1)]],
+], ids=["top0", "top0_zero", "all_zero", "single_term", "two_polys", "np_int64_coeffs"])
+@pytest.mark.parametrize("A", [
+    [[F(-7, 3)]],
+    [[10**200]],
+    [[-10**200, F(1, 3)], [F(-2, 5), 10**200 + 1]],
+    [[np.int64(-3), np.int64(2**62)], [np.int64(2**62), np.int64(0)]],
+    np.array([[2**62, -1], [5, 2**62]], dtype=np.int64),
+], ids=["order1", "order1_huge", "huge_negative", "np_int64_list", "np_int64_array"])
+def test_numerators_edge_cases(polys, A):
+    den, N = poly_numerators(polys, A)
+    assert type(den) is int and N.shape == (len(polys), len(A), len(A))
+    assert_python_ints(N)
+    exact = [[int(x) if isinstance(x, np.integer) else x for x in row] for row in A]
+    assert (den, N.tolist()) == numerators_oracle([[int(c) for c in p] for p in polys], exact)
+    D, P = exact_powers(A, len(polys[0]) - 1)
+    assert type(D) is int
+    assert_python_ints(P)
+
+
+def test_numerators_refuse_ragged_or_fractional_coefficients():
+    A = [[1, 2], [3, 4]]
+    with pytest.raises(ValueError):
+        poly_numerators([[1, 0, 1], [1, 0]], A)
+    with pytest.raises(ValueError):
+        poly_numerators([[1, 0], [1, 0, 1]], A)
+    with pytest.raises(TypeError):
+        poly_numerators([[F(1, 2), 1]], A)
 
 
 # -- the product it is built on -------------------------------------------------
@@ -347,6 +425,23 @@ def test_numpy_integers_evaluate_as_python_ints():
     A = [[10**10] * 2 for _ in range(2)]
     assert verify_certificate_on_matrix(2, np.int64(2), A)
     assert numeric_decomposition_check(2, np.int64(2), A)
+
+
+def test_exact_entry_points_return_python_types():
+    # the benchmark oracle checks `out is True`: an np.bool_ would fail it
+    A = [[F(1, 2), 3], [0, F(2, 7)]]
+    for a_sq in (safe_a_squared(2), F(10**6)):
+        assert type(verify_certificate_on_matrix(2, a_sq, A)) is bool
+        assert type(numeric_decomposition_check(2, a_sq, A)) is bool
+    assert verify_certificate_on_matrix(2, safe_a_squared(2), A) is True
+    assert verify_certificate_on_matrix(2, F(10**6), A) is False
+    assert numeric_decomposition_check(2, F(10**6), A) is False
+    big = np.array([[10**4] * 4] * 4, dtype=np.int64)
+    assert verify_certificate_on_matrix(4, F(1, 3), big) is True
+    assert numeric_decomposition_check(4, F(1, 3), big) is True
+    C = poly_eval_matrix([F(1, 3), -2, np.int64(1)], big)
+    assert type(C) is list and all(type(row) is list for row in C)
+    assert all(type(x) is Fraction for row in C for x in row)
 
 
 @pytest.mark.parametrize("a_sq", [-5, F(-1, 3), np.int64(-2)])
