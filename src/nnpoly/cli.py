@@ -115,7 +115,11 @@ def _load_spectrum(args):
 
         with open(args.matrix_file) as fh:
             A = linalg.parse_matrix_csv(fh.read())
-        return list(np.linalg.eigvals(np.array(A, dtype=float)))
+        try:
+            M = np.array(A, dtype=float)
+        except OverflowError:
+            raise ValueError("a matrix entry is too large for float arithmetic") from None
+        return list(np.linalg.eigvals(M))
     raise SystemExit("one of --spectrum or --matrix-file is required")
 
 

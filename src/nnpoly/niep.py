@@ -9,6 +9,8 @@ numeric data, not certificates.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 
 from .linalg import poly_eval
@@ -30,7 +32,9 @@ def jll_check(values, k_max: int = 4, m_max: int = 4, tol: float = DEFAULT_TOL):
 
     Reports per (k, m): lhs = s_k^m, rhs = n^(m-1)*s_{km}, holds.  Also flags
     any power sum that is not real or negative up to tol, either of which
-    already rules out realizability.
+    already rules out realizability.  A row or power sum that is not a
+    finite float, from overflow or an inf or nan in the list, is a
+    ValueError that names it.
     """
     values = [complex(v) for v in values]
     if not values:
@@ -49,11 +53,16 @@ def jll_check(values, k_max: int = 4, m_max: int = 4, tol: float = DEFAULT_TOL):
                 lhs = s[k].real ** m
                 rhs = n ** (m - 1) * s[k * m].real
             except OverflowError:
-                raise ValueError(
-                    f"row k={k}, m={m} is too large for float arithmetic"
-                ) from None
+                lhs = rhs = math.inf
+            if math.isinf(lhs) or math.isinf(rhs):
+                raise ValueError(f"row k={k}, m={m} is too large for float arithmetic")
             slack = tol * max(1.0, abs(lhs), abs(rhs))
             rows.append((k, m, lhs, rhs, lhs <= rhs + slack))
+    # a finite power sum gives finite rows, so what is left here is a nan
+    # or a power sum no row reads
+    for k, x in s.items():
+        if not cmath.isfinite(x):
+            raise ValueError(f"power sum s_{k} is not finite in float arithmetic")
     return {
         "n": n,
         "s_real": s_real,

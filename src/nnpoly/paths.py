@@ -15,14 +15,14 @@ visits one path per orbit of the relabelings of vertices 3..n and weighs
 it by the orbit size, which is exact because every map involved commutes
 with relabeling.
 
-Each path fact is computed once.  One depth-first walk yields every path
-with its minimal cycle length k and the start p of its first k-cycle,
-tracked as the path grows, so phi and psi are slices at (p, k) and no
-path is rescanned.  Over orbits it feeds the census, computed once per n;
-over all of M_n it feeds the plan of the decomposition check, also built
-once per n: one byte per path for its k and p, which leaves each check
-only listing the paths and valuing them on its matrix.  min_cycle_length
-and first_cycle are the rescanning references the tests pin the walk to.
+Each path fact is computed once.  One depth-first walk yields one path per
+orbit with its minimal cycle length k and the start p of its first
+k-cycle, tracked as the path grows, so phi and psi are slices at (p, k)
+and no path is rescanned.  It feeds the census, computed once per n, and
+the decomposition check, which expands each representative under every
+relabeling of its labels >= 3 and keeps no per-path state.
+min_cycle_length and first_cycle are the rescanning references the tests
+pin the walk to.
 """
 
 from __future__ import annotations
@@ -138,19 +138,17 @@ def _orbit_sizes(n):
     return sizes
 
 
-def _cycle_walk(n, orbits):
-    """(m, r, k, p) for each path m of length n, r its labels >= 3, k its
-    minimal cycle length and p the start of its leftmost k-cycle, so that
-    (p, k) == first_cycle(m, k).  With orbits, one canonical path per orbit,
-    else all n^(n-1) paths; either way in lexicographic order, the order of
-    enumerate_monomials.
+def _cycle_walk(n):
+    """(m, r, k, p) for the canonical path m of each orbit of M_n, in
+    lexicographic order: r its labels >= 3, k its minimal cycle length and p
+    the start of its leftmost k-cycle, so that (p, k) == first_cycle(m, k).
 
-    Depth-first: with orbits each interior vertex is 1, 2, a label >= 3
-    already used or the next unused one, else any vertex.  A prefix carries
-    the last position of each vertex, so appending v at position q closes
-    the cycle q - last[v]; k and p change only when it is shorter than every
-    earlier one, so p is the leftmost start.  That k-cycle is simple: a
-    repeat inside it would close a shorter cycle.
+    Depth-first: each interior vertex is 1, 2, a label >= 3 already used or
+    the next unused one.  A prefix carries the last position of each vertex,
+    so appending v at position q closes the cycle q - last[v]; k and p
+    change only when it is shorter than every earlier one, so p is the
+    leftmost start.  That k-cycle is simple: a repeat inside it would close
+    a shorter cycle.
     """
     far = -n - 1  # the last position of an unseen vertex: no cycle from it counts
     stack = [((1,), 0, (far, 0) + (far,) * (n - 1), n + 1, 0)]
@@ -158,7 +156,7 @@ def _cycle_walk(n, orbits):
         m, r, last, k, p = stack.pop()
         q = len(m)
         if q < n:
-            for v in range(min(r + 3, n) if orbits else n, 0, -1):  # 1 pops first
+            for v in range(min(r + 3, n), 0, -1):  # 1 pops first
                 at = last[v]
                 kv, pv = (q - at, at) if q - at < k else (k, p)
                 stack.append((m + (v,), r + (v > 2 and at < 0),
@@ -203,7 +201,7 @@ def _census_of(n):
     every caller shares the one result."""
     size = _orbit_sizes(n)
     tally = {}  # k -> [count, representatives, phi images, psi target -> weight]
-    for m, r, k, p in _cycle_walk(n, orbits=True):
+    for m, r, k, p in _cycle_walk(n):
         cyc = (p, k)
         entry = tally.get(k)
         if entry is None:
@@ -291,31 +289,26 @@ def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport
     return CertificateReport(n=n, a_sq=a_sq, per_k=per_k, verdict=verdict)
 
 
-@functools.cache
-def _decomposition_plan(n):
-    """p n + k for each path m of M_n, in the order of enumerate_monomials:
-    k its class and (p, k) its first k-cycle.  These path facts depend on n
-    alone, so they are walked once per n; the plan is read-only.
+def _planned_paths(n, rows):
+    """(k, m, phi(m), psi(m)) for each path m of M_n, exactly once: k its
+    class and each path given by the entries rows[s][t] of its edges s -> t.
 
-    One byte per path (p n + k < n^2 <= 256 while n <= 16, and the cap
-    stops far below that), so n^(n-1) bytes, no more than the cap: 117 KB
-    at n = 7, 2.1 MB at n = 8 and 43 MB at n = 9.  Checking one matrix
-    twice, a process peaked at 34 MB RSS at n = 8 and 88 MB at n = 9.
+    Each orbit representative of _cycle_walk, with r labels >= 3, is
+    relabeled by each of the (n-2)_r injective maps of 3..r+2 into 3..n;
+    its images keep its class k and first k-cycle (p, k), since relabeling
+    commutes with both.
     """
-    return bytes(p * n + k for _, _, k, p in _cycle_walk(n, orbits=False))
-
-
-def _planned_paths(n, rows, cap):
-    """(k, m, phi(m), psi(m)) for each path m of M_n, in the order of
-    enumerate_monomials: k its class and each path given by the entries
-    rows[s][t] of its edges s -> t.  Read from the plan, without rescanning.
-    """
-    for m, pk in zip(enumerate_monomials(n, n, cap), _decomposition_plan(n)):
-        p, k = divmod(pk, n)
-        x = [rows[s][t] for s, t in zip(m, m[1:])]
-        # m[p] == m[p+k], so phi and psi cut and repeat the edges of m
-        # where they cut and repeat m
-        yield k, x, x[: p + k] + x[p:], x[:p] + x[p + k :]
+    # sigma[v] is the image of vertex v (index 0 pads); 1 and 2 are fixed
+    relabelings = [[(0, 1, 2, *labels)
+                    for labels in itertools.permutations(range(3, n + 1), r)]
+                   for r in range(n - 1)]
+    for m, r, k, p in _cycle_walk(n):
+        edges = list(zip(m, m[1:]))
+        for sigma in relabelings[r]:
+            x = [rows[sigma[s]][sigma[t]] for s, t in edges]
+            # m[p] == m[p+k], so phi and psi cut and repeat the edges of m
+            # where they cut and repeat m
+            yield k, x, x[: p + k] + x[p:], x[:p] + x[p + k :]
 
 
 def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool:
@@ -327,10 +320,10 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     a_sq v(m)^2.  The lhs must sum to at most the positive part
     sum_{j != n} (A^j)_{1,2} of entry (1,2) of p_a(A).  nu and the path
     facts come from the census; the check is False if census_cap(n) is None.
-    Each path's class and first k-cycle are read from a plan walked once
-    per n (_decomposition_plan, one byte per path), so a call only lists
-    the paths and values them on its matrix; the cap guard still runs on
-    every call.
+    Each path's class and first k-cycle are those of its orbit's
+    representative, expanded under every relabeling (_planned_paths), so no
+    path is rescanned and nothing per path outlives the call; the cap guard
+    runs on every call.
 
     It runs on integers: paths are valued on the int matrix B of A = B/D
     from exact_powers, a path of length l being worth v_B/D^l.  With N the
@@ -360,7 +353,7 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     wm = {k: p * (N * D**k) ** 2 for k in census}  # of v_B(m)^2 in the test
     total = dict.fromkeys(census, 0)
     rows = [(), *((0, *row) for row in B)]  # rows[s][t] is B_{s,t}
-    for k, xm, xf, xg in _planned_paths(n, rows, cap):
+    for k, xm, xf, xg in _planned_paths(n, rows):
         vm, vf, vg = prod(xm), prod(xf), prod(xg)
         if vf * vg != vm * vm:
             return False

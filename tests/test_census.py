@@ -69,13 +69,13 @@ def test_census_n8_pinned():
 @pytest.mark.parametrize("n, reps", [(2, 2), (3, 9), (7, 3262), (8, 17006)])
 def test_orbit_weights_cover_m_n(n, reps):
     size = _orbit_sizes(n)
-    weights = [size[r] for _, r, _, _ in _cycle_walk(n, orbits=True)]
+    weights = [size[r] for _, r, _, _ in _cycle_walk(n)]
     assert len(weights) == reps
     assert sum(weights) == n ** (n - 1)
 
 
 def test_representatives_are_canonical_and_distinct():
-    reps = [m for m, *_ in _cycle_walk(6, orbits=True)]
+    reps = [m for m, *_ in _cycle_walk(6)]
     assert all(_canonical(m) == m for m in reps)
     assert len(set(reps)) == len(reps)
 
@@ -92,28 +92,26 @@ def test_census_computed_once_per_n(monkeypatch):
     walks = []
     walk = paths._cycle_walk
     monkeypatch.setattr(paths, "_cycle_walk",
-                        lambda n, orbits: walks.append((n, orbits)) or walk(n, orbits))
+                        lambda n: walks.append(n) or walk(n))
     paths._census_of.cache_clear()
     first = _census(6)
     assert _census(6) is first
-    assert walks == [(6, True)]
+    assert walks == [6]
     with pytest.raises(EnumerationCapExceeded):
         _census(6, cap=6**5 - 1)  # the cap still holds after a cached success
     with pytest.raises(TypeError):
         first[1] = (0, False, 0)
-    assert walks == [(6, True)] and first == brute_census(6)
+    assert walks == [6] and first == brute_census(6)
 
 
-@pytest.mark.parametrize("n, orbits", [(n, True) for n in range(2, 9)]
-                         + [(n, False) for n in range(2, 7)])
-def test_walk_cycle_matches_first_cycle(n, orbits):
-    # the walk's incremental (k, p) against the rescanning oracle
-    walk = list(_cycle_walk(n, orbits))
-    for m, r, k, p in walk:
+@pytest.mark.parametrize("n, canonical", [(n, True) for n in range(2, 9)])
+def test_walk_cycle_matches_first_cycle(n, canonical):
+    # the walk's incremental (k, p) and r against the rescanning oracle, on
+    # canonical orbit representatives
+    for m, r, k, p in _cycle_walk(n):
+        assert (_canonical(m) == m) is canonical
+        assert r == len(set(m) - {1, 2})
         assert (p, k) == first_cycle(m, min_cycle_length(m))
-    if not orbits:  # all of M_n, in the order the decomposition plan assumes
-        assert [m for m, *_ in walk] == list(enumerate_monomials(n, n))
-        assert all(r == len(set(m) - {1, 2}) for m, r, _, _ in walk)
 
 
 @pytest.mark.parametrize("n", [1, 0])

@@ -380,13 +380,30 @@ def test_falsify_overflow_is_silent(coeffs, starts, code, golden):
      "row k=1, m=2 is too large for float arithmetic"),
     (["transform", "--coeffs=1e400", "--spectrum", "1"],
      "coefficient of x^0 is too large for float arithmetic"),
-], ids=["jll_power_sum", "jll_row", "transform_coeff"])
+    # the CSV report has no JSON encoder to refuse inf and nan: jll_check does
+    (["jll", "--format", "csv", "--spectrum", "1e308,1e308", "--k-max", "1", "--m-max", "1"],
+     "row k=1, m=1 is too large for float arithmetic"),
+    (["jll", "--format", "csv", "--spectrum", "nan"],
+     "power sum s_1 is not finite in float arithmetic"),
+], ids=["jll_power_sum", "jll_row", "transform_coeff", "jll_csv_inf_sum", "jll_csv_nan"])
 def test_spectrum_float_overflow_is_usage_error(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["jll"], ["transform", "--coeffs=1"]],
+                         ids=["jll", "transform"])
+def test_oversized_matrix_file_entry_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "A.csv"
+    path.write_text("1,1e400\n0,1\n")
+    code = main([*command, "--matrix-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: a matrix entry is too large for float arithmetic\n"
 
 
 def test_non_finite_report_is_usage_error(tmp_path, capsys):

@@ -333,7 +333,7 @@ def test_decomposition_values_paths_on_int_matrix(monkeypatch):
     n = 5
     A = [[F(i + 1, j + 2) for j in range(n)] for i in range(n)]
     a_sq = certified_cap(n)[0]
-    assert numeric_decomposition_check(n, a_sq, A)  # builds the cached plan
+    assert numeric_decomposition_check(n, a_sq, A)  # warms the census cache
     factors, fraction_mults = [], []
 
     def spy_prod(values):

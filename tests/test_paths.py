@@ -284,32 +284,15 @@ def edges(x):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_decomposition_plan_matches_oracle(n):
-    # the planned paths, given by their edges, against rescanning every
-    # path of M_n in the same order
+    # the expanded orbit representatives, given by their edges, against
+    # rescanning every path of M_n: each path once, with its class and images
     labels = [(), *([(), *((s, t) for t in range(1, n + 1))] for s in range(1, n + 1))]
     expect = []
     for m in enumerate_monomials(n, n):
         k = min_cycle_length(m)
         cyc = first_cycle(m, k)
         expect.append((k, edges(m), edges(phi(m, cyc)), edges(psi(m, cyc))))
-    assert list(paths_module._planned_paths(n, labels, paths_module.DEFAULT_CAP)) == expect
-    assert len(paths_module._decomposition_plan(n)) == n ** (n - 1)
-
-
-def test_decomposition_plan_built_once_per_n(monkeypatch):
-    walks = []
-    walk = paths_module._cycle_walk
-    monkeypatch.setattr(paths_module, "_cycle_walk",
-                        lambda n, orbits: walks.append((n, orbits)) or walk(n, orbits))
-    paths_module._decomposition_plan.cache_clear()
-    for A in ([[F(1)] * 4 for _ in range(4)], [[F(i, j + 1) for j in range(4)] for i in range(4)]):
-        assert numeric_decomposition_check(4, F(1, 3), A)
-        assert numeric_decomposition_check(4, F(1, 3), A)
-    assert walks.count((4, False)) == 1
-    plan = paths_module._decomposition_plan(4)
-    assert plan is paths_module._decomposition_plan(4)
-    with pytest.raises(TypeError):
-        plan[1] = 0
+    assert sorted(paths_module._planned_paths(n, labels)) == sorted(expect)
 
 
 def test_decomposition_cap_guard_after_cached_success():
