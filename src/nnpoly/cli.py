@@ -108,19 +108,17 @@ def cmd_search_a(args):
 
 
 def _load_spectrum(args):
-    if args.spectrum:
+    if args.spectrum is not None:
         return niep.parse_spectrum(args.spectrum)
-    if args.matrix_file:
-        import numpy as np
+    import numpy as np
 
-        with open(args.matrix_file) as fh:
-            A = linalg.parse_matrix_csv(fh.read())
-        try:
-            M = np.array(A, dtype=float)
-        except OverflowError:
-            raise ValueError("a matrix entry is too large for float arithmetic") from None
-        return list(np.linalg.eigvals(M))
-    raise SystemExit("one of --spectrum or --matrix-file is required")
+    with open(args.matrix_file) as fh:
+        A = linalg.parse_matrix_csv(fh.read())
+    try:
+        M = np.array(A, dtype=float)
+    except OverflowError:
+        raise ValueError("a matrix entry is too large for float arithmetic") from None
+    return list(np.linalg.eigvals(M))
 
 
 def cmd_jll(args):
@@ -183,6 +181,11 @@ def build_parser():
             p.add_argument("--cap", type=int, default=paths.DEFAULT_CAP,
                            help="enumeration size guard")
 
+    def spectrum_input(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--spectrum", help='comma-separated, e.g. "1,i,-i"')
+        group.add_argument("--matrix-file", help="CSV matrix; its eigenvalues are used")
+
     p = sub.add_parser("bound", help="per-k cap table and certified a^2 cap")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", help="comma-separated positive weights d_0..d_2n")
@@ -237,8 +240,7 @@ def build_parser():
     p.set_defaults(func=cmd_search_a)
 
     p = sub.add_parser("jll", help="trace power inequalities on a spectrum list")
-    p.add_argument("--spectrum", help='comma-separated, e.g. "1,i,-i"')
-    p.add_argument("--matrix-file", help="CSV matrix; its eigenvalues are used")
+    spectrum_input(p)
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--tol", type=float, default=niep.DEFAULT_TOL)
@@ -248,8 +250,7 @@ def build_parser():
 
     p = sub.add_parser("transform", help="apply a polynomial to a spectrum list")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--spectrum")
-    p.add_argument("--matrix-file")
+    spectrum_input(p)
     common(p)
     p.set_defaults(func=cmd_transform)
 

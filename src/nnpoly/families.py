@@ -113,9 +113,6 @@ def rational_sqrt_floor(c: Fraction, denom: int = 10**6) -> Fraction:
     """Largest multiple of 1/denom whose square is <= c."""
     if c < 0:
         raise ValueError("negative argument")
-    # floor(denom * sqrt(c)) via integer sqrt of c.num*denom^2 / c.den
-    num = isqrt(c.numerator * denom * denom // c.denominator)
-    a = Fraction(num, denom)
-    while a * a > c:
-        a -= Fraction(1, denom)
-    return a
+    # floor(denom * sqrt(c)) exactly, as isqrt(floor(x)) == floor(sqrt(x))
+    # for x = c * denom^2 >= 0
+    return Fraction(isqrt(c.numerator * denom * denom // c.denominator), denom)

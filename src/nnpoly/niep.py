@@ -86,14 +86,17 @@ def transform_list(coeffs, values):
 
 
 def parse_complex(tok: str) -> complex:
-    """Entries like "2", "1+2i", "-i", "0.5-1.5i"."""
+    """Entries like "2", "1+2i", "-i", "0.5-1.5i", "(1+2i)", "inf"."""
     t = tok.strip().replace(" ", "")
     if not t:
         raise ValueError("empty spectrum entry")
-    t = t.replace("i", "j")
-    # complex() rejects bare "+j"-style parts only when malformed; normalize
-    t = re.sub(r"(?<![0-9.])j", "1j", t)
-    return complex(t)
+    # only a final i, before an optional ")", is the imaginary unit: the i
+    # of "inf" is not; complex() reads a bare "j", "-j" and "1+j" itself
+    t = re.sub(r"i(?=\)?$)", "j", t)
+    try:
+        return complex(t)
+    except ValueError:
+        raise ValueError(f"malformed spectrum entry {tok.strip()!r}") from None
 
 
 def parse_spectrum(text: str):

@@ -20,7 +20,8 @@ orbit with its minimal cycle length k and the start p of its first
 k-cycle, tracked as the path grows, so phi and psi are slices at (p, k)
 and no path is rescanned.  It feeds the census, computed once per n, and
 the decomposition check, which expands each representative under every
-relabeling of its labels >= 3 and keeps no per-path state.
+relabeling of its labels >= 3, values each path as psi(m) times its first
+minimal cycle and keeps no per-path state.
 min_cycle_length and first_cycle are the rescanning references the tests
 pin the walk to.
 """
@@ -290,8 +291,9 @@ def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport
 
 
 def _planned_paths(n, rows):
-    """(k, m, phi(m), psi(m)) for each path m of M_n, exactly once: k its
-    class and each path given by the entries rows[s][t] of its edges s -> t.
+    """(k, psi(m), cycle) for each path m of M_n, exactly once: k its class,
+    psi(m) and its first k-cycle given by the entries rows[s][t] of their
+    edges s -> t.
 
     Each orbit representative of _cycle_walk, with r labels >= 3, is
     relabeled by each of the (n-2)_r injective maps of 3..r+2 into 3..n;
@@ -306,38 +308,32 @@ def _planned_paths(n, rows):
         edges = list(zip(m, m[1:]))
         for sigma in relabelings[r]:
             x = [rows[sigma[s]][sigma[t]] for s, t in edges]
-            # m[p] == m[p+k], so phi and psi cut and repeat the edges of m
-            # where they cut and repeat m
-            yield k, x, x[: p + k] + x[p:], x[:p] + x[p + k :]
+            # m[p] == m[p+k]: edges p..p+k-1 are the cycle, psi cuts them out
+            yield k, x[:p] + x[p + k :], x[p : p + k]
 
 
 def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool:
     """Exact replay on one matrix of the termwise proof behind census_cap.
 
-    Each length-n path m of class k is paired with g = psi(m) and
-    f = phi(m); the identity v(f) v(g) == v(m)^2 is checked, and a*v(m)
-    must be bounded by lhs = v(g)/nu(n,k) + v(f), tested as lhs^2 >=
-    a_sq v(m)^2.  The lhs must sum to at most the positive part
-    sum_{j != n} (A^j)_{1,2} of entry (1,2) of p_a(A).  nu and the path
-    facts come from the census; the check is False if census_cap(n) is None.
-    Each path's class and first k-cycle are those of its orbit's
-    representative, expanded under every relabeling (_planned_paths), so no
-    path is rescanned and nothing per path outlives the call; the cap guard
-    runs on every call.
+    A length-n path m of class k is g = psi(m) with its first k-cycle, of
+    value c, inserted, and f = phi(m) inserts it twice: v(m) = v(g) c and
+    v(f) = v(g) c^2.  Its term lhs = v(g)/nu(n,k) + v(f) = v(g) (1/nu + c^2)
+    must bound a*v(m), and the lhs must sum to at most the positive part
+    sum_{j != n} (A^j)_{1,2} of entry (1,2) of p_a(A).  A path with v(g) = 0
+    adds nothing to either side.  nu comes from the census and each path's
+    class and cycle from _planned_paths; the check is False if
+    census_cap(n) is None.
 
-    It runs on integers: paths are valued on the int matrix B of A = B/D
-    from exact_powers, a path of length l being worth v_B/D^l.  With N the
-    lcm of the nu and a_sq = p/q, L = v_B(g) D^(2k) N/nu + N v_B(f) is
-    N D^(n+k) lhs, so the termwise test is q L^2 >= p (N D^k v_B(m))^2, and
-    the sum of the L D^(n-k) is compared with N S for S/D^(2n) the positive
-    part from poly_numerators.
+    It runs on integers: with A = B/D from exact_powers, N the lcm of the nu
+    and a_sq = p/q, a path is valued on B, and w = D^(2k) N/nu + N c_B^2 is
+    N D^(2k) (1/nu + c^2), so the termwise test is q w^2 >= p (N D^k c_B)^2
+    and the sum of the v_B(g) w D^(n-k) is compared with N S, for S/D^(2n)
+    the positive part from poly_numerators.
 
-    For every nonnegative A it is True at every a_sq <= census_cap(n), the
-    range build_certificate accepts.  AM-GM gives lhs >= 2 v(m)/sqrt(nu) >=
-    a v(m) for a^2 <= 4/nu(n,k).  phi is injective and maps class k to
-    length n+k, so the v(f) of class k use each term of (A^(n+k))_{1,2} at
-    most once; each g has at most nu(n,k) pre-images in class k, so the
-    v(g)/nu use each term of (A^(n-k))_{1,2} at most once in total.
+    For every nonnegative A it is True at every a_sq <= census_cap(n):
+    AM-GM gives 1/nu + c^2 >= 2c/sqrt(nu) >= a c for a^2 <= 4/nu(n,k); phi
+    is injective and each g has at most nu(n,k) pre-images in class k, so
+    the lhs use each term of (A^(n+k))_{1,2} and (A^(n-k))_{1,2} at most once.
     """
     if order_of(A) != n:
         raise ValueError("matrix order must equal n")
@@ -349,18 +345,19 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         return False
     census = _census(n, cap)
     N = lcm(*(nu for _, _, nu in census.values()))
-    wg = {k: D ** (2 * k) * (N // nu) for k, (_, _, nu) in census.items()}  # of v_B(g) in L
-    wm = {k: p * (N * D**k) ** 2 for k in census}  # of v_B(m)^2 in the test
+    wg = {k: D ** (2 * k) * (N // nu) for k, (_, _, nu) in census.items()}  # of 1/nu in w
+    wm = {k: p * (N * D**k) ** 2 for k in census}  # of c_B^2 in the test
     total = dict.fromkeys(census, 0)
     rows = [(), *((0, *row) for row in B)]  # rows[s][t] is B_{s,t}
-    for k, xm, xf, xg in _planned_paths(n, rows):
-        vm, vf, vg = prod(xm), prod(xf), prod(xg)
-        if vf * vg != vm * vm:
+    for k, xg, xc in _planned_paths(n, rows):
+        vg = prod(xg)
+        if not vg:
+            continue
+        c = prod(xc)
+        w = wg[k] + N * c * c
+        if q * w * w < wm[k] * c * c:
             return False
-        L = wg[k] * vg + N * vf
-        if q * L * L < wm[k] * vm * vm:
-            return False
-        total[k] += L
+        total[k] += vg * w
     covered = sum(D ** (n - k) * t for k, t in total.items())
     _, (S,) = poly_numerators(_p_a_split(n)[:1], A)
     return covered <= N * S[0][1]

@@ -80,16 +80,13 @@ def cycle_witness(n: int, a, t=Fraction(1)) -> WitnessReport:
     a, t = Fraction(a), Fraction(t)
     if n < 2 or not a > 0 or not t > 0:
         raise ValueError("need n >= 2, a > 0, t > 0")
-    coeffs = make_p_a(n, a)
     A = mat_scale(t, cyclic_shift(n + 1))
-    C = poly_eval_matrix(coeffs, A)
-    value = C[0][n]
-    if value != -a * t**n:
+    # each row of p_a(A) holds one -a*t^n and nothing else negative, so the
+    # most negative entry is first reached at (1, n+1)
+    rep = _verified_report(make_p_a(n, a), A, "structured-cycle")
+    if rep is None or (rep.entry, rep.value) != ((1, n + 1), -a * t**n):
         raise AssertionError("exact evaluation disagrees with construction")
-    return WitnessReport(
-        poly=coeffs, m=n + 1, matrix=A, entry=(1, n + 1), value=value,
-        method="structured-cycle",
-    )
+    return rep
 
 
 def _rationalize(A):

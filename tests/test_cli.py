@@ -259,6 +259,11 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys):
     ["certify"],
     ["bound", "--n", "3", "--bogus"],
     ["no-such-command"],
+    # jll and transform take exactly one of --spectrum and --matrix-file
+    ["jll"],
+    ["transform", "--coeffs=1"],
+    ["jll", "--spectrum", "1", "--matrix-file", "A.csv"],
+    ["transform", "--coeffs=1", "--spectrum", "1", "--matrix-file", "A.csv"],
 ])
 def test_usage_error_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -385,7 +390,10 @@ def test_falsify_overflow_is_silent(coeffs, starts, code, golden):
      "row k=1, m=1 is too large for float arithmetic"),
     (["jll", "--format", "csv", "--spectrum", "nan"],
      "power sum s_1 is not finite in float arithmetic"),
-], ids=["jll_power_sum", "jll_row", "transform_coeff", "jll_csv_inf_sum", "jll_csv_nan"])
+    (["jll", "--spectrum", "inf"],
+     "power sum s_1 is too large for float arithmetic"),
+], ids=["jll_power_sum", "jll_row", "transform_coeff", "jll_csv_inf_sum", "jll_csv_nan",
+        "jll_inf_entry"])
 def test_spectrum_float_overflow_is_usage_error(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()

@@ -351,7 +351,9 @@ def test_decomposition_values_paths_on_int_matrix(monkeypatch):
     monkeypatch.setattr(Fraction, "__mul__", counted(Fraction.__mul__))
     monkeypatch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
     assert numeric_decomposition_check(n, a_sq, A)
-    assert len(factors) == 3 * n ** n  # the edges of m, phi(m) and psi(m), per path
+    # no entry of A is 0, so no path is skipped: each edge of m once per
+    # path, split between psi(m) and its first minimal cycle
+    assert len(factors) == n ** n
     assert all(type(x) is int for x in factors)
     assert len(fraction_mults) < n ** (n - 1)
 

@@ -132,6 +132,6 @@ def test_bound_table_json_shape():
 
 
 def test_rational_sqrt_floor():
-    for c in [F(2), F(1), F(4, 3), F(1, 12)]:
+    for c in [F(2), F(1), F(4, 3), F(1, 12), F(0), F(9, 4), F(1, 10**13), F(10**30 + 1)]:
         a = rational_sqrt_floor(c)
         assert a * a <= c < (a + F(1, 10**6)) ** 2

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,12 @@ def test_parse_spectrum():
     assert parse_spectrum("1,i,-i") == [1 + 0j, 1j, -1j]
     assert parse_spectrum("1+2i, -0.5") == [1 + 2j, -0.5 + 0j]
     assert parse_spectrum("2i") == [2j]
+    # the i of "inf" is not the imaginary unit; only a final one is
+    assert parse_spectrum("inf,-inf") == [complex(math.inf), complex(-math.inf)]
+    assert parse_spectrum("infi") == [complex(0, math.inf)]
+    assert parse_spectrum("(1+2i)") == [1 + 2j]
+    with pytest.raises(ValueError, match=r"malformed spectrum entry '1\+2k'"):
+        parse_spectrum("1, 1+2k")
 
 
 def test_conjugation_closed_power_sums_real():

@@ -27,6 +27,7 @@ from nnpoly.paths import (
     psi,
     verify_certificate_on_matrix,
 )
+from test_exact_kernel import decomposition_oracle
 
 F = Fraction
 
@@ -208,11 +209,22 @@ def test_value_identity(data):
     assert len(f) == len(m) + k and len(g) == len(m) - k
     assert f[0] == g[0] == 1 and f[-1] == g[-1] == 2
     assert monomial_value(f, A) * monomial_value(g, A) == monomial_value(m, A) ** 2
+    # m is g with its first cycle, of value c, inserted once and f twice
+    p, _ = cyc
+    c = monomial_value(m[p : p + k + 1], A)
+    assert monomial_value(m, A) == monomial_value(g, A) * c
+    assert monomial_value(f, A) == monomial_value(g, A) * c * c
 
 
-def test_decomposition_check_zero_matrix():
-    Z = [[F(0)] * 2 for _ in range(2)]
-    assert numeric_decomposition_check(2, F(2), Z)
+@pytest.mark.parametrize("A, a_sq", [
+    ([[F(0)] * 2 for _ in range(2)], F(2)),
+    # every psi(m) is worth 0 and every cycle fails AM-GM: those paths add
+    # nothing to either side
+    ([[F(1), F(0)], [F(0), F(1)]], F(50)),
+], ids=["zero", "identity"])
+def test_decomposition_check_zero_matrix(A, a_sq):
+    assert numeric_decomposition_check(2, a_sq, A)
+    assert decomposition_oracle(2, a_sq, A)
 
 
 def test_decomposition_check_all_ones():
@@ -285,13 +297,14 @@ def edges(x):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_decomposition_plan_matches_oracle(n):
     # the expanded orbit representatives, given by their edges, against
-    # rescanning every path of M_n: each path once, with its class and images
+    # rescanning every path of M_n: each path once, with its class, its psi
+    # image and its first minimal cycle
     labels = [(), *([(), *((s, t) for t in range(1, n + 1))] for s in range(1, n + 1))]
     expect = []
     for m in enumerate_monomials(n, n):
         k = min_cycle_length(m)
-        cyc = first_cycle(m, k)
-        expect.append((k, edges(m), edges(phi(m, cyc)), edges(psi(m, cyc))))
+        p, _ = cyc = first_cycle(m, k)
+        expect.append((k, edges(psi(m, cyc)), edges(m)[p : p + k]))
     assert sorted(paths_module._planned_paths(n, labels)) == sorted(expect)
 
 
