@@ -12,9 +12,10 @@ arithmetic:
   any size; numpy only runs the loops.  exact_powers is the one door into
   exact evaluation: it reads int, Fraction and numpy integer entries as
   Python ints and refuses floats and booleans.  poly_numerators,
-  poly_eval_matrix and the checks in paths read it.
-- float: poly_min_entries is a batched numpy Horner over a (batch, m, m)
-  stack of left-to-right sums, so it gives the same floats on every Python.
+  poly_eval_ratio, poly_eval_matrix and the checks in paths read it.
+- float: poly_min_entries is a batched numpy Horner of left-to-right sums
+  over an (m, m, batch) copy of a stack of matrices, batch axis last, so it
+  gives the same floats on every Python.
 
 identity, mat_mul, mat_pow, mat_add, mat_scale and min_entry stay generic
 over the scalar type: the tests build each kernel's reference from them.
@@ -157,19 +158,26 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def poly_eval_matrix(coeffs, A):
-    """sum_d coeffs[d] * A**d, exactly, as a matrix of Fractions.
+def poly_eval_ratio(coeffs, A):
+    """(den, N) with sum_d coeffs[d] * A**d = N / den exactly, den > 0 an int
+    and N an (n, n) numpy object array of Python ints.
 
     Coefficients and entries are int, Fraction or numpy integers; floats
     raise ValueError (poly_min_entries is the float kernel).  With L the lcm
-    of the coefficient denominators this is N / (L D^top), N from
+    of the coefficient denominators, den = L D^top and N comes from
     poly_numerators of the integer coefficients L*coeffs[d].
     """
     if not coeffs:
         raise ValueError("empty coefficient list")
     L, (ints,) = _scaled_ints([coeffs])
     den, (N,) = poly_numerators([ints], A)
-    den *= L
+    return den * L, N
+
+
+def poly_eval_matrix(coeffs, A):
+    """sum_d coeffs[d] * A**d, exactly, as a matrix of Fractions: the
+    entries N / den of poly_eval_ratio."""
+    den, N = poly_eval_ratio(coeffs, A)
     return [[Fraction(x, den) for x in row] for row in N.tolist()]
 
 
@@ -177,9 +185,12 @@ def poly_min_entries(coeffs, As):
     """min_entry(p(A))[0] for each A in As, batched, with p the coefficients.
 
     As is a (batch, m, m) stack of float matrices and coeffs are floats.
-    Each product is accumulated as a left-to-right sum over k of
-    acc[:, :, k] * A[:, k, :], and c is added on the diagonal only, so every
-    entry goes through the same IEEE operations as the left-to-right generic
+    The Horner runs on a contiguous (m, m, batch) copy X of the stack, so
+    every elementwise operation sweeps the batch axis in one contiguous
+    loop.  Each product is accumulated as a left-to-right sum over k of
+    acc[:, k, None] * X[None, k], into one buffer through one temporary, and
+    c is added through a strided view of the diagonal only, so every entry
+    goes through the same IEEE operations as the left-to-right generic
     Horner reference_horner in tests/test_linalg.py (no matmul, einsum or
     BLAS, which may reorder or fuse the sums).  Like min_entry, a matrix
     whose entry (1, 1) of p(A) is nan gets nan; otherwise nan entries are
@@ -189,20 +200,19 @@ def poly_min_entries(coeffs, As):
     """
     As = np.asarray(As, dtype=np.float64)
     batch, m = As.shape[0], As.shape[2]
-    diag = np.arange(m)
-    rows = [As[:, None, k, :] for k in range(m)]  # rows[k][b, 0, j] = A[b, k, j]
+    X = np.ascontiguousarray(As.transpose(1, 2, 0))  # X[k, j, b] = A[b, k, j]
+    acc = np.zeros_like(X)
+    acc.reshape(m * m, batch)[:: m + 1] = coeffs[-1]
+    prod, term = np.empty_like(X), np.empty_like(X)
     with np.errstate(all="ignore"):
-        acc = np.zeros_like(As)
-        acc[:, diag, diag] = coeffs[-1]
         for c in reversed(coeffs[:-1]):
-            cols = acc.transpose(2, 0, 1)[..., None]  # cols[k][b, i, 0] = acc[b, i, k]
-            prod = cols[0] * rows[0]
+            np.multiply(acc[:, 0, None], X[None, 0], out=prod)
             for k in range(1, m):
-                prod += cols[k] * rows[k]
-            prod[:, diag, diag] += c
-            acc = prod
-        mins = np.fmin.reduce(acc.reshape(batch, m * m), axis=1)
-    mins[np.isnan(acc[:, 0, 0]) | ~np.isfinite(As[:, 0, 0])] = np.nan
+                prod += np.multiply(acc[:, k, None], X[None, k], out=term)
+            prod.reshape(m * m, batch)[:: m + 1] += c
+            acc, prod = prod, acc
+        mins = np.fmin.reduce(acc.reshape(m * m, batch), axis=0)
+    mins[np.isnan(acc[0, 0]) | ~np.isfinite(X[0, 0])] = np.nan
     return mins.tolist()
 
 

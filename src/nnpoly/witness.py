@@ -21,9 +21,8 @@ from .linalg import (
     format_scalar,
     is_nonneg,
     mat_scale,
-    min_entry,
-    order_of,
     poly_eval_matrix,
+    poly_eval_ratio,
     poly_min_entries,
 )
 
@@ -60,12 +59,20 @@ class WitnessReport:
 
 
 def _verified_report(coeffs, A, method) -> WitnessReport | None:
-    """Exact evaluation; report the most negative entry if one exists."""
-    val, r, c = min_entry(poly_eval_matrix(coeffs, A))
-    if val < 0:
+    """Exact evaluation; report the most negative entry if one exists.
+
+    p(A) = N / den with den > 0, so the first smallest numerator of N sits
+    at the first most negative entry, and only that entry becomes a
+    Fraction.
+    """
+    den, N = poly_eval_ratio(coeffs, A)
+    flat = N.ravel().tolist()
+    low = min(flat)
+    if low < 0:
+        r, c = divmod(flat.index(low), len(A))
         return WitnessReport(
-            poly=list(coeffs), m=order_of(A), matrix=A,
-            entry=(r, c), value=val, method=method,
+            poly=list(coeffs), m=len(A), matrix=A,
+            entry=(r + 1, c + 1), value=Fraction(low, den), method=method,
         )
     return None
 
@@ -101,10 +108,13 @@ def probe_witness(coeffs, m: int) -> WitnessReport | None:
     coeffs = [Fraction(c) for c in coeffs]
     if m < 1:
         raise ValueError("order must be >= 1")
-    ones = [[Fraction(1)] * m for _ in range(m)]
-    shift = cyclic_shift(m)
+    zero = Fraction(0)
     for t in SCALE_SWEEP + [Fraction(1, m), Fraction(1, 2 * m)]:
-        for A in (mat_scale(t, ones), mat_scale(t, shift)):
+        probes = [[[t] * m for _ in range(m)]]
+        if m > 1:  # at m = 1 the shift is J
+            probes.append([[t if c == (r + 1) % m else zero for c in range(m)]
+                           for r in range(m)])
+        for A in probes:
             rep = _verified_report(coeffs, A, "search")
             if rep is not None:
                 return rep
@@ -155,12 +165,15 @@ def _descend_block(coeffs_f, m, block, iterations, seed):
     start index in block, as float lists.
 
     Start idx draws from random.Random(f"{seed}:{idx}") its initial matrix,
-    then per step i, j and the candidate entries.  Its nine candidates
-    become nine rows of one (len(block) * 9, m, m) stack, and it moves to
-    the first candidate whose value is strictly below its objective and
-    below every earlier candidate's, as a strict `val < best_val` scan does.
+    then per step i, j and, only if entry (i, j) is 0, nine draws r.  Its
+    nine candidates max(base * f, 0) (or max(scale * f * r, 0) from 0) are
+    one numpy expression over the whole block, the same floats as Python's
+    arithmetic and max(x, 0.0), nan included.  They become nine rows of one
+    (len(block) * 9, m, m) stack, and the start moves to the first
+    candidate whose value is strictly below its objective and below every
+    earlier candidate's, as a strict `val < best_val` scan does.
     """
-    factors = [0.0, 0.25, 0.5, 0.8, 0.95, 1.05, 1.25, 2.0, 4.0]
+    factors = np.array([0.0, 0.25, 0.5, 0.8, 0.95, 1.05, 1.25, 2.0, 4.0])
     rngs = [random.Random(f"{seed}:{idx}") for idx in block]
     scales = [float(SCALE_SWEEP[idx % len(SCALE_SWEEP)]) for idx in block]
     As = np.array([[[rng.random() * scale for _ in range(m)] for _ in range(m)]
@@ -168,16 +181,17 @@ def _descend_block(coeffs_f, m, block, iterations, seed):
     obj = np.array(poly_min_entries(coeffs_f, As))
     obj[np.isnan(obj)] = np.inf  # nan compares false, so nothing could beat it
     rows = np.arange(len(block))
+    spread = np.array(scales)[:, None] * factors  # scale * f, per start
+    draws = np.zeros_like(spread)  # a start's r, redrawn when it is used
     for _ in range(iterations):
-        steps = []
-        for rng, scale, A in zip(rngs, scales, As):
-            i, j = rng.randrange(m), rng.randrange(m)
-            base = float(A[i, j])
-            steps.append((i, j, [
-                max(base * f if base else scale * f * rng.random(), 0.0)
-                for f in factors
-            ]))
-        ii, jj, cands = map(np.array, zip(*steps))
+        ii, jj = np.array([(rng.randrange(m), rng.randrange(m)) for rng in rngs]).T
+        base = As[rows, ii, jj]
+        from_zero = base == 0
+        for s in np.flatnonzero(from_zero):
+            draws[s] = [rngs[s].random() for _ in factors]
+        with np.errstate(all="ignore"):  # inf * 0.0 is nan, as in Python
+            cands = np.maximum(
+                np.where(from_zero[:, None], spread * draws, base[:, None] * factors), 0.0)
         stack = np.repeat(As[:, None], len(factors), axis=1)
         stack[rows, :, ii, jj] = cands
         vals = np.array(poly_min_entries(coeffs_f, stack.reshape(-1, m, m)))

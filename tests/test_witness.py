@@ -11,7 +11,7 @@ import pytest
 import nnpoly
 from nnpoly.families import make_p_a
 from nnpoly import witness
-from nnpoly.linalg import poly_eval_matrix, poly_min_entries
+from nnpoly.linalg import min_entry, poly_eval_matrix, poly_min_entries
 from nnpoly.witness import (
     SCALE_SWEEP,
     SEARCH_BLOCK,
@@ -127,8 +127,9 @@ def test_soundness_exact_value():
 def test_cycle_witness_check_survives_optimize():
     # a wrong evaluation must be caught even with asserts stripped by -O
     script = (
+        "import numpy as np\n"
         "from nnpoly import witness\n"
-        "witness.poly_eval_matrix = lambda p, A: [[0] * len(A) for _ in A]\n"
+        "witness.poly_eval_ratio = lambda p, A: (1, np.zeros((len(A),) * 2, dtype=object))\n"
         "try:\n"
         "    witness.cycle_witness(2, 1)\n"
         "except AssertionError:\n"
@@ -198,6 +199,45 @@ def test_search_start_with_nan_objective_begins_at_inf(monkeypatch):
     seen = rationalized(monkeypatch, first_nan)
     assert search_witness([F(1)], 1, starts=1, iterations=5) is None
     assert len(seen) == 1 and seen[0][0][0] > 0
+
+
+def reference_report(coeffs, A):
+    """(value, entry) of the first most negative entry of the Fraction
+    matrix p(A), or None: the oracle for the numerator scan of
+    witness._verified_report."""
+    val, r, c = min_entry(poly_eval_matrix(coeffs, A))
+    return (val, (r, c)) if val < 0 else None
+
+
+def probe_matrices(m):
+    for t in SCALE_SWEEP + [F(1, m), F(1, 2 * m)]:
+        yield [[t] * m for _ in range(m)]
+        yield [[t if c == (r + 1) % m else F(0) for c in range(m)] for r in range(m)]
+
+
+def test_verified_report_matches_fraction_matrix_on_probes():
+    rng = random.Random(0)
+    polys = [make_p_a(n, a) for n in (2, 3) for a in (F(1), F(19999, 10000), F(7, 3))]
+    polys += [[F(1), F(2), F(1)], [F(-1, 3), F(0), F(1, 2)]]
+    polys += [[F(rng.randint(-9, 9), rng.choice([1, 2, 7])) for _ in range(rng.randint(1, 6))]
+              for _ in range(20)]
+    seen = set()
+    for coeffs in polys:
+        for m in (1, 2, 3, 4):
+            for A in probe_matrices(m):
+                want = reference_report(coeffs, A)
+                rep = witness._verified_report(coeffs, A, "search")
+                assert (rep and (rep.value, rep.entry)) == want, (coeffs, A)
+                if rep is not None:
+                    assert (rep.poly, rep.m, rep.matrix) == (coeffs, m, A)
+                    C = poly_eval_matrix(coeffs, A)
+                    ties = sum(row.count(rep.value) for row in C)
+                    seen.add("tie" if ties > 1 else "negative")
+                else:
+                    seen.add("none")
+                if any(c.denominator > 1 for c in coeffs):
+                    seen.add("L > 1")
+    assert seen == {"tie", "negative", "none", "L > 1"}
 
 
 # -- lockstep blocks against the one-start-at-a-time search ---------------------
@@ -293,6 +333,24 @@ def test_lockstep_starts_follow_their_own_paths(m):
         objs, As = witness._descend_block(coeffs_f, m, block, 12, seed)
         assert list(zip(objs, As)) == [
             sequential_descent(coeffs_f, m, idx, 12, seed) for idx in block]
+
+
+def test_lockstep_starts_at_the_benchmark_shape():
+    # search-a --n 3 descends on p_a at order 3, 8 starts of 150 steps each
+    coeffs_f = [float(c) for c in make_p_a(3, F(19999, 10000))]
+    objs, As = witness._descend_block(coeffs_f, 3, range(8), 150, 0)
+    assert list(zip(objs, As)) == [
+        sequential_descent(coeffs_f, 3, idx, 150, 0) for idx in range(8)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_lockstep_starts_overflow_to_inf_silently():
+    # -x drives an entry of start 1 to inf; later steps on it take the
+    # base = inf branch, whose candidate inf * 0.0 is nan
+    objs, As = witness._descend_block([0.0, -1.0], 2, range(2), 2600, 0)
+    assert objs[1] == -math.inf and math.inf in sum(As[1], [])
+    assert list(zip(objs, As)) == [
+        sequential_descent([0.0, -1.0], 2, idx, 2600, 0) for idx in range(2)]
 
 
 def test_each_block_step_is_one_kernel_call(monkeypatch):
