@@ -15,26 +15,29 @@ visits one path per orbit of the relabelings of vertices 3..n and weighs
 it by the orbit size, which is exact because every map involved commutes
 with relabeling.
 
-Each path fact is computed once.  One depth-first walk yields one path per
-orbit with its minimal cycle length k and the start p of its first
-k-cycle, tracked as the path grows, so phi and psi are slices at (p, k)
-and no path is rescanned.  It feeds the census, computed once per n, and
-the decomposition check, which expands each representative under every
-relabeling of its labels >= 3, values each path as psi(m) times its first
-minimal cycle and keeps no per-path state.
-min_cycle_length and first_cycle are the rescanning references the tests
-pin the walk to.
+Each path fact is computed once, on arrays.  One breadth-first walk,
+cached per n, holds one path per orbit as a row of an (R, n+1) int8 array,
+in lexicographic order, with its labels >= 3, its minimal cycle length k
+and the start p of its first k-cycle, so phi and psi are gathers at (p, k)
+and no path is rescanned.  It feeds the census, computed once per n, whose
+classes are tallied with sorts and sums instead of a loop over paths, and
+the decomposition check, which expands the rows under every relabeling of
+their labels >= 3 in chunks, values each path as psi(m) times its first
+minimal cycle with exact object-array products and keeps no per-path
+state.  min_cycle_length, first_cycle, phi and psi are the per-path
+references the tests pin the arrays to.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from types import MappingProxyType
+
+import numpy as np
 
 from .families import bound_table, mu
 from .linalg import exact_powers, is_nonneg, order_of, poly_numerators
@@ -139,46 +142,84 @@ def _orbit_sizes(n):
     return sizes
 
 
+@functools.cache
 def _cycle_walk(n):
-    """(m, r, k, p) for the canonical path m of each orbit of M_n, in
-    lexicographic order: r its labels >= 3, k its minimal cycle length and p
-    the start of its leftmost k-cycle, so that (p, k) == first_cycle(m, k).
+    """(M, r, k, p) for the canonical paths of the orbits of M_n, cached per
+    n and read-only: row i of the (R, n+1) int8 array M is one path, the rows
+    in lexicographic order; r[i] counts its labels >= 3, k[i] is its minimal
+    cycle length and p[i] the start of its leftmost k-cycle, so that
+    (p[i], k[i]) == first_cycle(M[i], k[i]).
 
-    Depth-first: each interior vertex is 1, 2, a label >= 3 already used or
-    the next unused one.  A prefix carries the last position of each vertex,
-    so appending v at position q closes the cycle q - last[v]; k and p
-    change only when it is shorter than every earlier one, so p is the
-    leftmost start.  That k-cycle is simple: a repeat inside it would close
-    a shorter cycle.
+    Breadth-first: a prefix with r labels >= 3 has the children 1..min(r+3,
+    n), which are 1, 2, the labels already used and the next unused one;
+    np.repeat puts them right after one another, so the rows stay in
+    lexicographic order.  k is the first distance d at which some columns j
+    and j + d hold one label, and p the first such j.  That k-cycle is
+    simple, since a repeat inside it would close a shorter cycle; the walk
+    checks it and raises otherwise.
     """
-    far = -n - 1  # the last position of an unseen vertex: no cycle from it counts
-    stack = [((1,), 0, (far, 0) + (far,) * (n - 1), n + 1, 0)]
-    while stack:
-        m, r, last, k, p = stack.pop()
-        q = len(m)
-        if q < n:
-            for v in range(min(r + 3, n), 0, -1):  # 1 pops first
-                at = last[v]
-                kv, pv = (q - at, at) if q - at < k else (k, p)
-                stack.append((m + (v,), r + (v > 2 and at < 0),
-                              last[:v] + (q,) + last[v + 1 :], kv, pv))
-            continue
-        if q - last[2] < k:
-            k, p = q - last[2], last[2]
-        m += (2,)
-        if len(set(m[p : p + k])) != k:  # also catches k = n + 1, no repeat
-            raise AssertionError("first k-cycle must be simple")
-        yield m, r, k, p
+    M = np.zeros((1, n + 1), np.int8)
+    M[:, 0], M[:, n] = 1, 2
+    r = np.zeros(1, np.intp)
+    for q in range(1, n):
+        width = np.minimum(r + 3, n)
+        M, r = np.repeat(M, width, axis=0), np.repeat(r, width)
+        end = np.cumsum(width)
+        v = np.arange(1, end[-1] + 1) - np.repeat(end - width, width)
+        M[:, q] = v
+        r = np.maximum(r, v - 2)  # the labels are in first-occurrence order
+    r = r.astype(np.int8)
+    k = np.zeros(len(M), np.int8)
+    p = np.zeros(len(M), np.int8)
+    for d in range(1, n + 1):
+        hit = M[:, :-d] == M[:, d:]
+        new = (k == 0) & hit.any(axis=1)
+        k[new] = d
+        p[new] = hit[new].argmax(axis=1)
+    # count the labels of each segment M[p:p+k]; column n + 1 takes the
+    # positions past its end
+    rows = np.arange(len(M))
+    seen = np.zeros((len(M), n + 2), np.int8)
+    for j in range(n):
+        seen[rows, np.where(j < k, M[rows, np.minimum(p + j, n)], n + 1)] += 1
+    if (k == 0).any() or (seen[:, : n + 1] > 1).any():
+        raise AssertionError("first k-cycle must be simple")
+    for a in (M, r, k, p):
+        a.flags.writeable = False
+    return M, r, k, p
 
 
-def _canonical(m):
-    """The orbit's canonical member: labels >= 3 renumbered 3, 4, ... in
-    order of first occurrence."""
-    relabel = {1: 1, 2: 2}
-    for v in m:
-        if v not in relabel:
-            relabel[v] = len(relabel) + 1
-    return tuple(map(relabel.__getitem__, m))
+def _row_groups(X):
+    """(order, first): order sorts the rows of X lexicographically and
+    first[i] is True where sorted row i differs from the one before it.
+
+    np.lexsort compares the columns themselves, so rows of any length stay
+    apart; a key that packs a row into one int64 would wrap and merge rows
+    once (labels + 1)^length passes 2^63.
+    """
+    order = np.lexsort(X.T[::-1])
+    X = X[order]
+    first = np.ones(len(X), bool)
+    first[1:] = (X[1:] != X[:-1]).any(axis=1)
+    return order, first
+
+
+def _canonical_rows(G, n):
+    """Each row of G, a path over 1..n, with its labels >= 3 renumbered 3, 4,
+    ... in order of first occurrence: one sweep over the columns, with a
+    per-row table of the new label of each label met so far."""
+    rows = np.arange(len(G))
+    table = np.zeros((len(G), n + 1), np.int8)
+    table[:, 1:3] = 1, 2
+    top = np.full(len(G), 2, np.int8)
+    out = np.empty_like(G)
+    for j in range(G.shape[1]):
+        t = table[rows, G[:, j]]
+        new = t == 0
+        top += new
+        t[new] = top[new]
+        table[rows, G[:, j]] = out[:, j] = t
+    return out
 
 
 def _census(n: int, cap: int = DEFAULT_CAP):
@@ -199,24 +240,34 @@ def _census(n: int, cap: int = DEFAULT_CAP):
 @functools.cache
 def _census_of(n):
     """_census without the guards, computed once per n and read-only, since
-    every caller shares the one result."""
-    size = _orbit_sizes(n)
-    tally = {}  # k -> [count, representatives, phi images, psi target -> weight]
-    for m, r, k, p in _cycle_walk(n):
-        cyc = (p, k)
-        entry = tally.get(k)
-        if entry is None:
-            entry = tally[k] = [0, 0, set(), Counter()]
-        entry[0] += size[r]
-        entry[1] += 1
-        entry[2].add(phi(m, cyc))
-        entry[3][_canonical(psi(m, cyc))] += size[r]
-    # a canonical g uses the labels 1..max(g), so r_g = max(g) - 2
-    return MappingProxyType({
-        k: (count, len(phis) == reps,
-            max(w // size[max(g) - 2] for g, w in psis.items()))
-        for k, (count, reps, phis, psis) in sorted(tally.items())
-    })
+    every caller shares the one result.
+
+    Each class k is tallied on the rows of _cycle_walk with array
+    operations.  Its count is the sum of the orbit sizes.  phi and psi are
+    one gather each: phi(m)[j] = m[j if j < p+k else j-k] and psi(m)[j] =
+    m[j if j < p else j+k].  The psi images are made canonical and grouped
+    by _row_groups; a canonical g uses the labels 1..max(g), so r_g =
+    max(g) - 2.  The weights are int64, exact since they sum to at most
+    n^(n-1) < 2^63 for n <= 15, far beyond any n whose walk fits in memory.
+    """
+    M, r, ks, ps = _cycle_walk(n)
+    size = np.array(_orbit_sizes(n), np.int64)
+    stats = {}
+    for k in range(1, n + 1):
+        sel = ks == k
+        if not sel.any():
+            continue
+        m, w, p = M[sel], size[r[sel]], ps[sel, None]
+        j = np.arange(n + 1 + k)
+        _, first = _row_groups(np.take_along_axis(m, j - k * (j >= p + k), axis=1))
+        j = np.arange(n + 1 - k)
+        g = _canonical_rows(np.take_along_axis(m, j + k * (j >= p), axis=1), n)
+        order, new = _row_groups(g)
+        heads = np.flatnonzero(new)
+        weight = np.add.reduceat(w[order], heads)
+        r_g = g[order[heads]].max(axis=1) - 2
+        stats[k] = (int(w.sum()), bool(first.all()), int((weight // size[r_g]).max()))
+    return MappingProxyType(stats)
 
 
 def partition_stats(n: int, cap: int = DEFAULT_CAP):
@@ -290,26 +341,38 @@ def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport
     return CertificateReport(n=n, a_sq=a_sq, per_k=per_k, verdict=verdict)
 
 
-def _planned_paths(n, rows):
-    """(k, psi(m), cycle) for each path m of M_n, exactly once: k its class,
-    psi(m) and its first k-cycle given by the entries rows[s][t] of their
-    edges s -> t.
+CHUNK = 4096  # paths per array step of the decomposition check
 
-    Each orbit representative of _cycle_walk, with r labels >= 3, is
-    relabeled by each of the (n-2)_r injective maps of 3..r+2 into 3..n;
-    its images keep its class k and first k-cycle (p, k), since relabeling
-    commutes with both.
+
+def _edge_values(edge, path):
+    """The entry B_{s,t} of each edge s -> t of each row of path, read from
+    edge, which is B padded to (n+1, n+1) by a zero row and column 0 and
+    flattened."""
+    return edge[path[:, :-1] * path.shape[1] + path[:, 1:]]
+
+
+def _expanded_paths(n):
+    """(rep, path) chunks that hold each path of M_n exactly once: path is a
+    (c, n+1) intp array of at most CHUNK paths and rep[i] the row of
+    _cycle_walk(n) whose representative path[i] is an image of.
+
+    A representative with r labels >= 3 is relabeled by each of the (n-2)_r
+    injective maps of 3..r+2 into 3..n, one gather of the relabeling table
+    with the path; its images keep its class k and first k-cycle (p, k),
+    since relabeling commutes with both.
     """
-    # sigma[v] is the image of vertex v (index 0 pads); 1 and 2 are fixed
-    relabelings = [[(0, 1, 2, *labels)
-                    for labels in itertools.permutations(range(3, n + 1), r)]
-                   for r in range(n - 1)]
-    for m, r, k, p in _cycle_walk(n):
-        edges = list(zip(m, m[1:]))
-        for sigma in relabelings[r]:
-            x = [rows[sigma[s]][sigma[t]] for s, t in edges]
-            # m[p] == m[p+k]: edges p..p+k-1 are the cycle, psi cuts them out
-            yield k, x[:p] + x[p + k :], x[p : p + k]
+    M, r, _, _ = _cycle_walk(n)
+    for t in range(n - 1):
+        # sigma[i, v] is the image of vertex v under map i (column 0 pads)
+        sigma = np.array([(0, 1, 2, *labels)
+                          for labels in itertools.permutations(range(3, n + 1), t)],
+                         np.intp)
+        reps = np.flatnonzero(r == t)
+        total = len(reps) * len(sigma)
+        for start in range(0, total, CHUNK):
+            i = np.arange(start, min(start + CHUNK, total))
+            rep = reps[i // len(sigma)]
+            yield rep, sigma[(i % len(sigma))[:, None], M[rep]]
 
 
 def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool:
@@ -320,15 +383,18 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     v(f) = v(g) c^2.  Its term lhs = v(g)/nu(n,k) + v(f) = v(g) (1/nu + c^2)
     must bound a*v(m), and the lhs must sum to at most the positive part
     sum_{j != n} (A^j)_{1,2} of entry (1,2) of p_a(A).  A path with v(g) = 0
-    adds nothing to either side.  nu comes from the census and each path's
-    class and cycle from _planned_paths; the check is False if
-    census_cap(n) is None.
+    adds nothing to either side.  nu comes from the census, and each path's
+    class and cycle from the row of _cycle_walk it is expanded from; the
+    check is False if census_cap(n) is None.
 
     It runs on integers: with A = B/D from exact_powers, N the lcm of the nu
     and a_sq = p/q, a path is valued on B, and w = D^(2k) N/nu + N c_B^2 is
     N D^(2k) (1/nu + c^2), so the termwise test is q w^2 >= p (N D^k c_B)^2
     and the sum of the v_B(g) w D^(n-k) is compared with N S, for S/D^(2n)
-    the positive part from poly_numerators.
+    the positive part from poly_numerators.  Each chunk of _expanded_paths
+    reads its edge values with _edge_values and forms every value as numpy
+    object-array products of Python ints, so it stays exact with no
+    per-path loop.
 
     For every nonnegative A it is True at every a_sq <= census_cap(n):
     AM-GM gives 1/nu + c^2 >= 2c/sqrt(nu) >= a c for a^2 <= 4/nu(n,k); phi
@@ -345,20 +411,29 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         return False
     census = _census(n, cap)
     N = lcm(*(nu for _, _, nu in census.values()))
-    wg = {k: D ** (2 * k) * (N // nu) for k, (_, _, nu) in census.items()}  # of 1/nu in w
-    wm = {k: p * (N * D**k) ** 2 for k in census}  # of c_B^2 in the test
-    total = dict.fromkeys(census, 0)
-    rows = [(), *((0, *row) for row in B)]  # rows[s][t] is B_{s,t}
-    for k, xg, xc in _planned_paths(n, rows):
-        vg = prod(xg)
-        if not vg:
-            continue
-        c = prod(xc)
-        w = wg[k] + N * c * c
-        if q * w * w < wm[k] * c * c:
+    # indexed by class k: the weight of 1/nu in w, of c_B^2 in the termwise
+    # test and of the path in the covered sum (census_cap has checked that
+    # the classes are 1..n-1)
+    ks = range(1, n)
+    wg = np.array([0, *(D ** (2 * k) * (N // census[k][2]) for k in ks)], object)
+    wm = np.array([0, *(p * (N * D**k) ** 2 for k in ks)], object)
+    wd = np.array([0, *(D ** (n - k) for k in ks)], object)
+    edge = np.zeros((n + 1, n + 1), object)
+    edge[1:, 1:] = B
+    edge = edge.ravel()
+    _, _, k, start = _cycle_walk(n)
+    j = np.arange(n)
+    on_cycle = (start[:, None] <= j) & (j < (start + k)[:, None])  # edges of the k-cycle
+    covered = 0
+    for rep, path in _expanded_paths(n):
+        x = _edge_values(edge, path)
+        cyc, kr = on_cycle[rep], k[rep]
+        vg = np.where(cyc, 1, x).prod(axis=1)
+        c = np.where(cyc, x, 1).prod(axis=1)
+        w = wg[kr] + N * c * c
+        if (q * w * w < wm[kr] * c * c)[vg != 0].any():
             return False
-        total[k] += vg * w
-    covered = sum(D ** (n - k) * t for k, t in total.items())
+        covered += (wd[kr] * vg * w).sum()
     _, (S,) = poly_numerators(_p_a_split(n)[:1], A)
     return covered <= N * S[0][1]
 

@@ -1,12 +1,14 @@
 """The orbit-reduced census of M_n against a brute-force oracle.
 
 The oracle walks all n^(n-1) paths; the census walks one path per orbit of
-the relabelings of vertices 3..n.  They must agree exactly.
+the relabelings of vertices 3..n.  They must agree exactly.  The package's
+array walk is pinned to dfs_cycle_walk, the depth-first walk it replaced.
 """
 
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,17 +16,68 @@ from hypothesis import strategies as st
 from nnpoly.families import safe_a_squared
 from nnpoly.paths import (
     EnumerationCapExceeded,
-    _canonical,
+    _canonical_rows,
     _census,
     _cycle_walk,
     _orbit_sizes,
+    _row_groups,
     build_certificate,
+    census_cap,
     enumerate_monomials,
     first_cycle,
     min_cycle_length,
     phi,
     psi,
 )
+
+
+def _canonical(m):
+    """The orbit's canonical member: labels >= 3 renumbered 3, 4, ... in
+    order of first occurrence."""
+    relabel = {1: 1, 2: 2}
+    for v in m:
+        if v not in relabel:
+            relabel[v] = len(relabel) + 1
+    return tuple(map(relabel.__getitem__, m))
+
+
+def dfs_cycle_walk(n):
+    """(m, r, k, p) for the canonical path m of each orbit of M_n, in
+    lexicographic order: r its labels >= 3, k its minimal cycle length and p
+    the start of its leftmost k-cycle, so that (p, k) == first_cycle(m, k).
+
+    Depth-first: each interior vertex is 1, 2, a label >= 3 already used or
+    the next unused one.  A prefix carries the last position of each vertex,
+    so appending v at position q closes the cycle q - last[v]; k and p
+    change only when it is shorter than every earlier one, so p is the
+    leftmost start.  That k-cycle is simple: a repeat inside it would close
+    a shorter cycle.
+    """
+    far = -n - 1  # the last position of an unseen vertex: no cycle from it counts
+    stack = [((1,), 0, (far, 0) + (far,) * (n - 1), n + 1, 0)]
+    while stack:
+        m, r, last, k, p = stack.pop()
+        q = len(m)
+        if q < n:
+            for v in range(min(r + 3, n), 0, -1):  # 1 pops first
+                at = last[v]
+                kv, pv = (q - at, at) if q - at < k else (k, p)
+                stack.append((m + (v,), r + (v > 2 and at < 0),
+                              last[:v] + (q,) + last[v + 1 :], kv, pv))
+            continue
+        if q - last[2] < k:
+            k, p = q - last[2], last[2]
+        m += (2,)
+        if len(set(m[p : p + k])) != k:  # also catches k = n + 1, no repeat
+            raise AssertionError("first k-cycle must be simple")
+        yield m, r, k, p
+
+
+def walk_rows(n):
+    """The array walk as (m, r, k, p) tuples of Python ints."""
+    M, r, k, p = _cycle_walk(n)
+    return [(tuple(row), *rkp) for row, *rkp in
+            zip(M.tolist(), r.tolist(), k.tolist(), p.tolist())]
 
 
 def brute_census(n):
@@ -57,6 +110,19 @@ N8_TABLE = {
 }
 
 
+# k: (|M_{9,k}|, phi injective, nu(9,k)), recorded from the depth-first census
+N9_TABLE = {
+    1: (28133640, True, 9),
+    2: (9788031, True, 57),
+    3: (3387468, True, 245),
+    4: (1135092, True, 720),
+    5: (410130, True, 1481),
+    6: (134400, True, 2780),
+    7: (42840, True, 6120),
+    8: (15120, True, 15120),
+}
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_census_matches_brute_force(n):
     assert _census(n) == brute_census(n)
@@ -66,16 +132,53 @@ def test_census_n8_pinned():
     assert _census(8) == N8_TABLE
 
 
+def test_census_n9_pinned():
+    assert _census(9) == N9_TABLE
+    assert census_cap(9) == Fraction(1, 3780)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_walk_matches_depth_first_reference(n):
+    # same rows in the same order, with the same r, k and p
+    assert walk_rows(n) == list(dfs_cycle_walk(n))
+
+
+def test_walk_is_cached_and_read_only():
+    arrays = _cycle_walk(5)
+    assert _cycle_walk(5) is arrays
+    assert arrays[0].dtype == np.int8 and arrays[0].shape[1] == 6
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_row_groups_keep_rows_a_packed_key_merges():
+    # a base-11 int64 key, as a packing of rows of labels 1..10 would use,
+    # wraps at length 20 and gives these two rows one key
+    X = np.array([[1, 3, 1, 2, 1, 1, 5, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3, 1, 1, 1],
+                  [6, 1, 2, 1, 4, 2, 1, 6, 5, 2, 2, 3, 2, 3, 1, 5, 1, 1, 4, 4]],
+                 np.int8)
+    key = np.zeros(2, np.int64)
+    for col in X.T:
+        key = key * 11 + col
+    assert key[0] == key[1]
+    order, first = _row_groups(X)
+    assert first.tolist() == [True, True]
+    assert order.tolist() == [0, 1]
+    _, first = _row_groups(X[[1, 0, 1]])
+    assert first.tolist() == [True, True, False]
+
+
 @pytest.mark.parametrize("n, reps", [(2, 2), (3, 9), (7, 3262), (8, 17006)])
 def test_orbit_weights_cover_m_n(n, reps):
     size = _orbit_sizes(n)
-    weights = [size[r] for _, r, _, _ in _cycle_walk(n)]
+    weights = [size[r] for _, r, _, _ in walk_rows(n)]
     assert len(weights) == reps
     assert sum(weights) == n ** (n - 1)
 
 
 def test_representatives_are_canonical_and_distinct():
-    reps = [m for m, *_ in _cycle_walk(6)]
+    reps = [m for m, *_ in walk_rows(6)]
     assert all(_canonical(m) == m for m in reps)
     assert len(set(reps)) == len(reps)
 
@@ -108,7 +211,7 @@ def test_census_computed_once_per_n(monkeypatch):
 def test_walk_cycle_matches_first_cycle(n, canonical):
     # the walk's incremental (k, p) and r against the rescanning oracle, on
     # canonical orbit representatives
-    for m, r, k, p in _cycle_walk(n):
+    for m, r, k, p in walk_rows(n):
         assert (_canonical(m) == m) is canonical
         assert r == len(set(m) - {1, 2})
         assert (p, k) == first_cycle(m, min_cycle_length(m))
@@ -153,6 +256,9 @@ def test_relabeling_commutes(case):
     assert phi(sm, cyc) == relabel(sigma, phi(m, cyc))
     assert psi(sm, cyc) == relabel(sigma, psi(m, cyc))
     assert _canonical(sm) == _canonical(m)
+    # the census's array relabeling against the reference, row by row
+    rows = np.array([sm, m, _canonical(m)], np.int8)
+    assert _canonical_rows(rows, len(m) - 1).tolist() == [list(_canonical(m))] * 3
 
 
 @settings(max_examples=200, deadline=None)

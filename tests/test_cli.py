@@ -431,3 +431,21 @@ def test_finite_float_reports_are_unchanged(capsys):
     assert code == 0
     assert out == json.dumps(
         {"config": {"coeffs": "1,1"}, "values": [[1e308, 0.0], [-1.0, 0.0]]}, indent=2) + "\n"
+
+
+def test_certify_and_search_never_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, at 12-16 ms and about 1.5 MB;
+    # search-a computes the census too, so the census must not pay for it
+    script = (
+        "import contextlib, io, sys\n"
+        "from nnpoly import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['certify', '--n', '4'])\n"
+        "    cli.main(['search-a', '--n', '2', '--starts', '0'])\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    raise SystemExit('numpy.ma was imported')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nnpoly.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 import numpy as np
 import pytest
@@ -335,11 +335,12 @@ def test_decomposition_values_paths_on_int_matrix(monkeypatch):
     a_sq = certified_cap(n)[0]
     assert numeric_decomposition_check(n, a_sq, A)  # warms the census cache
     factors, fraction_mults = [], []
+    edge_values = paths_module._edge_values
 
-    def spy_prod(values):
-        values = list(values)
-        factors.extend(values)
-        return prod(values)
+    def spy_edge_values(edge, path):
+        values = edge_values(edge, path)
+        factors.extend(values.ravel().tolist())
+        return values
 
     def counted(op):
         def wrapper(a, b):
@@ -347,12 +348,12 @@ def test_decomposition_values_paths_on_int_matrix(monkeypatch):
             return op(a, b)
         return wrapper
 
-    monkeypatch.setattr(paths_module, "prod", spy_prod)
+    monkeypatch.setattr(paths_module, "_edge_values", spy_edge_values)
     monkeypatch.setattr(Fraction, "__mul__", counted(Fraction.__mul__))
     monkeypatch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
     assert numeric_decomposition_check(n, a_sq, A)
     # no entry of A is 0, so no path is skipped: each edge of m once per
-    # path, split between psi(m) and its first minimal cycle
+    # path, valued on B and split between psi(m) and its first minimal cycle
     assert len(factors) == n ** n
     assert all(type(x) is int for x in factors)
     assert len(fraction_mults) < n ** (n - 1)

@@ -1,16 +1,20 @@
+import itertools
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm, prod
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import nnpoly
 import nnpoly.paths as paths_module
 from nnpoly.bracket import certified_cap
 from nnpoly.families import mu, safe_a_squared
+from nnpoly.linalg import exact_powers, poly_numerators
 from nnpoly.paths import (
     EnumerationCapExceeded,
     all_nu,
@@ -27,6 +31,7 @@ from nnpoly.paths import (
     psi,
     verify_certificate_on_matrix,
 )
+from test_census import dfs_cycle_walk
 from test_exact_kernel import decomposition_oracle
 
 F = Fraction
@@ -290,22 +295,109 @@ def test_decomposition_check_rejects_negative_matrix():
         numeric_decomposition_check(2, F(2), [[F(-1), F(0)], [F(0), F(0)]])
 
 
-def edges(x):
-    return [(s, t) for s, t in zip(x, x[1:])]
-
-
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_decomposition_plan_matches_oracle(n):
-    # the expanded orbit representatives, given by their edges, against
-    # rescanning every path of M_n: each path once, with its class, its psi
-    # image and its first minimal cycle
-    labels = [(), *([(), *((s, t) for t in range(1, n + 1))] for s in range(1, n + 1))]
-    expect = []
-    for m in enumerate_monomials(n, n):
-        k = min_cycle_length(m)
-        p, _ = cyc = first_cycle(m, k)
-        expect.append((k, edges(psi(m, cyc)), edges(m)[p : p + k]))
-    assert sorted(paths_module._planned_paths(n, labels)) == sorted(expect)
+    # the chunks of expanded orbit representatives against rescanning every
+    # path of M_n: each path once, with the class and first minimal cycle
+    # of the representative it is an image of
+    _, _, k, p = (a.tolist() for a in paths_module._cycle_walk(n))
+    got = []
+    for rep, path in paths_module._expanded_paths(n):
+        assert len(rep) == len(path) <= paths_module.CHUNK
+        got += [(tuple(m), (p[i], k[i])) for i, m in zip(rep.tolist(), path.tolist())]
+    expect = [(m, first_cycle(m, min_cycle_length(m))) for m in enumerate_monomials(n, n)]
+    assert sorted(got) == expect
+
+
+def planned_paths(n, rows):
+    """(k, psi(m), cycle) for each path m of M_n, exactly once: k its class,
+    psi(m) and its first k-cycle given by the entries rows[s][t] of their
+    edges s -> t.  Each representative of dfs_cycle_walk is relabeled by
+    each injective map of its labels >= 3 into 3..n, one path at a time."""
+    relabelings = [[(0, 1, 2, *labels)
+                    for labels in itertools.permutations(range(3, n + 1), r)]
+                   for r in range(n - 1)]
+    for m, r, k, p in dfs_cycle_walk(n):
+        edges = list(zip(m, m[1:]))
+        for sigma in relabelings[r]:
+            x = [rows[sigma[s]][sigma[t]] for s, t in edges]
+            # m[p] == m[p+k]: edges p..p+k-1 are the cycle, psi cuts them out
+            yield k, x[:p] + x[p + k :], x[p : p + k]
+
+
+def decomposition_reference(n, a_sq, A):
+    """numeric_decomposition_check one path at a time on Python ints: "ok"
+    where the check is True, else the test that fails first: "census",
+    "termwise" or "covered"."""
+    D, (_, B) = exact_powers(A, 1)
+    p, q = paths_module._a_sq_ratio(a_sq)
+    if paths_module.census_cap(n) is None:
+        return "census"
+    census = paths_module._census(n)
+    N = lcm(*(nu for _, _, nu in census.values()))
+    wg = {k: D ** (2 * k) * (N // nu) for k, (_, _, nu) in census.items()}
+    wm = {k: p * (N * D**k) ** 2 for k in census}
+    total = dict.fromkeys(census, 0)
+    rows = [(), *((0, *row) for row in B)]  # rows[s][t] is B_{s,t}
+    for k, xg, xc in planned_paths(n, rows):
+        vg = prod(xg)
+        if not vg:
+            continue
+        c = prod(xc)
+        w = wg[k] + N * c * c
+        if q * w * w < wm[k] * c * c:
+            return "termwise"
+        total[k] += vg * w
+    covered = sum(D ** (n - k) * t for k, t in total.items())
+    _, (S,) = poly_numerators(paths_module._p_a_split(n)[:1], A)
+    return "ok" if covered <= N * S[0][1] else "covered"
+
+
+def census_with_nu_one(census):
+    """The census with every nu(n,k) set to 1.  nu <= mu still holds, so
+    census_cap accepts it at 4, but each psi image is charged once per
+    pre-image, so the covered sum can pass the positive part."""
+    def tampered(n, cap=paths_module.DEFAULT_CAP):
+        return {k: (count, inj, 1) for k, (count, inj, _) in census(n, cap).items()}
+    return tampered
+
+
+def check_against_reference(n, scale, A, tamper):
+    """(check, reference) at a_sq = scale * census_cap(n)."""
+    census = paths_module._census
+    with mock.patch.object(paths_module, "_census",
+                           census_with_nu_one(census) if tamper else census):
+        a_sq = paths_module.census_cap(n) * scale
+        return (numeric_decomposition_check(n, a_sq, A),
+                decomposition_reference(n, a_sq, A))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_decomposition_check_matches_reference(data):
+    n = data.draw(st.integers(2, 5))
+    # zeros give paths with v(g) = 0, which add nothing and skip the test
+    entry = st.one_of(st.just(0), st.integers(0, 3),
+                      st.fractions(min_value=0, max_value=4, max_denominator=256))
+    A = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    # at the cap, above it and far above it
+    scale = data.draw(st.sampled_from([1, F(17, 16), 100, 10**4]))
+    check, reference = check_against_reference(n, scale, A, data.draw(st.booleans()))
+    event(reference)
+    assert check == (reference == "ok")
+
+
+@pytest.mark.parametrize("n, scale, A, tamper, reference", [
+    (3, 1, [[F(1)] * 3 for _ in range(3)], False, "ok"),
+    (3, 10**4, [[F(1)] * 3 for _ in range(3)], False, "termwise"),
+    # psi(m) = (1, 2) for three paths m of class 2, and with nu = 1 each
+    # charges v(1 -> 2) in full
+    (3, 1, [[0, 1, 0], [1, 0, 0], [0, 0, 0]], True, "covered"),
+    # every path with a failing cycle has v(g) = 0
+    (2, 25, [[F(1), F(0)], [F(0), F(1)]], False, "ok"),
+], ids=["ok", "termwise", "covered", "zero_skip"])
+def test_decomposition_check_branches(n, scale, A, tamper, reference):
+    assert check_against_reference(n, scale, A, tamper) == (reference == "ok", reference)
 
 
 def test_decomposition_cap_guard_after_cached_success():
