@@ -6,13 +6,7 @@ falsify membership at higher orders with concrete witness matrices, and
 bracket the optimal coefficient.
 """
 
-from .linalg import (
-    mat_mul,
-    mat_pow,
-    min_entry,
-    poly_eval,
-    poly_eval_matrix,
-)
+from .linalg import poly_eval, poly_eval_matrix
 from .families import (
     BoundTable,
     bound_table,
@@ -52,10 +46,7 @@ __all__ = [
     "jll_check",
     "make_f_a",
     "make_p_a",
-    "mat_mul",
-    "mat_pow",
     "min_cycle_length",
-    "min_entry",
     "mu",
     "numeric_decomposition_check",
     "partition_stats",

@@ -14,6 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import bracket, families, linalg, niep, paths, witness
 
 EXIT_OK = 0
@@ -110,8 +112,6 @@ def cmd_search_a(args):
 def _load_spectrum(args):
     if args.spectrum is not None:
         return niep.parse_spectrum(args.spectrum)
-    import numpy as np
-
     with open(args.matrix_file) as fh:
         A = linalg.parse_matrix_csv(fh.read())
     try:

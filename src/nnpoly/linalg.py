@@ -1,8 +1,8 @@
-"""Dense matrices and univariate polynomials.
+"""Exact and float evaluation of matrix polynomials, and their text formats.
 
-Matrices are plain lists of row lists.  Certification verdicts are computed
-exactly; floats are for exploration only.  There is one kernel per
-arithmetic:
+Matrices come in as lists of row lists, or numpy integer arrays on the
+exact side.  Certification verdicts are computed exactly; floats are for
+exploration only.  There is one kernel per arithmetic and no generic one:
 
 - exact: exact_powers writes a rational matrix as A = B/D, with D the lcm
   of its entry denominators and B an int matrix, and builds the powers of B
@@ -17,16 +17,16 @@ arithmetic:
   over an (m, m, batch) copy of a stack of matrices, batch axis last, so it
   gives the same floats on every Python.
 
-identity, mat_mul, mat_pow, mat_add, mat_scale and min_entry stay generic
-over the scalar type: the tests build each kernel's reference from them.
-Rows and columns are reported 1-based; storage is 0-based.
+The list-of-lists products, powers, Horner and min_entry that the tests
+pin both kernels to are references, kept in tests/list_kernels.py.  Rows
+and columns are reported 1-based; storage is 0-based.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import index, mul
+from operator import index
 
 import numpy as np
 
@@ -36,36 +36,6 @@ def order_of(A) -> int:
     if n == 0 or any(len(row) != n for row in A):
         raise ValueError("matrix must be square and non-empty")
     return n
-
-
-def identity(n, one=Fraction(1)):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    n = order_of(A)
-    if order_of(B) != n:
-        raise ValueError(f"order mismatch: {n} vs {order_of(B)}")
-    Bt = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
-
-
-def mat_pow(A, j):
-    """A**j by repeated squaring, A**0 = identity of matching scalar type."""
-    if j < 0:
-        raise ValueError("exponent must be >= 0")
-    n = order_of(A)
-    one = A[0][0] * 0 + 1
-    result = identity(n, one)
-    base = A
-    while j:
-        if j & 1:
-            result = mat_mul(result, base)
-        j >>= 1
-        if j:
-            base = mat_mul(base, base)
-    return result
 
 
 _EXACT_ONLY = "exact evaluation takes only int or Fraction values"
@@ -123,27 +93,8 @@ def poly_numerators(polys, A):
     return D**top, W.dot(P.reshape(top + 1, n * n)).reshape(len(polys), n, n)
 
 
-def mat_scale(t, A):
-    return [[t * x for x in row] for row in A]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def is_nonneg(A) -> bool:
     return all(x >= 0 for row in A for x in row)
-
-
-def min_entry(A):
-    """Smallest entry with its first (row, col) location, 1-based."""
-    order_of(A)
-    best = None
-    for i, row in enumerate(A):
-        for j, x in enumerate(row):
-            if best is None or x < best[0]:
-                best = (x, i + 1, j + 1)
-    return best
 
 
 # -- polynomials -------------------------------------------------------------
@@ -182,7 +133,8 @@ def poly_eval_matrix(coeffs, A):
 
 
 def poly_min_entries(coeffs, As):
-    """min_entry(p(A))[0] for each A in As, batched, with p the coefficients.
+    """The smallest entry of p(A) for each A in As, batched, with p the
+    coefficients.
 
     As is a (batch, m, m) stack of float matrices and coeffs are floats.
     The Horner runs on a contiguous (m, m, batch) copy X of the stack, so
@@ -191,12 +143,12 @@ def poly_min_entries(coeffs, As):
     acc[:, k, None] * X[None, k], into one buffer through one temporary, and
     c is added through a strided view of the diagonal only, so every entry
     goes through the same IEEE operations as the left-to-right generic
-    Horner reference_horner in tests/test_linalg.py (no matmul, einsum or
-    BLAS, which may reorder or fuse the sums).  Like min_entry, a matrix
-    whose entry (1, 1) of p(A) is nan gets nan; otherwise nan entries are
-    skipped.  Like that Horner, whose identity is built from
-    A[0][0] * 0 + 1, a matrix with A[0][0] inf or nan gets nan.  Overflow
-    to inf or nan is expected and silent.
+    Horner `horner` in tests/list_kernels.py (no matmul, einsum or BLAS,
+    which may reorder or fuse the sums).  Like that file's min_entry, which
+    scans from entry (1, 1) with `<`, a matrix whose entry (1, 1) of p(A)
+    is nan gets nan; otherwise nan entries are skipped.  Like that Horner,
+    whose identity is built from A[0][0] * 0 + 1, a matrix with A[0][0]
+    inf or nan gets nan.  Overflow to inf or nan is expected and silent.
     """
     As = np.asarray(As, dtype=np.float64)
     batch, m = As.shape[0], As.shape[2]
@@ -216,14 +168,6 @@ def poly_min_entries(coeffs, As):
     return mins.tolist()
 
 
-def cyclic_shift(n):
-    """Permutation matrix of the n-cycle 1 -> 2 -> ... -> n -> 1."""
-    P = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        P[i][(i + 1) % n] = Fraction(1)
-    return P
-
-
 # -- text formats ------------------------------------------------------------
 
 
@@ -236,10 +180,6 @@ def parse_matrix_csv(text: str):
             for line in text.strip().splitlines()]
     order_of(rows)
     return rows
-
-
-def format_matrix_csv(A) -> str:
-    return "\n".join(",".join(format_scalar(x) for x in row) for row in A) + "\n"
 
 
 def parse_poly(text: str):

@@ -34,13 +34,16 @@ def jll_check(values, k_max: int = 4, m_max: int = 4, tol: float = DEFAULT_TOL):
     any power sum that is not real or negative up to tol, either of which
     already rules out realizability.  A row or power sum that is not a
     finite float, from overflow or an inf or nan in the list, is a
-    ValueError that names it.
+    ValueError that names it, and so is a tol that is negative or not
+    finite.
     """
     values = [complex(v) for v in values]
     if not values:
         raise ValueError("empty list")
     if k_max < 1 or m_max < 1:
         raise ValueError("k_max and m_max must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be a finite number >= 0")
     n = len(values)
     s = {k: power_sum(values, k) for k in range(1, k_max * m_max + 1)}
     scale = max(1.0, max(abs(x) for x in s.values()))

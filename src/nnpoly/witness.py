@@ -17,10 +17,8 @@ import numpy as np
 
 from .families import make_p_a
 from .linalg import (
-    cyclic_shift,
     format_scalar,
     is_nonneg,
-    mat_scale,
     poly_eval_matrix,
     poly_eval_ratio,
     poly_min_entries,
@@ -77,6 +75,12 @@ def _verified_report(coeffs, A, method) -> WitnessReport | None:
     return None
 
 
+def _shift(m, t):
+    """t times the cyclic shift 1 -> 2 -> ... -> m -> 1, in Fractions."""
+    zero = Fraction(0)
+    return [[t if c == (r + 1) % m else zero for c in range(m)] for r in range(m)]
+
+
 def cycle_witness(n: int, a, t=Fraction(1)) -> WitnessReport:
     """Scaled (n+1)-cycle shift falsifying p_a at order n+1.
 
@@ -87,7 +91,7 @@ def cycle_witness(n: int, a, t=Fraction(1)) -> WitnessReport:
     a, t = Fraction(a), Fraction(t)
     if n < 2 or not a > 0 or not t > 0:
         raise ValueError("need n >= 2, a > 0, t > 0")
-    A = mat_scale(t, cyclic_shift(n + 1))
+    A = _shift(n + 1, t)
     # each row of p_a(A) holds one -a*t^n and nothing else negative, so the
     # most negative entry is first reached at (1, n+1)
     rep = _verified_report(make_p_a(n, a), A, "structured-cycle")
@@ -108,12 +112,10 @@ def probe_witness(coeffs, m: int) -> WitnessReport | None:
     coeffs = [Fraction(c) for c in coeffs]
     if m < 1:
         raise ValueError("order must be >= 1")
-    zero = Fraction(0)
     for t in SCALE_SWEEP + [Fraction(1, m), Fraction(1, 2 * m)]:
         probes = [[[t] * m for _ in range(m)]]
         if m > 1:  # at m = 1 the shift is J
-            probes.append([[t if c == (r + 1) % m else zero for c in range(m)]
-                           for r in range(m)])
+            probes.append(_shift(m, t))
         for A in probes:
             rep = _verified_report(coeffs, A, "search")
             if rep is not None:

@@ -9,7 +9,6 @@ import pytest
 
 import nnpoly
 from nnpoly.cli import main
-from nnpoly.linalg import format_matrix_csv
 from fractions import Fraction
 
 
@@ -127,7 +126,7 @@ def test_jll_csv_format(capsys):
 
 def test_jll_from_matrix_file(tmp_path, capsys):
     path = tmp_path / "A.csv"
-    path.write_text(format_matrix_csv([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]]))
+    path.write_text("1,2\n3,1\n")
     code, out = run(capsys, "jll", "--matrix-file", str(path))
     assert code == 0
     assert json.loads(out)["all_hold"] is True
@@ -392,8 +391,9 @@ def test_falsify_overflow_is_silent(coeffs, starts, code, golden):
      "power sum s_1 is not finite in float arithmetic"),
     (["jll", "--spectrum", "inf"],
      "power sum s_1 is too large for float arithmetic"),
+    (["jll", "--spectrum", "1,2", "--tol", "-1"], "tol must be a finite number >= 0"),
 ], ids=["jll_power_sum", "jll_row", "transform_coeff", "jll_csv_inf_sum", "jll_csv_nan",
-        "jll_inf_entry"])
+        "jll_inf_entry", "jll_negative_tol"])
 def test_spectrum_float_overflow_is_usage_error(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()

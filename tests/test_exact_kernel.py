@@ -1,10 +1,10 @@
 """The integer kernel of exact evaluation against Fraction oracles.
 
-The oracles are the Fraction list-of-lists implementations that the kernel
-replaced: powers by mat_pow from scratch for each j, a generic Horner on
-mat_mul, and the membership and decomposition checks built on them.  They
-must agree exactly.  The kernel reads its input through exact_powers,
-which takes int, Fraction and numpy integers and refuses floats.
+The oracles are built on the list kernels of list_kernels.py: powers by
+mat_pow from scratch for each j, its generic Horner, and the membership
+and decomposition checks built on them.  They must agree exactly.  The
+kernel reads its input through exact_powers, which takes int, Fraction
+and numpy integers and refuses floats.
 """
 
 import random
@@ -21,18 +21,7 @@ from hypothesis import strategies as st
 from nnpoly import paths as paths_module
 from nnpoly.bracket import certified_cap
 from nnpoly.families import make_p_a, mu, safe_a_squared
-from nnpoly.linalg import (
-    exact_powers,
-    identity,
-    is_nonneg,
-    mat_add,
-    mat_mul,
-    mat_pow,
-    mat_scale,
-    order_of,
-    poly_eval_matrix,
-    poly_numerators,
-)
+from nnpoly.linalg import exact_powers, is_nonneg, order_of, poly_eval_matrix, poly_numerators
 from nnpoly.paths import (
     enumerate_monomials,
     first_cycle,
@@ -44,26 +33,12 @@ from nnpoly.paths import (
     verify_certificate_on_matrix,
 )
 from nnpoly.witness import WitnessReport, cycle_witness, search_witness
+from list_kernels import horner, mat_add, mat_pow, mat_scale
 
 F = Fraction
 
 
 # -- oracles ---------------------------------------------------------------
-
-
-def mat_mul_oracle(A, B):
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
-
-
-def horner_oracle(coeffs, A):
-    n = order_of(A)
-    one = A[0][0] * 0 + 1
-    I = identity(n, one)
-    acc = mat_scale(coeffs[-1] * one, I)
-    for c in reversed(coeffs[:-1]):
-        acc = mat_add(mat_mul(acc, A), mat_scale(c * one, I))
-    return acc
 
 
 def verify_oracle(n, a_sq, A):
@@ -239,29 +214,6 @@ def test_numerators_refuse_ragged_or_fractional_coefficients():
         poly_numerators([[1, 0], [1, 0, 1]], A)
     with pytest.raises(TypeError):
         poly_numerators([[F(1, 2), 1]], A)
-
-
-# -- the product it is built on -------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda m: st.tuples(*[st.lists(st.lists(st.floats(-8, 8), min_size=m, max_size=m),
-                                   min_size=m, max_size=m)] * 2)))
-def test_float_mat_mul_rounding_is_unchanged(AB):
-    # same additions in the same order: the float search, and so every
-    # bracket, depends on this rounding
-    A, B = AB
-    assert mat_mul(A, B) == mat_mul_oracle(A, B)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda m: st.tuples(*[st.lists(st.lists(rational, min_size=m, max_size=m),
-                                   min_size=m, max_size=m)] * 2)))
-def test_exact_mat_mul_matches_oracle(AB):
-    A, B = AB
-    assert mat_mul(A, B) == mat_mul_oracle(A, B)
 
 
 # -- membership check ----------------------------------------------------------
@@ -475,14 +427,14 @@ coefficient = st.one_of(
 def test_poly_eval_matches_horner(coeffs, A):
     C = poly_eval_matrix(coeffs, A)
     assert all(type(x) is Fraction for row in C for x in row)
-    assert C == horner_oracle(coeffs, A)
+    assert C == horner(coeffs, A)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=7),
        matrices(st.integers(-9, 9)))
 def test_poly_eval_int_matrix_matches_horner(coeffs, A):
-    assert poly_eval_matrix(coeffs, A) == horner_oracle(coeffs, A)
+    assert poly_eval_matrix(coeffs, A) == horner(coeffs, A)
 
 
 @settings(max_examples=30, deadline=None)
@@ -492,7 +444,7 @@ def test_poly_eval_int_matrix_matches_horner(coeffs, A):
 def test_cycle_witness_value(n, a, t):
     rep = cycle_witness(n, a, t)
     assert rep.value == -a * t**n
-    assert horner_oracle(rep.poly, rep.matrix)[0][n] == rep.value
+    assert horner(rep.poly, rep.matrix)[0][n] == rep.value
     assert rep.reverify()
 
 
@@ -519,7 +471,7 @@ def tampered(rep):
 ], ids=["cycle_n2", "cycle_n3", "search_x2_minus_1", "search_p_a"])
 def test_reverify_accepts_witnesses_and_rejects_tampering(rep):
     assert rep is not None and rep.reverify()
-    C = horner_oracle(rep.poly, rep.matrix)
+    C = horner(rep.poly, rep.matrix)
     assert C[rep.entry[0] - 1][rep.entry[1] - 1] == rep.value < 0
     for bad in tampered(rep):
         assert not bad.reverify()

@@ -1,29 +1,15 @@
 import math
 import random
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnpoly.linalg import (
-    cyclic_shift,
-    format_matrix_csv,
-    identity,
-    mat_add,
-    mat_mul,
-    mat_pow,
-    mat_scale,
-    min_entry,
-    parse_matrix_csv,
-    parse_poly,
-    poly_eval_matrix,
-    poly_min_entries,
-)
+from nnpoly.linalg import parse_matrix_csv, parse_poly, poly_eval_matrix, poly_min_entries
 from nnpoly.witness import SEARCH_BLOCK
+from list_kernels import cyclic_shift, horner, identity, mat_mul, mat_pow, min_entry
 
 F = Fraction
 
@@ -112,7 +98,9 @@ def test_nonneg_coeffs_preserve_nonneg(A, coeffs):
 
 def test_matrix_csv_roundtrip():
     A = [[F(1, 2), F(3)], [F(-2, 7), F(0)]]
-    assert parse_matrix_csv(format_matrix_csv(A)) == A
+    text = "".join(",".join(map(str, row)) + "\n" for row in A)
+    assert text == "1/2,3\n-2/7,0\n"
+    assert parse_matrix_csv(text) == A
 
 
 def test_parse_poly():
@@ -127,21 +115,8 @@ def same_float(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
-def reference_horner(coeffs, A):
-    """The generic Horner on float matrices, with each sum of products added
-    left to right as the kernel does: built-in sum() of floats, which
-    mat_mul uses, is compensated from Python 3.12 on."""
-    one = A[0][0] * 0 + 1
-    I = identity(len(A), one)
-    acc = mat_scale(coeffs[-1] * one, I)
-    for c in reversed(coeffs[:-1]):
-        prod = [[reduce(add, map(mul, row, col)) for col in zip(*A)] for row in acc]
-        acc = mat_add(prod, mat_scale(c * one, I))
-    return acc
-
-
 def reference_min(coeffs, A):
-    return min_entry(reference_horner(coeffs, A))[0]
+    return min_entry(horner(coeffs, A))[0]
 
 
 float_entry = st.one_of(
@@ -189,7 +164,7 @@ def test_batched_kernel_nan_at_entry_1_1():
     # min_entry starts from entry (1, 1), and nan compares false
     A = [[1e10, 1e200], [1e200, 1.0]]
     coeffs = [0.0, -1e300, 1.0]
-    C = reference_horner(coeffs, A)
+    C = horner(coeffs, A)
     assert math.isnan(C[0][0])
     assert not any(math.isnan(x) for row in C for x in row[1:])
     assert math.isnan(reference_min(coeffs, A))

@@ -36,6 +36,14 @@ def test_jll_rejects_empty_table(k_max, m_max):
         jll_check([1, 2], k_max=k_max, m_max=m_max)
 
 
+@pytest.mark.parametrize("tol", [-1, math.nan, math.inf, -math.inf])
+def test_jll_rejects_bad_tol(tol):
+    # a negative or nan tol fails valid lists, an infinite one passes any list
+    for values in ([1, 2], [-1]):
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            jll_check(values, tol=tol)
+
+
 def test_jll_fails_for_non_realizable_list():
     report = jll_check([1, 1j, -1j])
     assert not report["all_hold"]

@@ -11,7 +11,7 @@ import pytest
 import nnpoly
 from nnpoly.families import make_p_a
 from nnpoly import witness
-from nnpoly.linalg import min_entry, poly_eval_matrix, poly_min_entries
+from nnpoly.linalg import poly_eval_matrix, poly_min_entries
 from nnpoly.witness import (
     SCALE_SWEEP,
     SEARCH_BLOCK,
@@ -20,6 +20,7 @@ from nnpoly.witness import (
     probe_witness,
     search_witness,
 )
+from list_kernels import min_entry
 
 F = Fraction
 
