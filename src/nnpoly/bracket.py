@@ -15,7 +15,13 @@ from fractions import Fraction
 from .families import rational_sqrt_floor, safe_a_squared, make_p_a
 from .linalg import format_scalar
 from .paths import EnumerationCapExceeded, census_cap, verify_certificate_on_matrix
-from .witness import SCALE_SWEEP, WitnessReport, probe_witness, search_witness
+from .witness import (
+    SCALE_SWEEP,
+    SEARCH_BLOCK,
+    WitnessReport,
+    float_search,
+    probe_witness,
+)
 
 # Not read by the package: certified_cap sharpens whenever the census fits
 # the enumeration cap.  perfbench/make_reference.py records certified_cap
@@ -77,6 +83,17 @@ def bracket_optimal_a(
     An inconclusive search never raises the certified a_lo; it only moves
     the internal probe point, so a_hi is monotone non-increasing and every
     reported a_hi carries an exact witness.
+
+    A bisection step runs search_witness on p_a at the midpoint: the exact
+    probes, then the float search.  The steps are planned ahead from the
+    current (probe, a_hi) as if every float search came back inconclusive,
+    each planned step's probes resolved as the plan is made, until the step
+    budget, tol, or SEARCH_BLOCK // starts float searches (at least one).
+    The plan's float searches run as one witness.float_search, so their
+    starts share one lockstep block, and its steps are applied in order up
+    to the first float search that found a witness; the steps after it
+    assumed otherwise, so they are dropped and the next plan starts there.
+    Every step taken is the step the one-at-a-time bisection takes.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -97,22 +114,33 @@ def bracket_optimal_a(
     if hi_witness is None:
         raise RuntimeError(f"no probe falsifies p_a at a = {a_hi}")
 
-    budget_exhausted = True
-    probe = a_lo
-    for _ in range(steps):
-        if a_hi - probe <= tol:
-            budget_exhausted = False
-            break
-        mid = Fraction((probe + a_hi) / 2).limit_denominator(CANDIDATE_DENOM)
-        if not probe < mid < a_hi:
-            mid = (probe + a_hi) / 2
-        w = search_witness(
-            make_p_a(n, mid), n, starts=starts, iterations=iterations, seed=seed
-        )
-        if w is not None:
-            a_hi, hi_witness = mid, w
-        else:
-            probe = mid
+    per_plan = max(1, SEARCH_BLOCK // max(starts, 1))  # float searches
+    probe, taken = a_lo, 0
+    while taken < steps and a_hi - probe > tol:
+        plan, searched, lo, hi = [], [], probe, a_hi
+        while taken + len(plan) < steps and hi - lo > tol and len(searched) < per_plan:
+            mid = Fraction((lo + hi) / 2).limit_denominator(CANDIDATE_DENOM)
+            if not lo < mid < hi:
+                mid = (lo + hi) / 2
+            coeffs = make_p_a(n, mid)
+            rep = probe_witness(coeffs, n)
+            plan.append((mid, rep))
+            if rep is None:
+                searched.append(coeffs)
+                lo = mid
+            else:
+                hi = mid
+        found = iter(float_search(searched, n, starts, iterations, seed))
+        for mid, rep in plan:
+            taken += 1
+            w = rep if rep is not None else next(found)
+            if w is None:
+                probe = mid
+            else:
+                a_hi, hi_witness = mid, w
+                if rep is None:
+                    break  # the later steps assumed this search inconclusive
+    budget_exhausted = taken == steps
     hi_prov = "bisection with exact-verified witnesses" + (
         "; budget exhausted" if budget_exhausted else ""
     )

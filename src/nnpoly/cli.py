@@ -42,10 +42,11 @@ def _config_dict(args, keys):
 
 
 def cmd_bound(args):
-    d = linalg.parse_poly(args.d) if args.d else None
+    d = linalg.parse_poly(args.d) if args.d else [Fraction(1)] * (2 * args.n + 1)
     nu_values = paths.all_nu(args.n, cap=args.cap) if args.nu else None
     table = families.bound_table(args.n, d=d, nu_values=nu_values)
-    payload = {"config": _config_dict(args, ["n", "nu"]), **table.to_json()}
+    cfg = {**_config_dict(args, ["n", "nu"]), "d": ",".join(map(linalg.format_scalar, d))}
+    payload = {"config": cfg, **table.to_json()}
     _emit(payload, args)
     return EXIT_OK
 
@@ -104,7 +105,7 @@ def cmd_search_a(args):
         args.n, steps=args.steps, tol=Fraction(args.tol), seed=args.seed,
         starts=args.starts, iterations=args.iterations,
     )
-    cfg = _config_dict(args, ["n", "steps", "tol", "seed"])
+    cfg = _config_dict(args, ["n", "steps", "tol", "seed", "starts", "iterations"])
     _emit({"config": cfg, **est.to_json()}, args)
     return EXIT_OK
 

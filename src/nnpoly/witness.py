@@ -126,16 +126,11 @@ def probe_witness(coeffs, m: int) -> WitnessReport | None:
 def search_witness(
     coeffs, m: int, starts: int = 16, iterations: int = 200, seed: int = 0
 ) -> WitnessReport | None:
-    """probe_witness, then multi-start projected coordinate descent on min p(A).
+    """probe_witness, then float_search on this one polynomial.
 
     Floating point drives the search; any negative candidate is rationalized
     (continued fractions, bounded denominator) and kept only if the exact
-    re-evaluation is still negative.  Starts are seeded independently from
-    (seed, start index) and advance in lockstep, SEARCH_BLOCK at a time, so
-    a coordinate step of a whole block is one poly_min_entries call.  Each
-    start's path depends only on its own stream and its own kernel values,
-    so it is the path the start would take alone, and the lowest verified
-    start index is returned; later blocks are not run.
+    re-evaluation is still negative.
     """
     coeffs = [Fraction(c) for c in coeffs]
     if starts < 0 or iterations < 0:
@@ -143,30 +138,59 @@ def search_witness(
     rep = probe_witness(coeffs, m)
     if rep is not None:
         return rep
-    coeffs_f = []
+    return float_search([coeffs], m, starts, iterations, seed)[0]
+
+
+def float_search(polys, m, starts, iterations, seed):
+    """For each polynomial of polys, all of one degree, the report of
+    multi-start projected coordinate descent on min p(A), or None.
+
+    Starts are seeded independently from (seed, start index), and the
+    lockstep unit is a (polynomial, start index) pair: start blocks of
+    SEARCH_BLOCK indices run in order, the units of a block for every
+    polynomial still without a report advance together, SEARCH_BLOCK units
+    at a time, and a coordinate step of those units is one poly_min_entries
+    call with one coefficient row per matrix.  Each unit's path depends only
+    on its own stream and its own kernel values, so it is the path the start
+    would take alone, and each polynomial gets its lowest verified start
+    index, exactly what it gets searched alone; later blocks are not run
+    for it.
+    """
+    polys = [[Fraction(c) for c in p] for p in polys]
+    rows = np.array([_float_coeffs(p) for p in polys]).T  # (deg+1, len(polys))
+    found = [None] * len(polys)
+    for first in range(0, starts, SEARCH_BLOCK):
+        block = range(first, min(first + SEARCH_BLOCK, starts))
+        units = [(p, idx) for p, rep in enumerate(found) if rep is None for idx in block]
+        for at in range(0, len(units), SEARCH_BLOCK):
+            ps, idxs = zip(*units[at:at + SEARCH_BLOCK])
+            objs, As = _descend_block(rows[:, ps], m, idxs, iterations, seed)
+            for p, obj, A in zip(ps, objs, As):
+                if found[p] is None and obj < -1e-12:
+                    found[p] = _verified_report(polys[p], _rationalize(A), "search")
+    return found
+
+
+def _float_coeffs(coeffs):
+    out = []
     for d, c in enumerate(coeffs):
         try:
-            coeffs_f.append(float(c))
+            out.append(float(c))
         except OverflowError:
             raise ValueError(
                 f"coefficient of x^{d} is too large for the float search"
             ) from None
-    for first in range(0, starts, SEARCH_BLOCK):
-        block = range(first, min(first + SEARCH_BLOCK, starts))
-        objs, As = _descend_block(coeffs_f, m, block, iterations, seed)
-        for obj, A in zip(objs, As):
-            if obj < -1e-12:
-                rep = _verified_report(coeffs, _rationalize(A), "search")
-                if rep is not None:
-                    return rep
-    return None
+    return out
 
 
 def _descend_block(coeffs_f, m, block, iterations, seed):
     """(objectives, matrices) after `iterations` coordinate steps from each
     start index in block, as float lists.
 
-    Start idx draws from random.Random(f"{seed}:{idx}") its initial matrix,
+    Each coefficient is a float shared by the block or a row with one value
+    per entry of block, so the entries of one block may descend on
+    different polynomials, and block may repeat a start index.  Start idx
+    draws from random.Random(f"{seed}:{idx}") its initial matrix,
     then per step i, j and, only if entry (i, j) is 0, nine draws r.  Its
     nine candidates max(base * f, 0) (or max(scale * f * r, 0) from 0) are
     one numpy expression over the whole block, the same floats as Python's
@@ -180,11 +204,13 @@ def _descend_block(coeffs_f, m, block, iterations, seed):
     scales = [float(SCALE_SWEEP[idx % len(SCALE_SWEEP)]) for idx in block]
     As = np.array([[[rng.random() * scale for _ in range(m)] for _ in range(m)]
                    for rng, scale in zip(rngs, scales)])
-    obj = np.array(poly_min_entries(coeffs_f, As))
+    per_start = np.array([np.broadcast_to(c, len(block)) for c in coeffs_f])
+    obj = np.array(poly_min_entries(per_start, As))
     obj[np.isnan(obj)] = np.inf  # nan compares false, so nothing could beat it
     rows = np.arange(len(block))
     spread = np.array(scales)[:, None] * factors  # scale * f, per start
     draws = np.zeros_like(spread)  # a start's r, redrawn when it is used
+    per_cand = np.repeat(per_start, len(factors), axis=1)
     for _ in range(iterations):
         ii, jj = np.array([(rng.randrange(m), rng.randrange(m)) for rng in rngs]).T
         base = As[rows, ii, jj]
@@ -196,7 +222,7 @@ def _descend_block(coeffs_f, m, block, iterations, seed):
                 np.where(from_zero[:, None], spread * draws, base[:, None] * factors), 0.0)
         stack = np.repeat(As[:, None], len(factors), axis=1)
         stack[rows, :, ii, jj] = cands
-        vals = np.array(poly_min_entries(coeffs_f, stack.reshape(-1, m, m)))
+        vals = np.array(poly_min_entries(per_cand, stack.reshape(-1, m, m)))
         vals = vals.reshape(cands.shape)
         vals[np.isnan(vals)] = np.inf  # never chosen; -inf is re-verified exactly
         pick = vals.argmin(axis=1)  # the first of equal minima

@@ -150,12 +150,31 @@ def test_search_a(capsys):
 
 
 def test_search_a_n3_report_is_pinned(capsys):
-    # recorded before the exact kernel moved onto integers; the float
-    # search and the exact re-verification must reproduce it byte for byte
+    # recorded before the exact kernel moved onto integers, and again only
+    # when its config gained starts and iterations; the float search and the
+    # exact re-verification must reproduce it byte for byte
     golden = (Path(__file__).parent / "data" / "search_a_n3_seed0.json").read_text()
     code, out = run(capsys, "search-a", "--n", "3", "--seed", "0")
     assert code == 0
     assert out == golden
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["search-a", "--n", "2", "--steps", "0"],
+     {"n": "2", "steps": "0", "tol": "1/1000", "seed": "0", "starts": "8",
+      "iterations": "150"}),
+    (["search-a", "--n", "2", "--steps", "0", "--starts", "0", "--iterations", "7"],
+     {"n": "2", "steps": "0", "tol": "1/1000", "seed": "0", "starts": "0",
+      "iterations": "7"}),
+    (["bound", "--n", "3"], {"n": "3", "nu": "False", "d": "1,1,1,1,1,1,1"}),
+    (["bound", "--n", "3", "--d", "2,2,2,1,2,2,0.5"],
+     {"n": "3", "nu": "False", "d": "2,2,2,1,2,2,1/2"}),
+], ids=["search_a_default", "search_a_budget", "bound_default", "bound_weights"])
+def test_report_config_is_the_full_configuration(capsys, argv, config):
+    # every option that can change a report is in its config, resolved
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == config
 
 
 def test_falsify_float_overflow_is_usage_error(capsys):

@@ -194,3 +194,30 @@ def test_batched_kernel_value_does_not_depend_on_the_stack():
         alone = np.array([poly_min_entries(coeffs, A[None])[0] for A in As])
         assert np.isnan(stacked).any() and np.isinf(stacked).any()
         assert stacked.view(np.int64).tolist() == alone.view(np.int64).tolist()
+
+
+def test_batched_kernel_coefficient_rows_match_per_matrix_calls():
+    # search-a runs the float searches of several p_a in one stack, with a
+    # (deg+1, batch) array holding each matrix's own coefficients
+    rng = random.Random(2)
+    special = [0.0, math.inf, -math.inf, math.nan, 1e200, -1e300]
+    for m in (1, 2, 3, 4):
+        batch = 3 * SEARCH_BLOCK + 5
+        As = np.array([[[rng.choice(special[:2] + special[3:5]) if rng.random() < 0.1
+                         else rng.random() * 4 for _ in range(m)] for _ in range(m)]
+                       for _ in range(batch)])
+        rows = np.array([[rng.choice(special) if rng.random() < 0.05 else rng.uniform(-3, 3)
+                          for _ in range(batch)] for _ in range(6)])
+        rows[-1, :2 * SEARCH_BLOCK] = 1e300  # overflow to inf and nan
+        As[0, 0, :], As[1, -1, :] = math.inf, math.nan  # whole rows
+        stacked = np.array(poly_min_entries(rows, As))
+        alone = np.array([poly_min_entries(rows[:, b].tolist(), As[b][None])[0]
+                          for b in range(batch)])
+        assert np.isnan(stacked).any() and np.isinf(stacked).any()
+        assert stacked.view(np.int64).tolist() == alone.view(np.int64).tolist()
+        # a row and a float shared by the stack enter the same way
+        mixed = [rows[0], 0.5, rows[2], -1.0, rows[4], rows[5]]
+        shared = [[c if np.ndim(c) == 0 else c[b] for c in mixed] for b in range(batch)]
+        alone = np.array([poly_min_entries(shared[b], As[b][None])[0] for b in range(batch)])
+        assert (np.array(poly_min_entries(mixed, As)).view(np.int64).tolist()
+                == alone.view(np.int64).tolist())

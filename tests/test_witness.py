@@ -369,3 +369,29 @@ def test_each_block_step_is_one_kernel_call(monkeypatch):
     batches.clear()
     assert search_witness(coeffs, 2, starts=0, iterations=4) is None
     assert batches == []
+
+
+def test_float_search_gives_each_polynomial_its_search_alone():
+    # (polynomial, start index) units of several polynomials share a block.
+    # With 3 starts the 123 units of 41 polynomials take two lockstep calls,
+    # and one polynomial's units are split between them; with
+    # SEARCH_BLOCK + 6 starts the first start block takes one call per
+    # polynomial, and the second puts several polynomials in one call
+    r = F(17, 10)
+    polys = [coeffs for coeffs, *_ in search_cases(40, seed=1)]
+    polys.append([r * r - F(1, 100), -2 * r, 1, 0])  # start 68 wins at seed 48
+    winners = []
+    for starts, iterations, seed in [(3, 5, 11), (1, 20, 7), (SEARCH_BLOCK + 6, 0, 48)]:
+        got = witness.float_search(polys, 1, starts, iterations, seed)
+        want = [sequential_search(p, 1, starts, iterations, seed) for p in polys]
+        assert [g and g.to_json() for g in got] == [w and w.to_json() for w, _ in want]
+        winners += [idx for _, idx in want]
+    assert any(idx is not None and idx < SEARCH_BLOCK for idx in winners)
+    assert any(idx is not None and idx >= SEARCH_BLOCK for idx in winners)
+    assert None in winners
+
+
+def test_float_search_runs_nothing_without_polynomials_or_starts(monkeypatch):
+    monkeypatch.setattr(witness, "poly_min_entries", None)  # any call fails
+    assert witness.float_search([], 2, 8, 10, 0) == []
+    assert witness.float_search([[F(1), F(-3), F(1)]], 2, 0, 10, 0) == [None]
