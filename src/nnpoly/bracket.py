@@ -1,9 +1,10 @@
 """Bracket the largest admissible coefficient a for p_a at a given order.
 
 The lower end is certified (caps from the mu formula, sharpened with exact
-pre-image counts when enumeration is feasible); the upper end is empirical,
-backed by a stored exact witness.  Sampled non-failure never moves the
-lower end: only certificates do.
+pre-image counts when enumeration is feasible); the upper end is a
+bisection on the exact probe matrices, each a_hi backed by a stored exact
+witness.  Sampled non-failure never moves the lower end: only certificates
+do.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from fractions import Fraction
 from .families import rational_sqrt_floor, safe_a_squared, make_p_a
 from .linalg import format_scalar
 from .paths import EnumerationCapExceeded, census_cap, verify_certificate_on_matrix
-from .witness import (
-    SCALE_SWEEP,
-    SEARCH_BLOCK,
-    WitnessReport,
-    float_search,
-    probe_witness,
-)
+from .witness import SCALE_SWEEP, WitnessReport, probe_witness
 
 # Not read by the package: certified_cap sharpens whenever the census fits
 # the enumeration cap.  perfbench/make_reference.py records certified_cap
@@ -69,38 +64,20 @@ def certified_cap(n: int):
     return cap, "mu-formula cap"
 
 
-def bracket_optimal_a(
-    n: int,
-    steps: int = 32,
-    tol=Fraction(1, 1000),
-    seed: int = 0,
-    starts: int = 8,
-    iterations: int = 150,
-) -> BoundEstimate:
-    """Certified lower end from the proof caps; empirical upper end by
-    bisection against the witness searcher.
+def bracket_optimal_a(n: int, steps: int = 32, tol=Fraction(1, 1000)) -> BoundEstimate:
+    """Certified lower end from the proof caps; upper end by bisection
+    against the exact probe matrices of witness.probe_witness.
 
-    An inconclusive search never raises the certified a_lo; it only moves
-    the internal probe point, so a_hi is monotone non-increasing and every
-    reported a_hi carries an exact witness.
-
-    A bisection step runs search_witness on p_a at the midpoint: the exact
-    probes, then the float search.  The steps are planned ahead from the
-    current (probe, a_hi) as if every float search came back inconclusive,
-    each planned step's probes resolved as the plan is made, until the step
-    budget, tol, or SEARCH_BLOCK // starts float searches (at least one).
-    The plan's float searches run as one witness.float_search, so their
-    starts share one lockstep block, and its steps are applied in order up
-    to the first float search that found a witness; the steps after it
-    assumed otherwise, so they are dropped and the next plan starts there.
-    Every step taken is the step the one-at-a-time bisection takes.
+    Each step probes p_a at a midpoint of (probe point, a_hi): a probe
+    witness lowers a_hi to it, no witness moves the probe point up to it.
+    The probe point never raises the certified a_lo, so a_hi is monotone
+    non-increasing and every reported a_hi carries an exact witness.  The
+    bisection stops after `steps` steps or once a_hi - probe <= tol.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if starts < 0 or iterations < 0:
-        raise ValueError("starts and iterations must be >= 0")
     tol = Fraction(tol)
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -114,35 +91,19 @@ def bracket_optimal_a(
     if hi_witness is None:
         raise RuntimeError(f"no probe falsifies p_a at a = {a_hi}")
 
-    per_plan = max(1, SEARCH_BLOCK // max(starts, 1))  # float searches
     probe, taken = a_lo, 0
     while taken < steps and a_hi - probe > tol:
-        plan, searched, lo, hi = [], [], probe, a_hi
-        while taken + len(plan) < steps and hi - lo > tol and len(searched) < per_plan:
-            mid = Fraction((lo + hi) / 2).limit_denominator(CANDIDATE_DENOM)
-            if not lo < mid < hi:
-                mid = (lo + hi) / 2
-            coeffs = make_p_a(n, mid)
-            rep = probe_witness(coeffs, n)
-            plan.append((mid, rep))
-            if rep is None:
-                searched.append(coeffs)
-                lo = mid
-            else:
-                hi = mid
-        found = iter(float_search(searched, n, starts, iterations, seed))
-        for mid, rep in plan:
-            taken += 1
-            w = rep if rep is not None else next(found)
-            if w is None:
-                probe = mid
-            else:
-                a_hi, hi_witness = mid, w
-                if rep is None:
-                    break  # the later steps assumed this search inconclusive
-    budget_exhausted = taken == steps
+        taken += 1
+        mid = Fraction((probe + a_hi) / 2).limit_denominator(CANDIDATE_DENOM)
+        if not probe < mid < a_hi:
+            mid = (probe + a_hi) / 2
+        w = probe_witness(make_p_a(n, mid), n)
+        if w is None:
+            probe = mid
+        else:
+            a_hi, hi_witness = mid, w
     hi_prov = "bisection with exact-verified witnesses" + (
-        "; budget exhausted" if budget_exhausted else ""
+        "; budget exhausted" if taken == steps else ""
     )
     return BoundEstimate(
         n=n, a_lo=a_lo, a_lo_sq=cap, a_hi=a_hi, gap=a_hi - a_lo,

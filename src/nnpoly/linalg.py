@@ -15,8 +15,7 @@ exploration only.  There is one kernel per arithmetic and no generic one:
   poly_eval_ratio, poly_eval_matrix and the checks in paths read it.
 - float: poly_min_entries is a batched numpy Horner of left-to-right sums
   over an (m, m, batch) copy of a stack of matrices, batch axis last, so it
-  gives the same floats on every Python; each coefficient is one float or
-  one value per matrix.
+  gives the same floats on every Python.
 
 The list-of-lists products, powers, Horner and min_entry that the tests
 pin both kernels to are references, kept in tests/list_kernels.py.  Rows
@@ -135,25 +134,22 @@ def poly_eval_matrix(coeffs, A):
 
 def poly_min_entries(coeffs, As):
     """The smallest entry of p(A) for each A in As, batched, with p the
-    coefficients.
+    float coefficients.
 
-    As is a (batch, m, m) stack of float matrices.  Each coefficient is a
-    float shared by the whole stack or a (batch,) row holding one value per
-    matrix, so a (deg+1, batch) array evaluates a different polynomial on
-    every matrix; a row enters through the same lines as a float.  The
-    Horner runs on a contiguous (m, m, batch) copy X of the stack, so
-    every elementwise operation sweeps the batch axis in one contiguous
-    loop.  Each product is accumulated as a left-to-right sum over k of
+    As is a (batch, m, m) stack of float matrices.  The Horner runs on a
+    contiguous (m, m, batch) copy X of the stack, so every elementwise
+    operation sweeps the batch axis in one contiguous loop.  Each product is
+    accumulated as a left-to-right sum over k of
     acc[:, k, None] * X[None, k], into one buffer through one temporary, and
     c is added through a strided view of the diagonal only, so every entry
     of every matrix goes through the same IEEE operations as the
     left-to-right generic Horner `horner` in tests/list_kernels.py on that
-    matrix's coefficients (no matmul, einsum or BLAS,
-    which may reorder or fuse the sums).  Like that file's min_entry, which
-    scans from entry (1, 1) with `<`, a matrix whose entry (1, 1) of p(A)
-    is nan gets nan; otherwise nan entries are skipped.  Like that Horner,
-    whose identity is built from A[0][0] * 0 + 1, a matrix with A[0][0]
-    inf or nan gets nan.  Overflow to inf or nan is expected and silent.
+    matrix (no matmul, einsum or BLAS, which may reorder or fuse the sums).
+    Like that file's min_entry, which scans from entry (1, 1) with `<`, a
+    matrix whose entry (1, 1) of p(A) is nan gets nan; otherwise nan
+    entries are skipped.  Like that Horner, whose identity is built from
+    A[0][0] * 0 + 1, a matrix with A[0][0] inf or nan gets nan.  Overflow
+    to inf or nan is expected and silent.
     """
     As = np.asarray(As, dtype=np.float64)
     batch, m = As.shape[0], As.shape[2]

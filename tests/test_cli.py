@@ -150,26 +150,42 @@ def test_search_a(capsys):
 
 
 def test_search_a_n3_report_is_pinned(capsys):
-    # recorded before the exact kernel moved onto integers, and again only
-    # when its config gained starts and iterations; the float search and the
-    # exact re-verification must reproduce it byte for byte
+    # recorded before the exact kernel moved onto integers, and re-recorded
+    # only when its config changed; the exact probe bisection reproduces the
+    # report the bisection with float searches gave, byte for byte
     golden = (Path(__file__).parent / "data" / "search_a_n3_seed0.json").read_text()
     code, out = run(capsys, "search-a", "--n", "3", "--seed", "0")
     assert code == 0
     assert out == golden
 
 
+def test_search_a_ignores_the_float_search_budget(capsys):
+    # --seed, --starts and --iterations still parse, and change nothing
+    outs = {run(capsys, "search-a", "--n", "3", *argv)
+            for argv in (["--seed", "0"],
+                         ["--seed", "1", "--starts", "2", "--iterations", "20"],
+                         ["--seed", "7", "--starts", "0"])}
+    assert len(outs) == 1 and outs.pop()[0] == 0
+
+
 @pytest.mark.parametrize("argv,config", [
     (["search-a", "--n", "2", "--steps", "0"],
-     {"n": "2", "steps": "0", "tol": "1/1000", "seed": "0", "starts": "8",
-      "iterations": "150"}),
-    (["search-a", "--n", "2", "--steps", "0", "--starts", "0", "--iterations", "7"],
-     {"n": "2", "steps": "0", "tol": "1/1000", "seed": "0", "starts": "0",
-      "iterations": "7"}),
+     {"n": "2", "steps": "0", "tol": "1/1000"}),
+    (["search-a", "--n", "2", "--steps", "3", "--tol", "0.25", "--starts", "0"],
+     {"n": "2", "steps": "3", "tol": "1/4"}),
+    # one tolerance, one config, however it is written
+    (["search-a", "--n", "2", "--steps", "0", "--tol", "0.5"],
+     {"n": "2", "steps": "0", "tol": "1/2"}),
+    (["search-a", "--n", "2", "--steps", "0", "--tol", "1/2"],
+     {"n": "2", "steps": "0", "tol": "1/2"}),
+    (["search-a", "--n", "2", "--steps", "0", "--tol", "2/4"],
+     {"n": "2", "steps": "0", "tol": "1/2"}),
     (["bound", "--n", "3"], {"n": "3", "nu": "False", "d": "1,1,1,1,1,1,1"}),
     (["bound", "--n", "3", "--d", "2,2,2,1,2,2,0.5"],
      {"n": "3", "nu": "False", "d": "2,2,2,1,2,2,1/2"}),
-], ids=["search_a_default", "search_a_budget", "bound_default", "bound_weights"])
+], ids=["search_a_default", "search_a_budget", "search_a_tol_decimal",
+        "search_a_tol_fraction", "search_a_tol_unreduced", "bound_default",
+        "bound_weights"])
 def test_report_config_is_the_full_configuration(capsys, argv, config):
     # every option that can change a report is in its config, resolved
     code, out = run(capsys, *argv)
@@ -331,11 +347,7 @@ def test_bound_rejects_bad_weights(capsys, argv, message):
      "starts and iterations must be >= 0"),
     (["search-a", "--n", "2", "--steps", "-3"], "steps must be >= 0"),
     (["search-a", "--n", "2", "--tol=-1", "--steps", "3"], "tol must be >= 0"),
-    # with no bisection step, search-a never calls search_witness
-    (["search-a", "--n", "2", "--steps", "0", "--starts", "-1"],
-     "starts and iterations must be >= 0"),
-], ids=["falsify_starts", "falsify_iterations", "search_a_steps", "search_a_tol",
-        "search_a_starts_no_steps"])
+], ids=["falsify_starts", "falsify_iterations", "search_a_steps", "search_a_tol"])
 def test_negative_search_budget_rejected(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()
@@ -460,7 +472,7 @@ def test_certify_and_search_never_import_numpy_ma():
         "from nnpoly import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    cli.main(['certify', '--n', '4'])\n"
-        "    cli.main(['search-a', '--n', '2', '--starts', '0'])\n"
+        "    cli.main(['search-a', '--n', '2'])\n"
         "if 'numpy.ma' in sys.modules:\n"
         "    raise SystemExit('numpy.ma was imported')\n"
     )
