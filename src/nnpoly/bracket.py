@@ -1,8 +1,8 @@
 """Bracket the largest admissible coefficient a for p_a at a given order.
 
 The lower end is certified (caps from the mu formula, sharpened with exact
-pre-image counts when enumeration is feasible); the upper end is a
-bisection on the exact probe matrices, each a_hi backed by a stored exact
+pre-image counts when enumeration is feasible); the upper end is the
+closed form of the cyclic-shift witness family, backed by a stored exact
 witness.  Sampled non-failure never moves the lower end: only certificates
 do.
 """
@@ -15,14 +15,13 @@ from fractions import Fraction
 
 from .families import rational_sqrt_floor, safe_a_squared, make_p_a
 from .linalg import format_scalar
-from .paths import EnumerationCapExceeded, census_cap, verify_certificate_on_matrix
+from .paths import DEFAULT_CAP, EnumerationCapExceeded, census_cap, verify_certificate_on_matrix
 from .witness import SCALE_SWEEP, WitnessReport, probe_witness
 
 # Not read by the package: certified_cap sharpens whenever the census fits
 # the enumeration cap.  perfbench/make_reference.py records certified_cap
 # up to this n.
 NU_FEASIBLE_LIMIT = 7
-CANDIDATE_DENOM = 10**4
 
 
 @dataclass
@@ -51,63 +50,40 @@ class BoundEstimate:
         return out
 
 
-def certified_cap(n: int):
+def certified_cap(n: int, cap: int = DEFAULT_CAP):
     """(a^2 cap, provenance): paths.census_cap when the census of M_n fits the
-    default enumeration cap and its facts hold, else the mu-formula cap."""
-    cap = safe_a_squared(n)
+    enumeration cap and its facts hold, else the mu-formula cap."""
+    a_sq = safe_a_squared(n)
     try:
-        sharp = census_cap(n)
+        sharp = census_cap(n, cap)
     except EnumerationCapExceeded:
         sharp = None
-    if sharp is not None and sharp > cap:
+    if sharp is not None and sharp > a_sq:
         return sharp, "nu-sharpened cap (exact pre-image enumeration)"
-    return cap, "mu-formula cap"
+    return a_sq, "mu-formula cap"
 
 
-def bracket_optimal_a(n: int, steps: int = 32, tol=Fraction(1, 1000)) -> BoundEstimate:
-    """Certified lower end from the proof caps; upper end by bisection
-    against the exact probe matrices of witness.probe_witness.
+def bracket_optimal_a(n: int) -> BoundEstimate:
+    """Certified lower end from the proof caps; upper end in closed form
+    from the order-n cyclic shift P.
 
-    Each step probes p_a at a midpoint of (probe point, a_hi): a probe
-    witness lowers a_hi to it, no witness moves the probe point up to it.
-    The probe point never raises the certified a_lo, so a_hi is monotone
-    non-increasing and every reported a_hi carries an exact witness.  The
-    bisection stops after `steps` steps or once a_hi - probe <= tol.
+    Entry (1,1) of p_a(P) is 1 - a + 1 = 2 - a, so P falsifies p_a for
+    every a > 2, and a_hi = 2 + 10^-9 is within 10^-9 of that family's
+    infimum.  The witness is the exact probe witness at a_hi.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     cap, lo_prov = certified_cap(n)
     a_lo = rational_sqrt_floor(cap)
-
-    # entry (1,1) of p_a(P) is 2 - a for the n-cycle shift P, so a probe
-    # falsifies p_a at a = 2n
-    a_hi = Fraction(2 * n)
+    a_hi = 2 + Fraction(1, 10**9)
     hi_witness = probe_witness(make_p_a(n, a_hi), n)
     if hi_witness is None:
         raise RuntimeError(f"no probe falsifies p_a at a = {a_hi}")
-
-    probe, taken = a_lo, 0
-    while taken < steps and a_hi - probe > tol:
-        taken += 1
-        mid = Fraction((probe + a_hi) / 2).limit_denominator(CANDIDATE_DENOM)
-        if not probe < mid < a_hi:
-            mid = (probe + a_hi) / 2
-        w = probe_witness(make_p_a(n, mid), n)
-        if w is None:
-            probe = mid
-        else:
-            a_hi, hi_witness = mid, w
-    hi_prov = "bisection with exact-verified witnesses" + (
-        "; budget exhausted" if taken == steps else ""
-    )
     return BoundEstimate(
         n=n, a_lo=a_lo, a_lo_sq=cap, a_hi=a_hi, gap=a_hi - a_lo,
-        lo_provenance=lo_prov, hi_provenance=hi_prov, witness=hi_witness,
+        lo_provenance=lo_prov,
+        hi_provenance="order-n cyclic shift at t = 1: p_a(P) has diagonal 2 - a",
+        witness=hi_witness,
     )
 
 

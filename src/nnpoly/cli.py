@@ -52,8 +52,7 @@ def cmd_bound(args):
 
 
 def cmd_certify(args):
-    a_sq = (Fraction(args.a_sq) if args.a_sq
-            else paths.census_cap(args.n, args.cap) or families.safe_a_squared(args.n))
+    a_sq = Fraction(args.a_sq) if args.a_sq else bracket.certified_cap(args.n, args.cap)[0]
     report = paths.build_certificate(args.n, a_sq, cap=args.cap)
     payload = {"config": {"n": str(args.n), "a_sq": str(a_sq)}, **report.to_json()}
     _emit(payload, args)
@@ -101,10 +100,8 @@ def cmd_witness_cycle(args):
 
 
 def cmd_search_a(args):
-    tol = Fraction(args.tol)
-    est = bracket.bracket_optimal_a(args.n, steps=args.steps, tol=tol)
-    cfg = {**_config_dict(args, ["n", "steps"]), "tol": linalg.format_scalar(tol)}
-    _emit({"config": cfg, **est.to_json()}, args)
+    est = bracket.bracket_optimal_a(args.n)
+    _emit({"config": _config_dict(args, ["n"]), **est.to_json()}, args)
     return EXIT_OK
 
 
@@ -173,9 +170,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cap=False, out=True):
-        if out:
-            p.add_argument("--out", help="write the report to a file")
+    def common(p, cap=False):
+        p.add_argument("--out", help="write the report to a file")
         if cap:
             p.add_argument("--cap", type=int, default=paths.DEFAULT_CAP,
                            help="enumeration size guard")
@@ -230,11 +226,8 @@ def build_parser():
 
     p = sub.add_parser(
         "search-a", help="bracket the optimal coefficient for p_a: certified cap "
-        "below, bisection on exact probe matrices above")
+        "below, the cyclic shift's closed form above")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--steps", type=int, default=32, help="bisection steps")
-    p.add_argument("--tol", default="1/1000",
-                   help="stop once the bisection interval is at most tol")
     # parsed and ignored: no float search runs, so they cannot change a
     # report; they go when the benchmark's search workload stops passing
     # them (ROADMAP item 7)

@@ -49,10 +49,13 @@ class WitnessReport:
         }
 
     def reverify(self) -> bool:
-        if not is_nonneg(self.matrix):
+        m, (r, c) = self.m, self.entry
+        # checked first: Python indexing would wrap an entry 0 to the last
+        # row or column
+        if (len(self.matrix) != m or not (1 <= r <= m and 1 <= c <= m)
+                or not is_nonneg(self.matrix)):
             return False
         C = poly_eval_matrix(self.poly, self.matrix)
-        r, c = self.entry
         return C[r - 1][c - 1] == self.value < 0
 
 

@@ -99,8 +99,8 @@ def test_criterion_6_decomposition_identity():
 
 
 def test_criterion_7_bracketing():
-    est2 = bracket_optimal_a(2, steps=8)
-    est3 = bracket_optimal_a(3, steps=8)
+    est2 = bracket_optimal_a(2)
+    est3 = bracket_optimal_a(3)
     ok = est2.a_lo_sq >= F(2) and est3.a_lo_sq >= F(1)
     ok &= est2.a_lo**2 <= est2.a_lo_sq and est3.a_lo**2 <= est3.a_lo_sq
     ok &= est2.a_lo <= est2.a_hi and est3.a_lo <= est3.a_hi

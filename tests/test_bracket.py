@@ -6,7 +6,6 @@ import nnpoly.paths as paths_module
 from nnpoly import linalg, witness
 from nnpoly.bracket import bracket_optimal_a, certified_cap, sample_pa_membership
 from nnpoly.families import make_p_a, safe_a_squared
-from nnpoly.linalg import format_scalar
 from nnpoly.paths import build_certificate
 
 F = Fraction
@@ -66,7 +65,7 @@ def test_failed_census_fact_falls_back_to_mu_formula(monkeypatch, tamper):
 
 
 def test_bracket_n2():
-    est = bracket_optimal_a(2, steps=8)
+    est = bracket_optimal_a(2)
     assert est.a_lo_sq >= F(2)
     assert est.a_lo**2 <= est.a_lo_sq
     assert est.a_lo <= est.a_hi
@@ -76,7 +75,7 @@ def test_bracket_n2():
 
 
 def test_bracket_n3():
-    est = bracket_optimal_a(3, steps=8)
+    est = bracket_optimal_a(3)
     assert est.a_lo_sq >= F(1)
     assert est.a_lo <= est.a_hi
     assert est.witness is not None and est.witness.reverify()
@@ -88,8 +87,8 @@ def test_bracket_rejects_n1():
 
 
 def test_bracket_deterministic():
-    a = bracket_optimal_a(2, steps=4)
-    b = bracket_optimal_a(2, steps=4)
+    a = bracket_optimal_a(2)
+    b = bracket_optimal_a(2)
     assert a.to_json() == b.to_json()
 
 
@@ -104,11 +103,11 @@ def test_sample_pa_membership_fails_above_cap():
     assert failures
 
 
-# -- the upper end is an exact probe bisection -----------------------------------
+# -- the upper end is the cyclic shift in closed form ---------------------------
 
 
 def test_default_bracket_makes_no_kernel_calls(monkeypatch):
-    # no float search runs: every step is settled by the exact probes
+    # no float search runs: the witness is an exact probe
     def refuse(coeffs_f, As):
         raise AssertionError("float kernel called")
 
@@ -118,12 +117,32 @@ def test_default_bracket_makes_no_kernel_calls(monkeypatch):
     assert est.witness.reverify()
 
 
+EPS = F(1, 10**9)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_probes_falsify_p_a_exactly_above_2(n):
+    # entry (1,1) of p_a(P) is 2 - a for the order-n shift P; the shift at
+    # t != 1 needs a > t^n + t^-n > 2 and t*J needs more still
+    for a in [2 - EPS, F(2), 2 + EPS, F(199, 100), F(201, 100), F(2 * n)]:
+        assert (witness.probe_witness(make_p_a(n, a), n) is not None) == (a > 2), a
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_bracket_a_hi_is_the_shift_at_t_1(n):
+    est = bracket_optimal_a(n)
+    assert est.a_hi == 2 + EPS and est.gap == est.a_hi - est.a_lo
+    w = est.witness
+    assert w.poly == make_p_a(n, est.a_hi) and w.reverify()
+    assert w.matrix == [[F(c == (r + 1) % n) for c in range(n)] for r in range(n)]
+    assert (w.entry, w.value, w.method) == ((1, 1), 2 - est.a_hi, "search")
+    assert est.hi_provenance == "order-n cyclic shift at t = 1: p_a(P) has diagonal 2 - a"
+
+
 @pytest.mark.parametrize("n,a_hi", [
     (2, "20001/10000"), (3, "16062/8029"), (4, "16865/8432"), (5, "10640/5319"),
+    (6, "6312/3155"), (7, "9598/4797"), (8, "3105/1552"), (9, "16040/8019"),
 ])
-def test_bracket_a_hi_matches_the_float_bisection(n, a_hi):
-    # the values the default bisection reached when each step also ran the
-    # float search after the probes; the probes alone reach them
-    est = bracket_optimal_a(n)
-    assert format_scalar(est.a_hi) == a_hi
-    assert est.witness.poly == make_p_a(n, est.a_hi) and est.witness.reverify()
+def test_bracket_a_hi_is_below_the_probe_bisection(n, a_hi):
+    # the a_hi the default 32-step probe bisection (tol 1/1000) reported
+    assert bracket_optimal_a(n).a_hi < F(a_hi)

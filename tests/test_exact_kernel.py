@@ -32,7 +32,7 @@ from nnpoly.paths import (
     psi,
     verify_certificate_on_matrix,
 )
-from nnpoly.witness import WitnessReport, cycle_witness, search_witness
+from nnpoly.witness import WitnessReport, cycle_witness, probe_witness, search_witness
 from list_kernels import horner, mat_add, mat_pow, mat_scale
 
 F = Fraction
@@ -456,10 +456,13 @@ def tampered(rep):
     negative = [row[:] for row in rep.matrix]
     negative[-1][-1] = F(-1)
     changes = [dict(value=rep.value - F(1, 3)), dict(matrix=matrix), dict(poly=poly),
-               dict(matrix=negative)]
+               dict(matrix=negative), dict(m=rep.m + 1)]
+    r, c = rep.entry
     if rep.m > 1:
-        r, c = rep.entry
         changes.append(dict(entry=(r % rep.m + 1, c)))
+    # entries outside 1..m; 0 would wrap to the last row or column
+    changes += [dict(entry=e) for e in
+                [(0, 0), (0, c), (r, 0), (rep.m + 1, c), (r, rep.m + 1), (-1, c)]]
     return [WitnessReport(**{**vars(rep), **change}) for change in changes]
 
 
@@ -468,7 +471,9 @@ def tampered(rep):
     cycle_witness(3, F(2, 3), F(3, 2)),
     search_witness([F(-1), F(0), F(1)], 1, seed=3),
     search_witness(make_p_a(2, F(3)), 2, seed=0),
-], ids=["cycle_n2", "cycle_n3", "search_x2_minus_1", "search_p_a"])
+    # every diagonal entry of p_a(P) is 2 - a, so a wrapped (0, 0) would pass
+    probe_witness(make_p_a(3, F(5, 2)), 3),
+], ids=["cycle_n2", "cycle_n3", "search_x2_minus_1", "search_p_a", "probe_p_a"])
 def test_reverify_accepts_witnesses_and_rejects_tampering(rep):
     assert rep is not None and rep.reverify()
     C = horner(rep.poly, rep.matrix)

@@ -27,8 +27,7 @@ F = Fraction
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_probe_falsifies_p_a_at_2n(n):
-    # search-a starts its bracket here: entry (1,1) of p_{2n}(P) is 2 - 2n
-    # for the n-cycle shift P
+    # entry (1,1) of p_{2n}(P) is 2 - 2n for the n-cycle shift P
     rep = probe_witness(make_p_a(n, 2 * n), n)
     assert rep is not None and rep.reverify()
 
