@@ -16,7 +16,7 @@ from fractions import Fraction
 from .families import rational_sqrt_floor, safe_a_squared, make_p_a
 from .linalg import format_scalar
 from .paths import DEFAULT_CAP, EnumerationCapExceeded, census_cap, verify_certificate_on_matrix
-from .witness import SCALE_SWEEP, WitnessReport, probe_witness
+from .witness import SCALE_SWEEP, WitnessReport, shift_witness
 
 # Not read by the package: certified_cap sharpens whenever the census fits
 # the enumeration cap.  perfbench/make_reference.py records certified_cap
@@ -69,16 +69,14 @@ def bracket_optimal_a(n: int) -> BoundEstimate:
 
     Entry (1,1) of p_a(P) is 1 - a + 1 = 2 - a, so P falsifies p_a for
     every a > 2, and a_hi = 2 + 10^-9 is within 10^-9 of that family's
-    infimum.  The witness is the exact probe witness at a_hi.
+    infimum.  Its witness is P at a_hi, checked exactly against that form.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     cap, lo_prov = certified_cap(n)
     a_lo = rational_sqrt_floor(cap)
     a_hi = 2 + Fraction(1, 10**9)
-    hi_witness = probe_witness(make_p_a(n, a_hi), n)
-    if hi_witness is None:
-        raise RuntimeError(f"no probe falsifies p_a at a = {a_hi}")
+    hi_witness = shift_witness(make_p_a(n, a_hi), n, Fraction(1), (1, 1), 2 - a_hi)
     return BoundEstimate(
         n=n, a_lo=a_lo, a_lo_sq=cap, a_hi=a_hi, gap=a_hi - a_lo,
         lo_provenance=lo_prov,

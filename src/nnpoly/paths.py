@@ -387,14 +387,14 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     class and cycle from the row of _cycle_walk it is expanded from; the
     check is False if census_cap(n) is None.
 
-    It runs on integers: with A = B/D from exact_powers, N the lcm of the nu
-    and a_sq = p/q, a path is valued on B, and w = D^(2k) N/nu + N c_B^2 is
-    N D^(2k) (1/nu + c^2), so the termwise test is q w^2 >= p (N D^k c_B)^2
-    and the sum of the v_B(g) w D^(n-k) is compared with N S, for S/D^(2n)
-    the positive part from poly_numerators.  Each chunk of _expanded_paths
-    reads its edge values with _edge_values and forms every value as numpy
-    object-array products of Python ints, so it stays exact with no
-    per-path loop.
+    It runs on integers: with A = B/D and B^0..B^(2n) from exact_powers,
+    N the lcm of the nu and a_sq = p/q, a path is valued on B, and
+    w = D^(2k) N/nu + N c_B^2 is N D^(2k) (1/nu + c^2), so the termwise test
+    is q w^2 >= p (N D^k c_B)^2 and the sum of the v_B(g) w D^(n-k) is
+    compared with N S, for S = sum_{j != n} D^(2n-j) (B^j)_{1,2}.  Each chunk
+    of _expanded_paths reads its edge values with _edge_values and forms
+    every value as numpy object-array products of Python ints, so it stays
+    exact with no per-path loop.
 
     For every nonnegative A it is True at every a_sq <= census_cap(n):
     AM-GM gives 1/nu + c^2 >= 2c/sqrt(nu) >= a c for a^2 <= 4/nu(n,k); phi
@@ -403,7 +403,8 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     """
     if order_of(A) != n:
         raise ValueError("matrix order must equal n")
-    D, (_, B) = exact_powers(A, 1)
+    D, powers = exact_powers(A, 2 * n)
+    B = powers[1]
     if not is_nonneg(B):  # D > 0, so B has the signs of A
         raise ValueError("matrix must be entrywise nonnegative")
     p, q = _a_sq_ratio(a_sq)
@@ -434,8 +435,8 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         if (q * w * w < wm[kr] * c * c)[vg != 0].any():
             return False
         covered += (wd[kr] * vg * w).sum()
-    _, (S,) = poly_numerators(_p_a_split(n)[:1], A)
-    return covered <= N * S[0][1]
+    S = sum(D ** (2 * n - j) * powers[j, 0, 1] for j in range(2 * n + 1) if j != n)
+    return covered <= N * S
 
 
 def _a_sq_ratio(a_sq):

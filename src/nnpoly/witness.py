@@ -16,13 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .families import make_p_a
-from .linalg import (
-    format_scalar,
-    is_nonneg,
-    poly_eval_matrix,
-    poly_eval_ratio,
-    poly_min_entries,
-)
+from .linalg import format_scalar, is_nonneg, poly_eval_ratio, poly_min_entries
 
 SCALE_SWEEP = [Fraction(2) ** e for e in range(-4, 5)]
 RATIONALIZE_DENOM = 10**6
@@ -49,14 +43,13 @@ class WitnessReport:
         }
 
     def reverify(self) -> bool:
-        m, (r, c) = self.m, self.entry
-        # checked first: Python indexing would wrap an entry 0 to the last
-        # row or column
-        if (len(self.matrix) != m or not (1 <= r <= m and 1 <= c <= m)
-                or not is_nonneg(self.matrix)):
+        m, entry, A = self.m, self.entry, self.matrix
+        # checked first: Python indexing would wrap an entry 0 to the last row
+        if not (len(entry) == 2 and all(type(i) is int and 1 <= i <= m for i in entry)
+                and len(A) == m and all(len(row) == m for row in A) and is_nonneg(A)):
             return False
-        C = poly_eval_matrix(self.poly, self.matrix)
-        return C[r - 1][c - 1] == self.value < 0
+        den, N = poly_eval_ratio(self.poly, A)
+        return Fraction(N[entry[0] - 1, entry[1] - 1], den) == self.value < 0
 
 
 def _verified_report(coeffs, A, method) -> WitnessReport | None:
@@ -84,23 +77,28 @@ def _shift(m, t):
     return [[t if c == (r + 1) % m else zero for c in range(m)] for r in range(m)]
 
 
+def shift_witness(coeffs, m, t, entry, value) -> WitnessReport:
+    """The exact report of p(tP), P the order-m cyclic shift.  Raises
+    AssertionError, under python -O too, unless its first most negative
+    entry is the closed form's (entry, value)."""
+    rep = _verified_report(coeffs, _shift(m, t), "structured-cycle")
+    if rep is None or (rep.entry, rep.value) != (entry, value):
+        raise AssertionError("exact evaluation disagrees with construction")
+    return rep
+
+
 def cycle_witness(n: int, a, t=Fraction(1)) -> WitnessReport:
     """Scaled (n+1)-cycle shift falsifying p_a at order n+1.
 
     With A = t*P, P the cyclic shift on n+1 vertices, A^j lands entry (1, n+1)
     only when j = n (mod n+1); within degrees 0..2n that is j = n alone, so
-    entry (1, n+1) of p_a(A) is exactly -a*t^n.
+    entry (1, n+1) of p_a(A) is exactly -a*t^n.  It is the first most
+    negative entry, as each row holds one -a*t^n and nothing else negative.
     """
     a, t = Fraction(a), Fraction(t)
     if n < 2 or not a > 0 or not t > 0:
         raise ValueError("need n >= 2, a > 0, t > 0")
-    A = _shift(n + 1, t)
-    # each row of p_a(A) holds one -a*t^n and nothing else negative, so the
-    # most negative entry is first reached at (1, n+1)
-    rep = _verified_report(make_p_a(n, a), A, "structured-cycle")
-    if rep is None or (rep.entry, rep.value) != ((1, n + 1), -a * t**n):
-        raise AssertionError("exact evaluation disagrees with construction")
-    return rep
+    return shift_witness(make_p_a(n, a), n + 1, t, (1, n + 1), -a * t**n)
 
 
 def _rationalize(A):

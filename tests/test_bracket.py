@@ -135,14 +135,24 @@ def test_bracket_a_hi_is_the_shift_at_t_1(n):
     w = est.witness
     assert w.poly == make_p_a(n, est.a_hi) and w.reverify()
     assert w.matrix == [[F(c == (r + 1) % n) for c in range(n)] for r in range(n)]
-    assert (w.entry, w.value, w.method) == ((1, 1), 2 - est.a_hi, "search")
+    assert (w.entry, w.value, w.method) == ((1, 1), 2 - est.a_hi, "structured-cycle")
     assert est.hi_provenance == "order-n cyclic shift at t = 1: p_a(P) has diagonal 2 - a"
 
 
-@pytest.mark.parametrize("n,a_hi", [
-    (2, "20001/10000"), (3, "16062/8029"), (4, "16865/8432"), (5, "10640/5319"),
-    (6, "6312/3155"), (7, "9598/4797"), (8, "3105/1552"), (9, "16040/8019"),
-])
-def test_bracket_a_hi_is_below_the_probe_bisection(n, a_hi):
-    # the a_hi the default 32-step probe bisection (tol 1/1000) reported
-    assert bracket_optimal_a(n).a_hi < F(a_hi)
+@pytest.mark.parametrize("n", range(2, 10))
+def test_bracket_evaluates_its_witness_once(monkeypatch, n):
+    # the shift is built, not found: one exact evaluation and no probe sweep
+    calls = []
+    numerators = linalg.poly_numerators
+
+    def counted(polys, A):
+        calls.append(len(A))
+        return numerators(polys, A)
+
+    def refuse(coeffs, m):
+        raise AssertionError("probe_witness called")
+
+    monkeypatch.setattr(linalg, "poly_numerators", counted)
+    monkeypatch.setattr(witness, "probe_witness", refuse)
+    assert bracket_optimal_a(n).witness.m == n
+    assert calls == [n]

@@ -455,9 +455,12 @@ def tampered(rep):
     poly = [-c for c in rep.poly]
     negative = [row[:] for row in rep.matrix]
     negative[-1][-1] = F(-1)
-    changes = [dict(value=rep.value - F(1, 3)), dict(matrix=matrix), dict(poly=poly),
-               dict(matrix=negative), dict(m=rep.m + 1)]
+    ragged = [row[:] for row in rep.matrix]
+    ragged[-1].pop()
     r, c = rep.entry
+    changes = [dict(value=rep.value - F(1, 3)), dict(matrix=matrix), dict(poly=poly),
+               dict(matrix=negative), dict(m=rep.m + 1), dict(matrix=ragged),
+               dict(entry=(float(r), c))]
     if rep.m > 1:
         changes.append(dict(entry=(r % rep.m + 1, c)))
     # entries outside 1..m; 0 would wrap to the last row or column

@@ -290,6 +290,24 @@ def test_decomposition_check_holds_up_to_certified_cap(data):
     assert numeric_decomposition_check(n, certified_cap(n)[0], A)
 
 
+def test_decomposition_check_scales_its_matrix_once(monkeypatch):
+    # B, D and the powers behind the positive part come from one exact_powers
+    calls = []
+
+    def counted(A, top):
+        calls.append(top)
+        return exact_powers(A, top)
+
+    def refuse(polys, A):
+        raise AssertionError("poly_numerators called")
+
+    monkeypatch.setattr(paths_module, "exact_powers", counted)
+    monkeypatch.setattr(paths_module, "poly_numerators", refuse)
+    A = [[F(1, 2), 1, F(3, 4)], [0, F(5, 3), 1], [2, F(1, 6), 0]]
+    assert numeric_decomposition_check(3, F(1), A)
+    assert calls == [6]
+
+
 def test_decomposition_check_rejects_negative_matrix():
     with pytest.raises(ValueError):
         numeric_decomposition_check(2, F(2), [[F(-1), F(0)], [F(0), F(0)]])

@@ -125,16 +125,19 @@ def test_soundness_exact_value():
 
 
 def test_cycle_witness_check_survives_optimize():
-    # a wrong evaluation must be caught even with asserts stripped by -O
+    # a wrong evaluation must be caught even with asserts stripped by -O, by
+    # the check that cycle_witness and bracket_optimal_a share
     script = (
         "import numpy as np\n"
-        "from nnpoly import witness\n"
+        "from nnpoly import bracket, witness\n"
         "witness.poly_eval_ratio = lambda p, A: (1, np.zeros((len(A),) * 2, dtype=object))\n"
-        "try:\n"
-        "    witness.cycle_witness(2, 1)\n"
-        "except AssertionError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('wrong evaluation accepted')\n"
+        "calls = [lambda: witness.cycle_witness(2, 1), lambda: bracket.bracket_optimal_a(3)]\n"
+        "for build in calls:\n"
+        "    try:\n"
+        "        build()\n"
+        "    except AssertionError:\n"
+        "        continue\n"
+        "    raise SystemExit('wrong evaluation accepted')\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nnpoly.__file__))}
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
