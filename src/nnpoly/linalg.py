@@ -7,12 +7,13 @@ exploration only.  There is one kernel per arithmetic and no generic one:
 - exact: exact_powers writes a rational matrix as A = B/D, with D the lcm
   of its entry denominators and B an int matrix, and builds the powers of B
   in a numpy object array of Python ints, one .dot per power;
-  poly_numerators turns them into numerators with one more .dot.  Numpy's
+  poly_numerator, the one place p(A) is scaled to integers, turns them (or
+  a slice, such as one entry) into a numerator with one more .dot.  Numpy's
   object loop calls the ints' own * and +, so the arithmetic is exact at
   any size; numpy only runs the loops.  exact_powers is the one door into
   exact evaluation: it reads int, Fraction and numpy integer entries as
-  Python ints and refuses floats and booleans.  poly_numerators,
-  poly_eval_ratio, poly_eval_matrix and the checks in paths read it.
+  Python ints and refuses floats and booleans.  poly_eval_ratio,
+  poly_eval_matrix and the checks in paths read it.
 - float: poly_min_entries is a batched numpy Horner of left-to-right sums
   over an (m, m, batch) copy of a stack of matrices, batch axis last, so it
   gives the same floats on every Python.
@@ -75,22 +76,15 @@ def exact_powers(A, top):
     return D, P
 
 
-def poly_numerators(polys, A):
-    """(D^top, N) with p(A) = N[i] / D^top for p = polys[i], for integer
-    coefficient lists of one length top + 1, from one exact_powers pass.
-
-    N[i] = sum_d p[d] D^(top-d) B^d for A = B/D, so N is one product of the
-    object weight matrix W[i][d] = polys[i][d] D^(top-d) with the powers
-    read as a (top+1, n*n) matrix: a (len(polys), n, n) object array of
-    Python ints, exact like exact_powers.
-    """
-    top = len(polys[0]) - 1
-    D, P = exact_powers(A, top)
-    scale = [D ** (top - d) for d in range(top + 1)]
-    W = np.array([[index(c) * s for c, s in zip(p, scale, strict=True)] for p in polys],
-                 dtype=object)
-    n = P.shape[1]
-    return D**top, W.dot(P.reshape(top + 1, n * n)).reshape(len(polys), n, n)
+def poly_numerator(ints, D, P):
+    """sum_d ints[d] D^(top-d) P[d] for integer coefficients ints[0..top]
+    and (D, P) from exact_powers(A, top): the numerator of p(A) over D^top.
+    P may be a slice of the powers, such as P[:, 0, 1] for entry (1,2).
+    One .dot, exact like exact_powers; a non-integer coefficient raises
+    TypeError."""
+    top = len(ints) - 1
+    w = np.array([index(c) * D ** (top - d) for d, c in enumerate(ints)], dtype=object)
+    return w.dot(P.reshape(top + 1, -1)).reshape(P.shape[1:])
 
 
 def is_nonneg(A) -> bool:
@@ -115,14 +109,14 @@ def poly_eval_ratio(coeffs, A):
 
     Coefficients and entries are int, Fraction or numpy integers; floats
     raise ValueError (poly_min_entries is the float kernel).  With L the lcm
-    of the coefficient denominators, den = L D^top and N comes from
-    poly_numerators of the integer coefficients L*coeffs[d].
+    of the coefficient denominators, den = L D^top and N is the
+    poly_numerator of the integer coefficients L*coeffs[d].
     """
     if not coeffs:
         raise ValueError("empty coefficient list")
     L, (ints,) = _scaled_ints([coeffs])
-    den, (N,) = poly_numerators([ints], A)
-    return den * L, N
+    D, P = exact_powers(A, len(ints) - 1)
+    return L * D ** (len(ints) - 1), poly_numerator(ints, D, P)
 
 
 def poly_eval_matrix(coeffs, A):

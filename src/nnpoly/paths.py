@@ -40,7 +40,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .families import bound_table, mu
-from .linalg import exact_powers, is_nonneg, order_of, poly_numerators
+from .linalg import exact_powers, is_nonneg, order_of, poly_numerator
 
 DEFAULT_CAP = 10**8
 
@@ -391,10 +391,10 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     N the lcm of the nu and a_sq = p/q, a path is valued on B, and
     w = D^(2k) N/nu + N c_B^2 is N D^(2k) (1/nu + c^2), so the termwise test
     is q w^2 >= p (N D^k c_B)^2 and the sum of the v_B(g) w D^(n-k) is
-    compared with N S, for S = sum_{j != n} D^(2n-j) (B^j)_{1,2}.  Each chunk
-    of _expanded_paths reads its edge values with _edge_values and forms
-    every value as numpy object-array products of Python ints, so it stays
-    exact with no per-path loop.
+    compared with N S, for S = sum_{j != n} D^(2n-j) (B^j)_{1,2} from
+    poly_numerator.  Each chunk of _expanded_paths reads its edge values with
+    _edge_values and forms every value as numpy object-array products of
+    Python ints, so it stays exact with no per-path loop.
 
     For every nonnegative A it is True at every a_sq <= census_cap(n):
     AM-GM gives 1/nu + c^2 >= 2c/sqrt(nu) >= a c for a^2 <= 4/nu(n,k); phi
@@ -435,7 +435,7 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         if (q * w * w < wm[kr] * c * c)[vg != 0].any():
             return False
         covered += (wd[kr] * vg * w).sum()
-    S = sum(D ** (2 * n - j) * powers[j, 0, 1] for j in range(2 * n + 1) if j != n)
+    S = poly_numerator(_p_a_split(n), D, powers[:, 0, 1])
     return covered <= N * S
 
 
@@ -448,24 +448,25 @@ def _a_sq_ratio(a_sq):
 
 
 def _p_a_split(n: int):
-    """Integer coefficients of P = sum_{j != n} x^j and of x^n: p_a = P - a*x^n."""
-    pos = [int(j != n) for j in range(2 * n + 1)]
-    return pos, [1 - c for c in pos]
+    """Integer coefficients of the positive part P = sum_{j != n} x^j of the
+    split p_a = P - a*x^n."""
+    return [int(j != n) for j in range(2 * n + 1)]
 
 
 def verify_certificate_on_matrix(n: int, a_sq, A) -> bool:
     """End-to-end sanity: certificate verdict implies p_a(A) >= 0 entrywise,
     for A of order n.
 
-    a = sqrt(a_sq) may be irrational, so each entry s - a*b (s, b >= 0) is
-    signed exactly on the integer numerators of _p_a_split over one common
-    denominator: with a_sq = p/q, s >= 0 and s^2 * q >= p * b^2.
+    a = sqrt(a_sq) may be irrational, so each entry s - a*b (s, b >= 0) of
+    p_a(A) = P(A) - a A^n is signed exactly on numerators over D^(2n), from
+    one exact_powers pass: with a_sq = p/q, s >= 0 and s^2 * q >= p * b^2.
     """
     if order_of(A) != n:
         raise ValueError("matrix order must equal n")
     p, q = _a_sq_ratio(a_sq)
-    _, (S, N) = poly_numerators(_p_a_split(n), A)
+    D, powers = exact_powers(A, 2 * n)
+    S = poly_numerator(_p_a_split(n), D, powers)
     return all(
         s >= 0 and s * s * q >= p * b * b
-        for rs, rb in zip(S, N) for s, b in zip(rs, rb)
+        for rs, rb in zip(S, D**n * powers[n]) for s, b in zip(rs, rb)
     )

@@ -48,7 +48,10 @@ class WitnessReport:
         if not (len(entry) == 2 and all(type(i) is int and 1 <= i <= m for i in entry)
                 and len(A) == m and all(len(row) == m for row in A) and is_nonneg(A)):
             return False
-        den, N = poly_eval_ratio(self.poly, A)
+        try:
+            den, N = poly_eval_ratio(self.poly, A)
+        except ValueError:  # exact evaluation refuses floats, booleans, an empty poly
+            return False
         return Fraction(N[entry[0] - 1, entry[1] - 1], den) == self.value < 0
 
 

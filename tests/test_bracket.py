@@ -143,16 +143,16 @@ def test_bracket_a_hi_is_the_shift_at_t_1(n):
 def test_bracket_evaluates_its_witness_once(monkeypatch, n):
     # the shift is built, not found: one exact evaluation and no probe sweep
     calls = []
-    numerators = linalg.poly_numerators
+    powers = linalg.exact_powers
 
-    def counted(polys, A):
+    def counted(A, top):
         calls.append(len(A))
-        return numerators(polys, A)
+        return powers(A, top)
 
     def refuse(coeffs, m):
         raise AssertionError("probe_witness called")
 
-    monkeypatch.setattr(linalg, "poly_numerators", counted)
+    monkeypatch.setattr(linalg, "exact_powers", counted)
     monkeypatch.setattr(witness, "probe_witness", refuse)
     assert bracket_optimal_a(n).witness.m == n
     assert calls == [n]

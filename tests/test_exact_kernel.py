@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from nnpoly import paths as paths_module
 from nnpoly.bracket import certified_cap
 from nnpoly.families import make_p_a, mu, safe_a_squared
-from nnpoly.linalg import exact_powers, is_nonneg, order_of, poly_eval_matrix, poly_numerators
+from nnpoly.linalg import exact_powers, is_nonneg, order_of, poly_eval_matrix, poly_numerator
 from nnpoly.paths import (
     enumerate_monomials,
     first_cycle,
@@ -139,18 +139,14 @@ def test_powers_reject_negative_exponent():
         exact_powers([[F(1)]], -1)
 
 
-def numerators_oracle(polys, A):
-    """(D^top, [sum_d p[d] D^top A^d for p in polys]) on mat_pow and mat_scale."""
-    top = len(polys[0]) - 1
+def numerators_oracle(p, A):
+    """(D^top, sum_d p[d] D^top A^d) on mat_pow and mat_scale."""
+    top = len(p) - 1
     D = lcm(*(F(x).denominator for row in A for x in row))
-    zero = [[0] * len(A) for _ in A]
-    numerators = []
-    for p in polys:
-        N = zero
-        for d, c in enumerate(p):
-            N = mat_add(N, mat_scale(c * D**top, mat_pow([[F(x) for x in row] for row in A], d)))
-        numerators.append(N)
-    return D**top, numerators
+    N = [[0] * len(A) for _ in A]
+    for d, c in enumerate(p):
+        N = mat_add(N, mat_scale(c * D**top, mat_pow([[F(x) for x in row] for row in A], d)))
+    return D**top, N
 
 
 def assert_python_ints(arr):
@@ -158,36 +154,37 @@ def assert_python_ints(arr):
 
 
 huge = st.one_of(st.integers(10**200 - 9, 10**200 + 9), st.integers(-10**200 - 9, -10**200 + 9))
-coefficient_lists = st.integers(0, 6).flatmap(lambda top: st.lists(
-    st.one_of(
-        st.lists(st.integers(-9, 9), min_size=top + 1, max_size=top + 1),
-        st.just([0] * (top + 1)),  # all zero
-        st.integers(0, top).map(lambda d: [int(i == d) for i in range(top + 1)]),  # one term
-    ),
-    min_size=1, max_size=3))
+coefficients = st.integers(0, 6).flatmap(lambda top: st.one_of(
+    st.lists(st.integers(-9, 9), min_size=top + 1, max_size=top + 1),
+    st.just([0] * (top + 1)),  # all zero
+    st.integers(0, top).map(lambda d: [int(i == d) for i in range(top + 1)]),  # one term
+))
 
 
 @settings(max_examples=80, deadline=None)
-@given(matrices(st.one_of(rational, huge)), coefficient_lists)
-def test_numerators_match_scaled_mat_pow(A, polys):
-    den, N = poly_numerators(polys, A)
-    assert type(den) is int
-    assert_python_ints(N)
-    assert (den, N.tolist()) == numerators_oracle(polys, A)
-    D, P = exact_powers(A, len(polys[0]) - 1)
+@given(matrices(st.one_of(rational, huge)), coefficients)
+def test_numerators_match_scaled_mat_pow(A, p):
+    top = len(p) - 1
+    D, P = exact_powers(A, top)
     assert_python_ints(P)
     for j in range(len(P)):
         assert P[j].tolist() == mat_scale(D**j, mat_pow(A, j))
+    N = poly_numerator(p, D, P)
+    assert_python_ints(N)
+    assert (D**top, N.tolist()) == numerators_oracle(p, A)
+    # on the slice P[:, r, c] it is entry (r, c) alone
+    for r, c in np.ndindex(N.shape):
+        entry = poly_numerator(p, D, P[:, r, c])
+        assert entry.shape == () and type(entry.item()) is int and entry == N[r, c]
 
 
-@pytest.mark.parametrize("polys", [
-    [[5]],  # top = 0: the constant times the identity
-    [[0]],
-    [[0, 0, 0]],
-    [[0, 0, 1]],
-    [[0, -3, 0, 0], [1, 0, 0, 0]],
-    [[np.int64(2), np.int64(-1)]],
-], ids=["top0", "top0_zero", "all_zero", "single_term", "two_polys", "np_int64_coeffs"])
+@pytest.mark.parametrize("p", [
+    [5],  # top = 0: the constant times the identity
+    [0],
+    [0, 0, 0],
+    [0, 0, 1],
+    [np.int64(2), np.int64(-1)],
+], ids=["top0", "top0_zero", "all_zero", "single_term", "np_int64_coeffs"])
 @pytest.mark.parametrize("A", [
     [[F(-7, 3)]],
     [[10**200]],
@@ -195,25 +192,27 @@ def test_numerators_match_scaled_mat_pow(A, polys):
     [[np.int64(-3), np.int64(2**62)], [np.int64(2**62), np.int64(0)]],
     np.array([[2**62, -1], [5, 2**62]], dtype=np.int64),
 ], ids=["order1", "order1_huge", "huge_negative", "np_int64_list", "np_int64_array"])
-def test_numerators_edge_cases(polys, A):
-    den, N = poly_numerators(polys, A)
-    assert type(den) is int and N.shape == (len(polys), len(A), len(A))
-    assert_python_ints(N)
-    exact = [[int(x) if isinstance(x, np.integer) else x for x in row] for row in A]
-    assert (den, N.tolist()) == numerators_oracle([[int(c) for c in p] for p in polys], exact)
-    D, P = exact_powers(A, len(polys[0]) - 1)
+def test_numerators_edge_cases(p, A):
+    D, P = exact_powers(A, len(p) - 1)
     assert type(D) is int
     assert_python_ints(P)
+    N = poly_numerator(p, D, P)
+    assert N.shape == (len(A), len(A))
+    assert_python_ints(N)
+    exact = [[int(x) if isinstance(x, np.integer) else x for x in row] for row in A]
+    assert (D ** (len(p) - 1), N.tolist()) == numerators_oracle([int(c) for c in p], exact)
 
 
 def test_numerators_refuse_ragged_or_fractional_coefficients():
-    A = [[1, 2], [3, 4]]
-    with pytest.raises(ValueError):
-        poly_numerators([[1, 0, 1], [1, 0]], A)
-    with pytest.raises(ValueError):
-        poly_numerators([[1, 0], [1, 0, 1]], A)
+    # one coefficient per power, and integers only
+    D, P = exact_powers([[1, 2], [3, 4]], 2)
+    for p in ([1, 0], [1, 0, 1, 0]):
+        with pytest.raises(ValueError):
+            poly_numerator(p, D, P)
+        with pytest.raises(ValueError):
+            poly_numerator(p, D, P[:, 0, 1])
     with pytest.raises(TypeError):
-        poly_numerators([[F(1, 2), 1]], A)
+        poly_numerator([F(1, 2), 1, 0], D, P)
 
 
 # -- membership check ----------------------------------------------------------
@@ -457,10 +456,16 @@ def tampered(rep):
     negative[-1][-1] = F(-1)
     ragged = [row[:] for row in rep.matrix]
     ragged[-1].pop()
+    # exact evaluation refuses floats and booleans, even of the same value
+    inexact = [row[:] for row in rep.matrix]
+    inexact[0][0] = float(inexact[0][0])
+    boolean = [row[:] for row in rep.matrix]
+    boolean[0][0] = True
     r, c = rep.entry
     changes = [dict(value=rep.value - F(1, 3)), dict(matrix=matrix), dict(poly=poly),
                dict(matrix=negative), dict(m=rep.m + 1), dict(matrix=ragged),
-               dict(entry=(float(r), c))]
+               dict(entry=(float(r), c)), dict(matrix=inexact), dict(matrix=boolean),
+               dict(poly=[float(c) for c in rep.poly]), dict(poly=[])]
     if rep.m > 1:
         changes.append(dict(entry=(r % rep.m + 1, c)))
     # entries outside 1..m; 0 would wrap to the last row or column

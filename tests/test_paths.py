@@ -14,7 +14,7 @@ import nnpoly
 import nnpoly.paths as paths_module
 from nnpoly.bracket import certified_cap
 from nnpoly.families import mu, safe_a_squared
-from nnpoly.linalg import exact_powers, poly_numerators
+from nnpoly.linalg import exact_powers
 from nnpoly.paths import (
     EnumerationCapExceeded,
     all_nu,
@@ -31,6 +31,7 @@ from nnpoly.paths import (
     psi,
     verify_certificate_on_matrix,
 )
+from list_kernels import mat_pow
 from test_census import dfs_cycle_walk
 from test_exact_kernel import decomposition_oracle
 
@@ -290,21 +291,18 @@ def test_decomposition_check_holds_up_to_certified_cap(data):
     assert numeric_decomposition_check(n, certified_cap(n)[0], A)
 
 
-def test_decomposition_check_scales_its_matrix_once(monkeypatch):
-    # B, D and the powers behind the positive part come from one exact_powers
+@pytest.mark.parametrize("check", [verify_certificate_on_matrix, numeric_decomposition_check])
+def test_check_scales_its_matrix_once(monkeypatch, check):
+    # B, D and every power the check reads come from one exact_powers
     calls = []
 
     def counted(A, top):
         calls.append(top)
         return exact_powers(A, top)
 
-    def refuse(polys, A):
-        raise AssertionError("poly_numerators called")
-
     monkeypatch.setattr(paths_module, "exact_powers", counted)
-    monkeypatch.setattr(paths_module, "poly_numerators", refuse)
     A = [[F(1, 2), 1, F(3, 4)], [0, F(5, 3), 1], [2, F(1, 6), 0]]
-    assert numeric_decomposition_check(3, F(1), A)
+    assert check(3, F(1), A) is True
     assert calls == [6]
 
 
@@ -367,8 +365,9 @@ def decomposition_reference(n, a_sq, A):
             return "termwise"
         total[k] += vg * w
     covered = sum(D ** (n - k) * t for k, t in total.items())
-    _, (S,) = poly_numerators(paths_module._p_a_split(n)[:1], A)
-    return "ok" if covered <= N * S[0][1] else "covered"
+    # the positive part of entry (1,2), D^(2n) sum_{j != n} (A^j)_{1,2}
+    S = D ** (2 * n) * sum(mat_pow(A, j)[0][1] for j in range(2 * n + 1) if j != n)
+    return "ok" if covered <= N * S else "covered"
 
 
 def census_with_nu_one(census):
