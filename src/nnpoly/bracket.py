@@ -99,14 +99,13 @@ def sample_pa_membership(n: int, a_sq, trials: int, seed: int = 0):
     so nonnegativity is decided by s >= 0 and s^2 >= a_sq * b^2.
     Returns (pass count, list of the matrices that failed).
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     a_sq = Fraction(a_sq)
     rng = random.Random(f"{seed}:pa-membership")
-    passes = 0
     failures = []
     for t in range(trials):
         A = random_rational_matrix(n, rng, SCALE_SWEEP[t % len(SCALE_SWEEP)])
-        if verify_certificate_on_matrix(n, a_sq, A):
-            passes += 1
-        else:
+        if not verify_certificate_on_matrix(n, a_sq, A):
             failures.append(A)
-    return passes, failures
+    return trials - len(failures), failures

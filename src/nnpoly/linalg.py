@@ -5,15 +5,15 @@ exact side.  Certification verdicts are computed exactly; floats are for
 exploration only.  There is one kernel per arithmetic and no generic one:
 
 - exact: exact_powers writes a rational matrix as A = B/D, with D the lcm
-  of its entry denominators and B an int matrix, and builds the powers of B
-  in a numpy object array of Python ints, one .dot per power;
-  poly_numerator, the one place p(A) is scaled to integers, turns them (or
-  a slice, such as one entry) into a numerator with one more .dot.  Numpy's
-  object loop calls the ints' own * and +, so the arithmetic is exact at
-  any size; numpy only runs the loops.  exact_powers is the one door into
-  exact evaluation: it reads int, Fraction and numpy integer entries as
-  Python ints and refuses floats and booleans.  poly_eval_ratio,
-  poly_eval_matrix and the checks in paths read it.
+  of its entry denominators and B an int matrix, and builds B^0..B^top in
+  a numpy object array of Python ints, one .dot per power past B;
+  poly_numerator turns them (or a slice, such as one entry) into the
+  numerator of p(A) with one more .dot.  Numpy's object loop calls the
+  ints' own * and +, so the arithmetic is exact at any size; numpy only
+  runs the loops.  exact_powers, the one door into exact evaluation, reads
+  int, Fraction and numpy integers as Python ints and refuses floats and
+  booleans.  poly_eval_ratio reads B^0..B^top and the checks in paths only
+  B^0..B^(n+1), as p_a's positive part is (1 + x^(n+1)) sum_{j<n} x^j.
 - float: poly_min_entries is a batched numpy Horner of left-to-right sums
   over an (m, m, batch) copy of a stack of matrices, batch axis last, so it
   gives the same floats on every Python.
@@ -42,17 +42,17 @@ def order_of(A) -> int:
 _EXACT_ONLY = "exact evaluation takes only int or Fraction values"
 
 
-def _scaled_ints(rows):
-    """(D, rows * D) in Python ints, D the lcm of the denominators.  Numpy
-    integers are read as Python ints; floats and booleans raise ValueError."""
-    if any(type(x) is bool for row in rows for x in row):  # np.bool_ fails below
-        raise ValueError(_EXACT_ONLY)
+def _scaled_ints(xs):
+    """(D, [x * D for x in xs]) in Python ints, D the lcm of the denominators,
+    in one pass over the list xs; floats and booleans raise ValueError."""
     try:
-        ratios = [[(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
-    except AttributeError:
+        ratios = [(int(x.numerator), int(x.denominator)) for x in xs if type(x) is not bool]
+    except AttributeError:  # a float, a complex or an np.bool_
         raise ValueError(_EXACT_ONLY) from None
-    D = lcm(*(d for row in ratios for _, d in row))
-    return D, [[p * (D // d) for p, d in row] for row in ratios]
+    if len(ratios) != len(xs):  # a bool was skipped
+        raise ValueError(_EXACT_ONLY)
+    D = lcm(*(d for _, d in ratios))
+    return D, [p * (D // d) for p, d in ratios]
 
 
 def exact_powers(A, top):
@@ -60,19 +60,19 @@ def exact_powers(A, top):
 
     A holds int, Fraction or numpy integer entries and D is the lcm of their
     denominators.  P is a (top+1, n, n) numpy object array of Python ints;
-    each power is one P[j].dot(B).  Numpy's object loop calls the ints' own
-    * and +, so the products are exact at any size and no numpy scalar
-    enters them.
+    P[1] is B itself and each higher power is one P[j].dot(B).  Numpy's
+    object loop calls the ints' own * and +, so the products are exact at
+    any size and no numpy scalar enters them.
     """
     if top < 0:
         raise ValueError("exponent must be >= 0")
     n = order_of(A)
-    D, B = _scaled_ints(A)
-    B = np.array(B, dtype=object)
+    D, ints = _scaled_ints([x for row in A for x in row])
     P = np.empty((top + 1, n, n), dtype=object)
     P[0] = np.identity(n, dtype=object)
-    for j in range(top):
-        P[j + 1] = P[j].dot(B)
+    P[1:2] = np.array(ints, dtype=object).reshape(n, n)  # empty when top = 0
+    for j in range(1, top):
+        P[j + 1] = P[j].dot(P[1])
     return D, P
 
 
@@ -114,7 +114,7 @@ def poly_eval_ratio(coeffs, A):
     """
     if not coeffs:
         raise ValueError("empty coefficient list")
-    L, (ints,) = _scaled_ints([coeffs])
+    L, ints = _scaled_ints(coeffs)
     D, P = exact_powers(A, len(ints) - 1)
     return L * D ** (len(ints) - 1), poly_numerator(ints, D, P)
 

@@ -387,12 +387,12 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     class and cycle from the row of _cycle_walk it is expanded from; the
     check is False if census_cap(n) is None.
 
-    It runs on integers: with A = B/D and B^0..B^(2n) from exact_powers,
-    N the lcm of the nu and a_sq = p/q, a path is valued on B, and
-    w = D^(2k) N/nu + N c_B^2 is N D^(2k) (1/nu + c^2), so the termwise test
-    is q w^2 >= p (N D^k c_B)^2 and the sum of the v_B(g) w D^(n-k) is
-    compared with N S, for S = sum_{j != n} D^(2n-j) (B^j)_{1,2} from
-    poly_numerator.  Each chunk of _expanded_paths reads its edge values with
+    It runs on integers: A = B/D, and S, the numerator of the positive
+    part over D^(2n), comes from _p_a_numerator's B^0..B^(n+1).  With N the
+    lcm of the nu and a_sq = p/q, a path is valued on B, and w = D^(2k) N/nu
+    + N c_B^2 is N D^(2k) (1/nu + c^2), so the termwise test is
+    q w^2 >= p (N D^k c_B)^2 and the sum of the v_B(g) w D^(n-k) is compared
+    with N S_{1,2}.  Each chunk of _expanded_paths reads its edge values with
     _edge_values and forms every value as numpy object-array products of
     Python ints, so it stays exact with no per-path loop.
 
@@ -401,9 +401,7 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     is injective and each g has at most nu(n,k) pre-images in class k, so
     the lhs use each term of (A^(n+k))_{1,2} and (A^(n-k))_{1,2} at most once.
     """
-    if order_of(A) != n:
-        raise ValueError("matrix order must equal n")
-    D, powers = exact_powers(A, 2 * n)
+    D, powers, S = _p_a_numerator(n, A)
     B = powers[1]
     if not is_nonneg(B):  # D > 0, so B has the signs of A
         raise ValueError("matrix must be entrywise nonnegative")
@@ -435,8 +433,7 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         if (q * w * w < wm[kr] * c * c)[vg != 0].any():
             return False
         covered += (wd[kr] * vg * w).sum()
-    S = poly_numerator(_p_a_split(n), D, powers[:, 0, 1])
-    return covered <= N * S
+    return covered <= N * S[0, 1]
 
 
 def _a_sq_ratio(a_sq):
@@ -447,10 +444,17 @@ def _a_sq_ratio(a_sq):
     return p, q
 
 
-def _p_a_split(n: int):
-    """Integer coefficients of the positive part P = sum_{j != n} x^j of the
-    split p_a = P - a*x^n."""
-    return [int(j != n) for j in range(2 * n + 1)]
+def _p_a_numerator(n: int, A):
+    """(D, powers, S) with (D, powers) = exact_powers(A, n + 1), A = B/D of
+    order n, and S the numerator over D^(2n) of P(A), P = sum_{j != n} x^j
+    the positive part of p_a = P - a*x^n.  P = (1 + x^(n+1)) sum_{j<n} x^j,
+    and polynomials in B commute, so with Q = D^(n-1) sum_{j<n} A^j from
+    poly_numerator, S = D^(n+1) Q + B^(n+1) Q exactly."""
+    if order_of(A) != n:
+        raise ValueError("matrix order must equal n")
+    D, powers = exact_powers(A, n + 1)
+    Q = poly_numerator([1] * n, D, powers[:n])
+    return D, powers, D ** (n + 1) * Q + powers[n + 1].dot(Q)
 
 
 def verify_certificate_on_matrix(n: int, a_sq, A) -> bool:
@@ -459,13 +463,10 @@ def verify_certificate_on_matrix(n: int, a_sq, A) -> bool:
 
     a = sqrt(a_sq) may be irrational, so each entry s - a*b (s, b >= 0) of
     p_a(A) = P(A) - a A^n is signed exactly on numerators over D^(2n), from
-    one exact_powers pass: with a_sq = p/q, s >= 0 and s^2 * q >= p * b^2.
+    B^0..B^(n+1): with a_sq = p/q, s >= 0 and s^2 * q >= p * b^2.
     """
-    if order_of(A) != n:
-        raise ValueError("matrix order must equal n")
     p, q = _a_sq_ratio(a_sq)
-    D, powers = exact_powers(A, 2 * n)
-    S = poly_numerator(_p_a_split(n), D, powers)
+    D, powers, S = _p_a_numerator(n, A)
     return all(
         s >= 0 and s * s * q >= p * b * b
         for rs, rb in zip(S, D**n * powers[n]) for s, b in zip(rs, rb)

@@ -103,6 +103,17 @@ def test_sample_pa_membership_fails_above_cap():
     assert failures
 
 
+def test_sample_pa_membership_passes_the_benchmark_stream():
+    # n = 4, a^2 = 1/3 at seed 0 is the stream of the sample workload's pass 0
+    assert sample_pa_membership(4, F(1, 3), 1000, seed=0) == (1000, [])
+
+
+def test_sample_pa_membership_refuses_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        sample_pa_membership(4, F(1, 3), -5)
+    assert sample_pa_membership(4, F(1, 3), 0) == (0, [])
+
+
 # -- the upper end is the cyclic shift in closed form ---------------------------
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnpoly import paths as paths_module
-from nnpoly.bracket import certified_cap
+from nnpoly.bracket import certified_cap, sample_pa_membership
 from nnpoly.families import make_p_a, mu, safe_a_squared
 from nnpoly.linalg import exact_powers, is_nonneg, order_of, poly_eval_matrix, poly_numerator
 from nnpoly.paths import (
@@ -215,6 +215,25 @@ def test_numerators_refuse_ragged_or_fractional_coefficients():
         poly_numerator([F(1, 2), 1, 0], D, P)
 
 
+@pytest.mark.parametrize("top", [0, 1])
+@pytest.mark.parametrize("A", [
+    [[F(-7, 3)]],
+    [[F(1, 2), 3], [F(-2, 5), 10**200]],
+    [[np.int64(-3), np.int64(2**62)], [np.int64(2**62), np.int64(0)]],
+    np.array([[2**62, -1], [5, 2**62]], dtype=np.int64),
+], ids=["order1", "rational_huge", "np_int64_list", "np_int64_array"])
+def test_powers_store_the_scaled_matrix(A, top):
+    # P[1] is B = D * A itself, in Python ints, and top = 0 has no P[1]
+    D, P = exact_powers(A, top)
+    exact = [[F(int(x)) if isinstance(x, np.integer) else F(x) for x in row] for row in A]
+    assert type(D) is int and D == lcm(*(x.denominator for row in exact for x in row))
+    assert P.shape == (top + 1, len(A), len(A))
+    assert_python_ints(P)
+    assert P[0].tolist() == mat_pow(exact, 0)
+    if top == 1:
+        assert P[1].tolist() == mat_scale(D, exact)
+
+
 # -- membership check ----------------------------------------------------------
 
 
@@ -223,6 +242,21 @@ def order_and_matrix(entry, max_order=4):
     return st.integers(1, max_order).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.lists(entry, min_size=n, max_size=n),
                                                  min_size=n, max_size=n)))
+
+
+int64 = st.integers(-2**63, 2**63 - 1).map(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order_and_matrix(st.one_of(rational, huge, int64), max_order=6))
+def test_p_a_numerator_matches_the_full_sum(nA):
+    # (1 + B^(n+1)) times the sum below n against every power up to 2n
+    n, A = nA
+    D, P, S = paths_module._p_a_numerator(n, A)
+    D_ref, P_ref = exact_powers(A, 2 * n)
+    assert D == D_ref and P.tolist() == P_ref[: n + 2].tolist()
+    assert_python_ints(S)
+    assert S.tolist() == poly_numerator([int(j != n) for j in range(2 * n + 1)], D, P_ref).tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -243,6 +277,14 @@ def test_verify_at_the_boundary(nA):
     assert verify_certificate_on_matrix(n, a_sq, A) == verify_oracle(n, a_sq, A)
     above = a_sq + F(1, 10**9)
     assert verify_certificate_on_matrix(n, above, A) == verify_oracle(n, above, A)
+
+
+def test_sample_failures_fail_the_oracle():
+    # at a^2 = 25 the check's False branch is taken, and the Fraction oracle
+    # agrees on every matrix it rejects
+    passes, failures = sample_pa_membership(4, F(25), 200, seed=0)
+    assert (passes, len(failures)) == (195, 5)
+    assert not any(verify_oracle(4, F(25), A) for A in failures)
 
 
 def test_verify_boundary_examples():
