@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .families import rational_sqrt_floor, safe_a_squared, make_p_a
 from .linalg import format_scalar
-from .paths import DEFAULT_CAP, EnumerationCapExceeded, census_cap, verify_certificate_on_matrix
+from .paths import (DEFAULT_CAP, EnumerationCapExceeded, _a_sq_ratio, census_cap,
+                    verify_certificate_on_matrix)
 from .witness import SCALE_SWEEP, WitnessReport, shift_witness
 
 # Not read by the package: certified_cap sharpens whenever the census fits
@@ -33,10 +34,10 @@ class BoundEstimate:
     gap: Fraction
     lo_provenance: str
     hi_provenance: str
-    witness: WitnessReport | None
+    witness: WitnessReport
 
     def to_json(self):
-        out = {
+        return {
             "n": self.n,
             "a_lo": format_scalar(self.a_lo),
             "a_lo_sq": format_scalar(self.a_lo_sq),
@@ -44,10 +45,8 @@ class BoundEstimate:
             "gap": format_scalar(self.gap),
             "lo_provenance": self.lo_provenance,
             "hi_provenance": self.hi_provenance,
+            "witness": self.witness.to_json(),
         }
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        return out
 
 
 def certified_cap(n: int, cap: int = DEFAULT_CAP):
@@ -101,7 +100,7 @@ def sample_pa_membership(n: int, a_sq, trials: int, seed: int = 0):
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    a_sq = Fraction(a_sq)
+    a_sq = Fraction(*_a_sq_ratio(a_sq))  # refused before any draw
     rng = random.Random(f"{seed}:pa-membership")
     failures = []
     for t in range(trials):

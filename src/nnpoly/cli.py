@@ -30,7 +30,7 @@ def _emit(payload, args, text=None):
         except ValueError:  # inf or nan: JSON has no literal for them
             raise ValueError("the report holds an inf or nan float, "
                              "which is not valid JSON") from None
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -38,7 +38,7 @@ def _emit(payload, args, text=None):
 
 
 def _config_dict(args, keys):
-    return {k: str(getattr(args, k.replace("-", "_"))) for k in keys}
+    return {k: str(getattr(args, k)) for k in keys}
 
 
 def cmd_bound(args):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod, isqrt
 
+SQRT_DENOM = 10**6  # rational_sqrt_floor rounds down to a multiple of 1/SQRT_DENOM
+
 
 def make_p_a(n: int, a):
     """Degree-2n polynomial: all coefficients 1 except -a at degree n."""
@@ -109,10 +111,9 @@ def bound_table(n: int, d=None, nu_values=None) -> BoundTable:
     )
 
 
-def rational_sqrt_floor(c: Fraction, denom: int = 10**6) -> Fraction:
-    """Largest multiple of 1/denom whose square is <= c."""
+def rational_sqrt_floor(c: Fraction) -> Fraction:
+    """Largest multiple of 1/SQRT_DENOM whose square is <= c."""
     if c < 0:
         raise ValueError("negative argument")
-    # floor(denom * sqrt(c)) exactly, as isqrt(floor(x)) == floor(sqrt(x))
-    # for x = c * denom^2 >= 0
-    return Fraction(isqrt(c.numerator * denom * denom // c.denominator), denom)
+    # exact, as isqrt(floor(x)) == floor(sqrt(x)) for x = c * SQRT_DENOM^2 >= 0
+    return Fraction(isqrt(c.numerator * SQRT_DENOM**2 // c.denominator), SQRT_DENOM)

@@ -7,13 +7,13 @@ exploration only.  There is one kernel per arithmetic and no generic one:
 - exact: exact_powers writes a rational matrix as A = B/D, with D the lcm
   of its entry denominators and B an int matrix, and builds B^0..B^top in
   a numpy object array of Python ints, one .dot per power past B;
-  poly_numerator turns them (or a slice, such as one entry) into the
-  numerator of p(A) with one more .dot.  Numpy's object loop calls the
-  ints' own * and +, so the arithmetic is exact at any size; numpy only
-  runs the loops.  exact_powers, the one door into exact evaluation, reads
-  int, Fraction and numpy integers as Python ints and refuses floats and
-  booleans.  poly_eval_ratio reads B^0..B^top and the checks in paths only
-  B^0..B^(n+1), as p_a's positive part is (1 + x^(n+1)) sum_{j<n} x^j.
+  poly_numerator turns them into the numerator of p(A) with one more .dot.
+  Numpy's object loop calls the ints' own * and +, so the arithmetic is
+  exact at any size.  _scaled_ints is the one door into exact evaluation,
+  for entries, coefficients and the scalars a_sq, a and t alike: it reads
+  int, Fraction and numpy integers as Python ints and refuses all else.
+  poly_eval_ratio reads B^0..B^top and the checks in paths B^0..B^(n+1),
+  as p_a's positive part is (1 + x^(n+1)) sum_{j<n} x^j.
 - float: poly_min_entries is a batched numpy Horner of left-to-right sums
   over an (m, m, batch) copy of a stack of matrices, batch axis last, so it
   gives the same floats on every Python.
@@ -44,10 +44,11 @@ _EXACT_ONLY = "exact evaluation takes only int or Fraction values"
 
 def _scaled_ints(xs):
     """(D, [x * D for x in xs]) in Python ints, D the lcm of the denominators,
-    in one pass over the list xs; floats and booleans raise ValueError."""
+    in one pass over the list xs; all but int, Fraction and numpy integers
+    (floats, complex, bools, strings, None) raise ValueError."""
     try:
         ratios = [(int(x.numerator), int(x.denominator)) for x in xs if type(x) is not bool]
-    except AttributeError:  # a float, a complex or an np.bool_
+    except AttributeError:  # a float, a complex, an np.bool_, a string or None
         raise ValueError(_EXACT_ONLY) from None
     if len(ratios) != len(xs):  # a bool was skipped
         raise ValueError(_EXACT_ONLY)
@@ -79,7 +80,6 @@ def exact_powers(A, top):
 def poly_numerator(ints, D, P):
     """sum_d ints[d] D^(top-d) P[d] for integer coefficients ints[0..top]
     and (D, P) from exact_powers(A, top): the numerator of p(A) over D^top.
-    P may be a slice of the powers, such as P[:, 0, 1] for entry (1,2).
     One .dot, exact like exact_powers; a non-integer coefficient raises
     TypeError."""
     top = len(ints) - 1

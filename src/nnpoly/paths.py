@@ -40,7 +40,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .families import bound_table, mu
-from .linalg import exact_powers, is_nonneg, order_of, poly_numerator
+from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numerator
 
 DEFAULT_CAP = 10**8
 
@@ -331,9 +331,10 @@ def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport
     term of A^(n-k) and A^(n+k) at most once.  On the diagonal,
     (A^(2n))_ii >= ((A^n)_ii)^2 leaves only a <= 2, since 1 + x^2 >= 2x.
     """
-    a_sq = Fraction(a_sq)
-    if not a_sq > 0:
+    q, (p,) = _scaled_ints([a_sq])
+    if not p > 0:
         raise ValueError("a_sq must be positive")
+    a_sq = Fraction(p, q)
     per_k = [(k, cnt, inj, nu, mu(n, k))
              for k, (cnt, inj, nu) in _census(n, cap).items()]
     limit = census_cap(n, cap)
@@ -437,8 +438,8 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
 
 
 def _a_sq_ratio(a_sq):
-    """(p, q) with a_sq = p/q in Python ints; a = sqrt(a_sq) must be real."""
-    p, q = map(int, Fraction(a_sq).as_integer_ratio())
+    """(p, q) with a_sq = p/q, read by _scaled_ints; a = sqrt(a_sq) must be real."""
+    q, (p,) = _scaled_ints([a_sq])
     if p < 0:
         raise ValueError("a_sq must be >= 0")
     return p, q

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .families import make_p_a
-from .linalg import format_scalar, is_nonneg, poly_eval_ratio, poly_min_entries
+from .linalg import _scaled_ints, format_scalar, is_nonneg, poly_eval_ratio, poly_min_entries
 
 SCALE_SWEEP = [Fraction(2) ** e for e in range(-4, 5)]
 RATIONALIZE_DENOM = 10**6
@@ -46,13 +46,13 @@ class WitnessReport:
         m, entry, A = self.m, self.entry, self.matrix
         # checked first: Python indexing would wrap an entry 0 to the last row
         if not (len(entry) == 2 and all(type(i) is int and 1 <= i <= m for i in entry)
-                and len(A) == m and all(len(row) == m for row in A) and is_nonneg(A)):
+                and len(A) == m and all(len(row) == m for row in A)):
             return False
         try:
             den, N = poly_eval_ratio(self.poly, A)
-        except ValueError:  # exact evaluation refuses floats, booleans, an empty poly
+        except ValueError:  # refused values never reach the sign test of is_nonneg
             return False
-        return Fraction(N[entry[0] - 1, entry[1] - 1], den) == self.value < 0
+        return is_nonneg(A) and Fraction(N[entry[0] - 1, entry[1] - 1], den) == self.value < 0
 
 
 def _verified_report(coeffs, A, method) -> WitnessReport | None:
@@ -98,7 +98,8 @@ def cycle_witness(n: int, a, t=Fraction(1)) -> WitnessReport:
     entry (1, n+1) of p_a(A) is exactly -a*t^n.  It is the first most
     negative entry, as each row holds one -a*t^n and nothing else negative.
     """
-    a, t = Fraction(a), Fraction(t)
+    D, ints = _scaled_ints([a, t])  # Python ints: a numpy t cannot wrap in t**n
+    a, t = (Fraction(x, D) for x in ints)
     if n < 2 or not a > 0 or not t > 0:
         raise ValueError("need n >= 2, a > 0, t > 0")
     return shift_witness(make_p_a(n, a), n + 1, t, (1, n + 1), -a * t**n)
@@ -113,7 +114,6 @@ def _rationalize(A):
 def probe_witness(coeffs, m: int) -> WitnessReport | None:
     """First exact witness among the deterministic probes t*J and t*P
     (all-ones, cyclic shift) over a sweep of t, or None."""
-    coeffs = [Fraction(c) for c in coeffs]
     if m < 1:
         raise ValueError("order must be >= 1")
     for t in SCALE_SWEEP + [Fraction(1, m), Fraction(1, 2 * m)]:
@@ -141,7 +141,6 @@ def search_witness(
     so it is the path the start would take alone, and the lowest verified
     start index is returned; later blocks are not run.
     """
-    coeffs = [Fraction(c) for c in coeffs]
     if starts < 0 or iterations < 0:
         raise ValueError("starts and iterations must be >= 0")
     rep = probe_witness(coeffs, m)

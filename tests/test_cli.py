@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -464,3 +465,38 @@ def test_certify_and_search_never_import_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def readme_cli_examples():
+    """The argument lists of the `nnpoly ...` lines in README's CLI block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("nnpoly ")]
+
+
+def test_readme_cli_block_is_found():
+    # every subcommand has an example, so an unparsed block cannot pass as empty
+    assert {argv[0] for argv in readme_cli_examples()} == {
+        "bound", "certify", "enumerate", "nu", "witness-cycle", "falsify", "search-a", "jll",
+        "transform"}
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_run(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == (2 if argv[0] in ("witness-cycle", "falsify", "jll") else 0)
+    if argv[0] == "enumerate":  # a path listing, one path a line
+        lines = out.splitlines()
+        assert lines and all(line.startswith("1,") and line.endswith(",2") for line in lines)
+    else:
+        json.loads(out)
+
+
+def test_certify_reads_a_decimal_a_sq_exactly(capsys):
+    # the CLI parses its text to a Fraction before the exact door reads it
+    code, out = run(capsys, "certify", "--n", "3", "--a-sq", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["a_sq"] == payload["config"]["a_sq"] == "1/2"
+    assert payload["verdict"] is True

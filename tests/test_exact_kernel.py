@@ -3,8 +3,8 @@
 The oracles are built on the list kernels of list_kernels.py: powers by
 mat_pow from scratch for each j, its generic Horner, and the membership
 and decomposition checks built on them.  They must agree exactly.  The
-kernel reads its input through exact_powers, which takes int, Fraction
-and numpy integers and refuses floats.
+kernel reads entries, coefficients and scalars through linalg._scaled_ints,
+which takes int, Fraction and numpy integers and refuses all else.
 """
 
 import random
@@ -23,6 +23,7 @@ from nnpoly.bracket import certified_cap, sample_pa_membership
 from nnpoly.families import make_p_a, mu, safe_a_squared
 from nnpoly.linalg import exact_powers, is_nonneg, order_of, poly_eval_matrix, poly_numerator
 from nnpoly.paths import (
+    build_certificate,
     enumerate_monomials,
     first_cycle,
     min_cycle_length,
@@ -397,6 +398,28 @@ def test_exact_entry_points_refuse_inexact_entries(entry):
         numeric_decomposition_check(2, 2, A)
 
 
+@pytest.mark.parametrize(
+    "value", [0.1, 1.0, np.float64(0.5), 1 + 0j, True, np.bool_(True), "1/3", None],
+    ids=["float", "integral_float", "np_float64", "complex", "bool", "np_bool", "str", "none"])
+def test_exact_scalars_refuse_inexact_values(value):
+    # a_sq, a, t and search coefficients go through the same door as entries
+    A = [[F(1), F(2)], [F(3), F(0)]]
+    calls = [
+        lambda: verify_certificate_on_matrix(2, value, A),
+        lambda: numeric_decomposition_check(2, value, A),
+        lambda: build_certificate(3, value),
+        lambda: sample_pa_membership(2, value, 0),  # read before any draw
+        lambda: sample_pa_membership(2, value, 3),
+        lambda: cycle_witness(2, value),
+        lambda: cycle_witness(2, F(1), value),
+        lambda: probe_witness([F(-1), value, F(1)], 2),
+        lambda: search_witness([F(1), value, F(1)], 2, starts=2, iterations=5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="exact evaluation"):
+            call()
+
+
 def test_poly_eval_refuses_float_coefficients():
     A = [[F(1, 2), F(1)], [F(3), F(0)]]
     for coeffs in ([0.3, -1.7, 0.9], [F(1), 2.0], [np.float64(1)], [1, True], [np.bool_(True)]):
@@ -421,6 +444,20 @@ def test_numpy_integers_evaluate_as_python_ints():
     A = [[10**10] * 2 for _ in range(2)]
     assert verify_certificate_on_matrix(2, np.int64(2), A)
     assert numeric_decomposition_check(2, np.int64(2), A)
+    # and so are the other exact scalars
+    assert build_certificate(3, np.int64(1)) == build_certificate(3, 1)
+    assert sample_pa_membership(2, np.int64(2), 20) == sample_pa_membership(2, 2, 20)
+    for coeffs in ([-1, 0, 1], [1, -3, 1]):
+        int64s = [np.int64(c) for c in coeffs]
+        assert probe_witness(int64s, 2).to_json() == probe_witness(coeffs, 2).to_json()
+        assert (search_witness(int64s, 2, starts=2, iterations=5).to_json()
+                == search_witness(coeffs, 2, starts=2, iterations=5).to_json())
+    # -a * t**4 = -2 * 10**24 would wrap in np.int64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = cycle_witness(4, np.int64(2), np.int64(10**6))
+    assert rep.to_json() == cycle_witness(4, 2, 10**6).to_json()
+    assert rep.value == -2 * 10**24 and rep.reverify()
 
 
 def test_exact_entry_points_return_python_types():
@@ -451,6 +488,10 @@ def test_exact_checks_refuse_negative_a_sq(a_sq):
         numeric_decomposition_check(2, a_sq, A)
     assert verify_certificate_on_matrix(2, 0, A)
     assert numeric_decomposition_check(2, 0, A)
+    # a certificate needs a > 0
+    for cap in (a_sq, 0):
+        with pytest.raises(ValueError, match="a_sq must be positive"):
+            build_certificate(2, cap)
 
 
 # -- polynomial evaluation and the witnesses it checks ---------------------------
@@ -503,11 +544,15 @@ def tampered(rep):
     inexact[0][0] = float(inexact[0][0])
     boolean = [row[:] for row in rep.matrix]
     boolean[0][0] = True
+    # non-numeric entries are refused, not compared with 0
+    missing = [row[:] for row in rep.matrix]
+    missing[0][0] = None
     r, c = rep.entry
     changes = [dict(value=rep.value - F(1, 3)), dict(matrix=matrix), dict(poly=poly),
                dict(matrix=negative), dict(m=rep.m + 1), dict(matrix=ragged),
                dict(entry=(float(r), c)), dict(matrix=inexact), dict(matrix=boolean),
-               dict(poly=[float(c) for c in rep.poly]), dict(poly=[])]
+               dict(poly=[float(c) for c in rep.poly]), dict(poly=[]),
+               dict(matrix=rep.to_json()["matrix"]), dict(matrix=missing)]
     if rep.m > 1:
         changes.append(dict(entry=(r % rep.m + 1, c)))
     # entries outside 1..m; 0 would wrap to the last row or column
