@@ -18,14 +18,14 @@ with relabeling.
 Each path fact is computed once, on arrays.  One breadth-first walk,
 cached per n, holds one path per orbit as a row of an (R, n+1) int8 array,
 in lexicographic order, with its labels >= 3, its minimal cycle length k
-and the start p of its first k-cycle, so phi and psi are gathers at (p, k)
-and no path is rescanned.  It feeds the census, computed once per n, whose
-classes are tallied with sorts and sums instead of a loop over paths, and
-the decomposition check, which expands the rows under every relabeling of
-their labels >= 3 in chunks, values each path as psi(m) times its first
-minimal cycle with exact object-array products and keeps no per-path
-state.  min_cycle_length, first_cycle, phi and psi are the per-path
-references the tests pin the arrays to.
+and the start p of its first k-cycle from one sweep over the columns, so
+phi and psi are built at (p, k) and no path is rescanned.  It feeds the
+census, computed once per n, whose classes are tallied with byte-key sorts
+and sums, and the decomposition check, which expands the rows under every
+relabeling of their labels >= 3 in chunks, values each path as psi(m)
+times its first minimal cycle with exact object-array products and keeps
+no per-path state.  min_cycle_length, first_cycle, phi and psi are the
+per-path references the tests pin the arrays to.
 """
 
 from __future__ import annotations
@@ -148,15 +148,16 @@ def _cycle_walk(n):
     n and read-only: row i of the (R, n+1) int8 array M is one path, the rows
     in lexicographic order; r[i] counts its labels >= 3, k[i] is its minimal
     cycle length and p[i] the start of its leftmost k-cycle, so that
-    (p[i], k[i]) == first_cycle(M[i], k[i]).
+    (p[i], k[i]) == first_cycle(M[i], k[i]).  All four arrays are int8.
 
     Breadth-first: a prefix with r labels >= 3 has the children 1..min(r+3,
     n), which are 1, 2, the labels already used and the next unused one;
     np.repeat puts them right after one another, so the rows stay in
-    lexicographic order.  k is the first distance d at which some columns j
-    and j + d hold one label, and p the first such j.  That k-cycle is
-    simple, since a repeat inside it would close a shorter cycle; the walk
-    checks it and raises otherwise.
+    lexicographic order.  One sweep over the columns q, with a flat table of
+    each label's last position per row, then finds k and p: column q closes
+    the cycle q - last[v], and only a shorter one replaces k, so p is the
+    leftmost start.  That k-cycle is simple, since a repeat inside it would
+    close a shorter cycle; a bit mask of labels per row checks it.
     """
     M = np.zeros((1, n + 1), np.int8)
     M[:, 0], M[:, n] = 1, 2
@@ -169,20 +170,21 @@ def _cycle_walk(n):
         M[:, q] = v
         r = np.maximum(r, v - 2)  # the labels are in first-occurrence order
     r = r.astype(np.int8)
-    k = np.zeros(len(M), np.int8)
-    p = np.zeros(len(M), np.int8)
-    for d in range(1, n + 1):
-        hit = M[:, :-d] == M[:, d:]
-        new = (k == 0) & hit.any(axis=1)
-        k[new] = d
-        p[new] = hit[new].argmax(axis=1)
-    # count the labels of each segment M[p:p+k]; column n + 1 takes the
-    # positions past its end
-    rows = np.arange(len(M))
-    seen = np.zeros((len(M), n + 2), np.int8)
-    for j in range(n):
-        seen[rows, np.where(j < k, M[rows, np.minimum(p + j, n)], n + 1)] += 1
-    if (k == 0).any() or (seen[:, : n + 1] > 1).any():
+    cell = np.arange(len(M)) * (n + 1)  # label v of row i is at cell[i] + v
+    last = np.full(len(M) * (n + 1), -n - 1, np.int8)  # unseen: closes no cycle
+    k, p = np.full(len(M), n + 1, np.int8), np.zeros(len(M), np.int8)  # k > n: no repeat
+    for q in range(n + 1):
+        at = cell + M[:, q]
+        start, last[at] = last[at], q
+        shorter = q - start < k
+        k[shorter], p[shorter] = q - start[shorter], start[shorter]
+    # a label seen twice inside M[p:p+k], or no repeat at all, fails the check
+    seen, bad = np.zeros(len(M), np.int32), k > n
+    for q in range(n + 1):
+        bit = np.where((p <= q) & (q < p + k), 1 << M[:, q].astype(np.int32), 0)
+        bad |= (seen & bit) != 0
+        seen |= bit
+    if bad.any():
         raise AssertionError("first k-cycle must be simple")
     for a in (M, r, k, p):
         a.flags.writeable = False
@@ -190,35 +192,32 @@ def _cycle_walk(n):
 
 
 def _row_groups(X):
-    """(order, first): order sorts the rows of X lexicographically and
-    first[i] is True where sorted row i differs from the one before it.
-
-    np.lexsort compares the columns themselves, so rows of any length stay
-    apart; a key that packs a row into one int64 would wrap and merge rows
-    once (labels + 1)^length passes 2^63.
+    """(order, first): order sorts the rows of X, int8 and >= 0,
+    lexicographically and first[i] is True where sorted row i differs from
+    the one before it.  Each row's bytes are one np.void key, so rows of any
+    length stay apart; a key that packs a row into one int64 would wrap and
+    merge rows once (labels + 1)^length passes 2^63.
     """
-    order = np.lexsort(X.T[::-1])
-    X = X[order]
-    first = np.ones(len(X), bool)
-    first[1:] = (X[1:] != X[:-1]).any(axis=1)
-    return order, first
+    X = np.ascontiguousarray(X)
+    key = X.view(np.dtype((np.void, X.shape[1]))).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    return order, np.concatenate(([True], key[1:] != key[:-1]))
 
 
 def _canonical_rows(G, n):
     """Each row of G, a path over 1..n, with its labels >= 3 renumbered 3, 4,
     ... in order of first occurrence: one sweep over the columns, with a
-    per-row table of the new label of each label met so far."""
-    rows = np.arange(len(G))
-    table = np.zeros((len(G), n + 1), np.int8)
-    table[:, 1:3] = 1, 2
+    flat table of the new label of each label each row has met so far."""
+    cell = np.arange(len(G)) * (n + 1)  # label v of row i is at cell[i] + v
+    table = np.tile(np.array([0, 1, 2] + [0] * (n - 2), np.int8), len(G))
     top = np.full(len(G), 2, np.int8)
     out = np.empty_like(G)
     for j in range(G.shape[1]):
-        t = table[rows, G[:, j]]
-        new = t == 0
-        top += new
-        t[new] = top[new]
-        table[rows, G[:, j]] = out[:, j] = t
+        at = cell + G[:, j]
+        t = table[at]
+        top += t == 0
+        table[at] = out[:, j] = np.where(t == 0, top, t)
     return out
 
 
@@ -244,24 +243,23 @@ def _census_of(n):
 
     Each class k is tallied on the rows of _cycle_walk with array
     operations.  Its count is the sum of the orbit sizes.  phi and psi are
-    one gather each: phi(m)[j] = m[j if j < p+k else j-k] and psi(m)[j] =
-    m[j if j < p else j+k].  The psi images are made canonical and grouped
-    by _row_groups; a canonical g uses the labels 1..max(g), so r_g =
-    max(g) - 2.  The weights are int64, exact since they sum to at most
-    n^(n-1) < 2^63 for n <= 15, far beyond any n whose walk fits in memory.
+    built column by column in int8: phi(m)[j] = m[j if j < p+k else j-k],
+    psi(m)[j] = m[j if j < p else j+k].  The psi images are made canonical
+    and grouped by _row_groups; a canonical g uses the labels 1..max(g), so
+    r_g = max(g) - 2.  The weights are int64, exact since they sum to at
+    most n^(n-1) < 2^63 for n <= 15, far beyond any n whose walk fits.
     """
     M, r, ks, ps = _cycle_walk(n)
     size = np.array(_orbit_sizes(n), np.int64)
     stats = {}
-    for k in range(1, n + 1):
+    for k in np.flatnonzero(np.bincount(ks)).tolist():
         sel = ks == k
-        if not sel.any():
-            continue
-        m, w, p = M[sel], size[r[sel]], ps[sel, None]
-        j = np.arange(n + 1 + k)
-        _, first = _row_groups(np.take_along_axis(m, j - k * (j >= p + k), axis=1))
-        j = np.arange(n + 1 - k)
-        g = _canonical_rows(np.take_along_axis(m, j + k * (j >= p), axis=1), n)
+        m, w, p = M[sel], size[r[sel]], ps[sel]
+        # columns j < k are before the splice of phi, j > n after it
+        _, first = _row_groups(np.stack([np.where(j < p + k, m[:, min(j, n)], m[:, max(j - k, 0)])
+                                         for j in range(n + 1 + k)], axis=1))
+        g = _canonical_rows(np.stack([np.where(j < p, m[:, j], m[:, j + k])
+                                      for j in range(n + 1 - k)], axis=1), n)
         order, new = _row_groups(g)
         heads = np.flatnonzero(new)
         weight = np.add.reduceat(w[order], heads)

@@ -10,6 +10,7 @@ inconclusive, never a membership proof.
 from __future__ import annotations
 
 import random
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,8 +46,9 @@ class WitnessReport:
     def reverify(self) -> bool:
         m, entry, A = self.m, self.entry, self.matrix
         # checked first: Python indexing would wrap an entry 0 to the last row
-        if not (len(entry) == 2 and all(type(i) is int and 1 <= i <= m for i in entry)
-                and len(A) == m and all(len(row) == m for row in A)):
+        if not (type(m) is int and isinstance(entry, Sized) and isinstance(A, Sized)
+                and len(entry) == 2 and all(type(i) is int and 1 <= i <= m for i in entry)
+                and len(A) == m and all(isinstance(row, Sized) and len(row) == m for row in A)):
             return False
         try:
             den, N = poly_eval_ratio(self.poly, A)

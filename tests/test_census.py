@@ -147,6 +147,7 @@ def test_walk_is_cached_and_read_only():
     arrays = _cycle_walk(5)
     assert _cycle_walk(5) is arrays
     assert arrays[0].dtype == np.int8 and arrays[0].shape[1] == 6
+    assert [a.dtype for a in arrays] == [np.int8] * 4
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0
@@ -169,7 +170,58 @@ def test_row_groups_keep_rows_a_packed_key_merges():
     assert first.tolist() == [True, True, False]
 
 
-@pytest.mark.parametrize("n, reps", [(2, 2), (3, 9), (7, 3262), (8, 17006)])
+@st.composite
+def rows_with_repeats(draw):
+    """An int8 array of rows of labels 0..15, all of one length 1..31, drawn
+    from a few distinct rows so that most rows repeat.  The distinct rows are
+    a base row with one entry changed, so two of them may differ only in
+    their last column."""
+    length = draw(st.integers(1, 31))
+    base = draw(st.lists(st.integers(0, 15), min_size=length, max_size=length))
+    change = st.tuples(st.integers(0, length - 1), st.integers(0, 15))
+    pool = [base] + [base[:i] + [v] + base[i + 1 :]
+                     for i, v in draw(st.lists(change, max_size=6))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=24))
+    return np.array([pool[i] for i in picks], np.int8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_with_repeats())
+def test_row_groups_match_sorted_tuples(X):
+    order, first = _row_groups(X)
+    rows = sorted(map(tuple, X.tolist()))
+    assert sorted(order.tolist()) == list(range(len(X)))
+    assert [tuple(row) for row in X[order].tolist()] == rows
+    assert first.tolist() == [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
+    # two rows share a group exactly when they are equal
+    group = np.empty(len(X), np.intp)
+    group[order] = np.cumsum(first) - 1
+    for i, a in enumerate(X.tolist()):
+        for j, b in enumerate(X.tolist()):
+            assert (group[i] == group[j]) == (a == b)
+
+
+@st.composite
+def paths_of_one_length(draw):
+    """(rows, n): paths 1 -> ... -> 2 over 1..n, all of one length, each with
+    its own labels, for one call of _canonical_rows."""
+    n = draw(st.integers(3, 12))
+    length = draw(st.integers(0, n))
+    interior = st.lists(st.integers(1, n), min_size=length, max_size=length)
+    rows = draw(st.lists(interior, min_size=1, max_size=12))
+    return [(1, *row, 2) for row in rows], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths_of_one_length())
+def test_canonical_rows_match_reference_row_by_row(case):
+    rows, n = case
+    out = _canonical_rows(np.array(rows, np.int8), n)
+    assert out.dtype == np.int8
+    assert [tuple(row) for row in out.tolist()] == [_canonical(m) for m in rows]
+
+
+@pytest.mark.parametrize("n, reps", [(2, 2), (3, 9), (7, 3262), (8, 17006), (9, 94827)])
 def test_orbit_weights_cover_m_n(n, reps):
     size = _orbit_sizes(n)
     weights = [size[r] for _, r, _, _ in walk_rows(n)]

@@ -552,7 +552,9 @@ def tampered(rep):
                dict(matrix=negative), dict(m=rep.m + 1), dict(matrix=ragged),
                dict(entry=(float(r), c)), dict(matrix=inexact), dict(matrix=boolean),
                dict(poly=[float(c) for c in rep.poly]), dict(poly=[]),
-               dict(matrix=rep.to_json()["matrix"]), dict(matrix=missing)]
+               dict(matrix=rep.to_json()["matrix"]), dict(matrix=missing),
+               # fields of the wrong type are refused before any comparison
+               dict(m=str(rep.m)), dict(m=None), dict(entry=None), dict(matrix=None)]
     if rep.m > 1:
         changes.append(dict(entry=(r % rep.m + 1, c)))
     # entries outside 1..m; 0 would wrap to the last row or column
