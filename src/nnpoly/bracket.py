@@ -50,8 +50,9 @@ class BoundEstimate:
 
 
 def certified_cap(n: int, cap: int = DEFAULT_CAP):
-    """(a^2 cap, provenance): paths.census_cap when the census of M_n fits the
-    enumeration cap and its facts hold, else the mu-formula cap."""
+    """(a^2 cap, provenance): the cap paths.census_cap computes from the
+    census of M_n when the census fits the enumeration cap and its facts
+    hold, else the mu-formula cap families.safe_a_squared computes."""
     a_sq = safe_a_squared(n)
     try:
         sharp = census_cap(n, cap)

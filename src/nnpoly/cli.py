@@ -23,18 +23,19 @@ EXIT_ERROR = 1
 EXIT_FALSIFIED = 2
 
 
-def _emit(payload, args, text=None):
-    if text is None:
+def _emit(payload, args, lines=None):
+    """Write payload as one JSON text, or else each of lines as it is drawn."""
+    if lines is None:
         try:
-            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            lines = [json.dumps(payload, indent=2, allow_nan=False) + "\n"]
         except ValueError:  # inf or nan: JSON has no literal for them
             raise ValueError("the report holds an inf or nan float, "
                              "which is not valid JSON") from None
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _config_dict(args, keys):
@@ -52,7 +53,8 @@ def cmd_bound(args):
 
 
 def cmd_certify(args):
-    a_sq = Fraction(args.a_sq) if args.a_sq else bracket.certified_cap(args.n, args.cap)[0]
+    a_sq = Fraction(args.a_sq) if args.a_sq else (  # the census guard runs before any cap
+        paths.census_cap(args.n, args.cap) or bracket.certified_cap(args.n, args.cap)[0])
     report = paths.build_certificate(args.n, a_sq, cap=args.cap)
     payload = {"config": {"n": str(args.n), "a_sq": str(a_sq)}, **report.to_json()}
     _emit(payload, args)
@@ -60,12 +62,13 @@ def cmd_certify(args):
 
 
 def cmd_enumerate(args):
+    total = paths.count_monomials(args.n, args.j, cap=args.cap)  # before --out is opened
     if args.count:
-        total = paths.count_monomials(args.n, args.j, cap=args.cap)
         _emit({"config": _config_dict(args, ["n", "j"]), "count": total}, args)
     else:
         gen = paths.enumerate_monomials(args.n, args.j, cap=args.cap)
-        _emit(None, args, text="".join(",".join(map(str, m)) + "\n" for m in gen))
+        line = ",".join(["%d"] * (args.j + 1)) + "\n"  # a path has j + 1 vertices
+        _emit(None, args, (line % m for m in gen))  # streamed, one path at a time
     return EXIT_OK
 
 
@@ -121,7 +124,7 @@ def cmd_jll(args):
     values = _load_spectrum(args)
     report = niep.jll_check(values, k_max=args.k_max, m_max=args.m_max, tol=args.tol)
     if args.format == "csv":
-        _emit(None, args, text=niep.jll_report_csv(report))
+        _emit(None, args, [niep.jll_report_csv(report)])
     else:
         payload = {
             "config": _config_dict(args, ["k_max", "m_max", "tol"]),
@@ -264,8 +267,8 @@ def main(argv=None):
     except ZeroDivisionError as exc:  # Fraction("1/0") in a rational argument
         print(f"error: zero denominator in {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # numpy's MemoryError names its size
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

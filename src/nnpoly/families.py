@@ -5,7 +5,9 @@ the positively-weighted generalization with coefficients d_i (i != n).
 Membership of p_a in the preserver set of n x n nonnegative matrices is
 guaranteed whenever a**2 <= min_k 4*d_{n-k}*d_{n+k}/mu(n,k); the caps are
 carried as exact rational bounds on a**2 because 2/sqrt(mu) is irrational.
-bound_table computes every cap, also those that divide by nu(n,k) <= mu(n,k).
+This module computes the mu-formula caps; bound_table also divides by given
+nu(n,k) <= mu(n,k) for the rows of `bound --nu`.  The cap that `certify`
+checks, min(4, min_k 4/nu(n,k)), is computed by paths.census_cap.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class BoundTable:
     n: int
     rows: list  # (k, mu, nu or None, cap_sq, nu_cap_sq or None)
     safe_a_sq: Fraction  # min over rows of cap_sq
-    sharp_a_sq: Fraction  # min over rows of nu_cap_sq, cap_sq where nu is unknown
 
     def to_json(self):
         rows = []
@@ -104,11 +105,7 @@ def bound_table(n: int, d=None, nu_values=None) -> BoundTable:
                 raise ValueError(f"nu({n},{k})={nu} outside 1..mu={m}")
             nu_cap = weight / nu
         rows.append((k, m, nu, weight / m, nu_cap))
-    return BoundTable(
-        n=n, rows=rows,
-        safe_a_sq=min(r[3] for r in rows),
-        sharp_a_sq=min(r[3] if r[4] is None else r[4] for r in rows),
-    )
+    return BoundTable(n=n, rows=rows, safe_a_sq=min(r[3] for r in rows))
 
 
 def rational_sqrt_floor(c: Fraction) -> Fraction:

@@ -179,7 +179,4 @@ def parse_matrix_csv(text: str):
 
 def parse_poly(text: str):
     """Comma-separated coefficients, constant term first."""
-    coeffs = [Fraction(t.strip()) for t in text.split(",")]
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    return coeffs
+    return [Fraction(t.strip()) for t in text.split(",")]

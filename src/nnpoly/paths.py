@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .families import bound_table, mu
+from .families import mu
 from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numerator
 
 DEFAULT_CAP = 10**8
@@ -306,16 +306,17 @@ class CertificateReport:
 
 
 def census_cap(n: int, cap: int = DEFAULT_CAP) -> Fraction | None:
-    """Largest a^2 the census of M_n certifies: the minimum of 4/nu(n,k) over
-    k = 1..n-1 and the diagonal cap 4.  None when a census fact fails: the
-    classes k = 1..n-1 partition all n^(n-1) paths, phi is injective and
-    nu(n,k) <= mu(n,k) on each."""
+    """Largest a^2 the census of M_n certifies: min(4, min_k 4/nu(n,k)), the
+    AM-GM and diagonal caps of build_certificate's proof.  families computes
+    the mu-formula cap, and bracket.certified_cap chooses between the two.
+    None when a census fact fails: the classes k = 1..n-1 partition all
+    n^(n-1) paths, phi is injective and nu(n,k) <= mu(n,k) on each."""
     stats = _census(n, cap)
     if (set(stats) != set(range(1, n))
             or sum(cnt for cnt, _, _ in stats.values()) != n ** (n - 1)
             or not all(inj and nu <= mu(n, k) for k, (_, inj, nu) in stats.items())):
         return None
-    return bound_table(n, nu_values=[nu for _, _, nu in stats.values()]).sharp_a_sq
+    return min(Fraction(4), *(Fraction(4, nu) for _, _, nu in stats.values()))
 
 
 def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport:

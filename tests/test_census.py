@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnpoly.families import safe_a_squared
+from nnpoly.families import bound_table, safe_a_squared
 from nnpoly.paths import (
     EnumerationCapExceeded,
     _canonical_rows,
@@ -21,6 +21,7 @@ from nnpoly.paths import (
     _cycle_walk,
     _orbit_sizes,
     _row_groups,
+    all_nu,
     build_certificate,
     census_cap,
     enumerate_monomials,
@@ -135,6 +136,16 @@ def test_census_n8_pinned():
 def test_census_n9_pinned():
     assert _census(9) == N9_TABLE
     assert census_cap(9) == Fraction(1, 3780)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_census_cap_is_the_least_cap_of_bound_nu(n):
+    # census_cap computes its cap itself; it must be the least of the
+    # nu_cap_sq of the rows `bound --nu` prints and of their diagonal cap 4
+    table = bound_table(n, nu_values=all_nu(n))
+    diagonal = table.rows[-1]
+    assert diagonal[0] == n and diagonal[3] == 4
+    assert census_cap(n) == min(diagonal[3], *(r[4] for r in table.rows[:-1]))
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -107,6 +107,46 @@ def test_enumerate_listing(capsys):
     assert out.splitlines() == ["1,1,2", "1,2,2"]
 
 
+def test_enumerate_streams_each_line_as_drawn(capsys, monkeypatch):
+    # a failure part way through leaves the lines drawn before it written
+    def two_then_fail(n, j, cap):
+        yield (1, 1, 2)
+        yield (1, 2, 2)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(nnpoly.cli.paths, "enumerate_monomials", two_then_fail)
+    code = main(["enumerate", "--n", "2", "--j", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "1,1,2\n1,2,2\n"
+    assert captured.err == "error: disk full\n"
+
+
+def test_refused_listing_creates_no_file(tmp_path, capsys):
+    dest = tmp_path / "paths.txt"
+    code = main(["enumerate", "--n", "2000", "--j", "2000", "--out", str(dest)])
+    assert code == 1
+    assert "exceeds cap" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 14.9 GiB"), "Unable to allocate 14.9 GiB"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy_message", "bare"])
+def test_memory_error_is_resource_error(capsys, monkeypatch, exc, message):
+    # the kernel raises as numpy does when it cannot allocate; nothing is allocated
+    def out_of_memory(n):
+        raise exc
+
+    monkeypatch.setattr(nnpoly.cli.bracket, "bracket_optimal_a", out_of_memory)
+    code = main(["search-a", "--n", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_nu_command(capsys):
     code, out = run(capsys, "nu", "--n", "3", "--k", "2")
     payload = json.loads(out)
@@ -233,7 +273,7 @@ def test_census_sized_n_fails_with_cap_message(capsys, monkeypatch, argv):
     def too_slow(*args, **kwargs):
         raise AssertionError("default a^2 computed before the cap check")
 
-    monkeypatch.setattr(nnpoly.cli.families, "safe_a_squared", too_slow)
+    monkeypatch.setattr(nnpoly.bracket, "safe_a_squared", too_slow)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1

@@ -106,6 +106,8 @@ def test_matrix_csv_roundtrip():
 def test_parse_poly():
     assert parse_poly("1,1,-1,1,1") == [F(1), F(1), F(-1), F(1), F(1)]
     assert parse_poly("1/2, -3/4") == [F(1, 2), F(-3, 4)]
+    with pytest.raises(ValueError):
+        parse_poly("")
 
 
 # -- the batched float kernel against the generic Horner -------------------
