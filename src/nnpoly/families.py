@@ -12,6 +12,7 @@ checks, min(4, min_k 4/nu(n,k)), is computed by paths.census_cap.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod, isqrt
@@ -72,8 +73,25 @@ class BoundTable:
     safe_a_sq: Fraction  # min over rows of cap_sq
 
     def to_json(self):
+        """The table as JSON values.  Each int it prints, mu(n,k) and the
+        numerators and denominators of the caps, must fit the interpreter's
+        limit on the digits of an int written as text; the first that does
+        not is named in a ValueError."""
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        top = 10**limit
+
+        def printable(name, x):
+            if limit and abs(x) >= top:
+                raise ValueError(f"{name} has more than {limit} digits, the interpreter's "
+                                 "limit for writing an integer as text")
+
         rows = []
         for k, m, nu, cap, nu_cap in self.rows:
+            printable(f"mu({self.n},{k})", m)
+            for field, c in (("cap_sq", cap), ("nu_cap_sq", nu_cap)):
+                if c is not None:
+                    printable(f"the numerator of {field} at k = {k}", c.numerator)
+                    printable(f"the denominator of {field} at k = {k}", c.denominator)
             row = {"k": k, "mu": m, "cap_sq": str(cap)}
             if nu is not None:
                 row["nu"] = nu
@@ -95,8 +113,10 @@ def bound_table(n: int, d=None, nu_values=None) -> BoundTable:
     if nu_values is not None and len(nu_values) != n - 1:
         raise ValueError("nu_values must cover k = 1..n-1")
     rows = []
+    falling = 1  # prod_{j=1}^{k-1} (n-j), one multiplication per row
     for k in range(1, n + 1):
-        m = mu(n, k)
+        m = (n - k + 1) * falling if k < n else 1  # mu(n, k)
+        falling *= n - k
         weight = Fraction(4) * Fraction(d[n - k]) * Fraction(d[n + k])
         nu = nu_cap = None
         if nu_values is not None and k <= n - 1:

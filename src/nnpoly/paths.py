@@ -21,11 +21,15 @@ in lexicographic order, with its labels >= 3, its minimal cycle length k
 and the start p of its first k-cycle from one sweep over the columns, so
 phi and psi are built at (p, k) and no path is rescanned.  It feeds the
 census, computed once per n, whose classes are tallied with byte-key sorts
-and sums, and the decomposition check, which expands the rows under every
-relabeling of their labels >= 3 in chunks, values each path as psi(m)
-times its first minimal cycle with exact object-array products and keeps
-no per-path state.  min_cycle_length, first_cycle, phi and psi are the
-per-path references the tests pin the arrays to.
+and sums, and the decomposition check's plan, also cached per n: the rows
+in class order, each with its n edges as int16 indices into the flattened
+matrix, psi(m)'s n-k edges first and its first k-cycle's last, and one
+int16 relabeling table of (n-2)! * n^2 entries, every permutation of 3..n
+in lexicographic order.  The check expands the rows through that table in
+chunks that run across label counts, values psi(m) and the cycle of each
+path as products of its two runs of edge values with exact object-array
+products and keeps no per-path state.  min_cycle_length, first_cycle, phi
+and psi are the per-path references the tests pin the arrays to.
 """
 
 from __future__ import annotations
@@ -344,35 +348,71 @@ def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport
 CHUNK = 4096  # paths per array step of the decomposition check
 
 
-def _edge_values(edge, path):
-    """The entry B_{s,t} of each edge s -> t of each row of path, read from
-    edge, which is B padded to (n+1, n+1) by a zero row and column 0 and
-    flattened."""
-    return edge[path[:, :-1] * path.shape[1] + path[:, 1:]]
+def _edge_values(b, index):
+    """The entries of b, the flattened matrix B, at index: an edge s -> t
+    is read at (s-1)*n + (t-1)."""
+    return b[index]
+
+
+@functools.cache
+def _decomposition_plan(n):
+    """(k, edges, images, table), cached per n and read-only: the rows of
+    _cycle_walk(n) in stable class order, so that each class k is one run of
+    rows, with their classes k and edges and the number images[i] = (n-2)_r
+    of paths that row i, with r labels >= 3, stands for; and the one
+    relabeling table of n.
+
+    edges[i] holds the n edges s -> t of row i as their indices
+    (s-1)*n + (t-1) in B.ravel(), int16: the n-k edges of psi(m) first and
+    the k edges of its first k-cycle last, each part in path order.
+    table[j, e] is edge e under the j-th permutation of 3..n in
+    lexicographic order, an int16 array of (n-2)! * n^2 entries.  Its rows
+    at stride (n-2-r)! = (n-2)!/images[i] restrict, on 3..r+2, to the
+    injective maps of 3..r+2 into 3..n, each once and in
+    itertools.permutations order, since lexicographic order groups the
+    permutations by their first r entries.
+    """
+    M, r, k, p = _cycle_walk(n)
+    order = np.argsort(k, kind="stable")
+    M, r, k, p = M[order], r[order], k[order], p[order]
+    # psi(m) keeps the edges j < p and j >= p+k of m, the cycle is p..p+k-1
+    j, kc, pc = np.arange(n, dtype=np.int8), k[:, None], p[:, None]
+    at = np.where(j < n - kc, j + kc * (j >= pc), pc + j - (n - kc))
+    edges = np.take_along_axis((M[:, :-1].astype(np.int16) - 1) * n + M[:, 1:] - 1, at, axis=1)
+    # sigma[j, v-1] + 1 is the image of vertex v under permutation j
+    sigma = np.array([(1, 2, *labels) for labels in itertools.permutations(range(3, n + 1))],
+                     np.int16) - 1
+    table = (sigma[:, :, None] * n + sigma[:, None, :]).reshape(len(sigma), n * n)
+    images = np.array(_orbit_sizes(n), np.int64)[r]
+    for a in (k, edges, images, table):
+        a.flags.writeable = False
+    return k, edges, images, table
 
 
 def _expanded_paths(n):
-    """(rep, path) chunks that hold each path of M_n exactly once: path is a
-    (c, n+1) intp array of at most CHUNK paths and rep[i] the row of
-    _cycle_walk(n) whose representative path[i] is an image of.
+    """(k, rep, index) runs that hold each path of M_n exactly once: index
+    is a (c, n) array of the edges of c paths of class k, as indices in
+    B.ravel() ordered like the plan's edges, and rep[i] the row of
+    _decomposition_plan(n) whose representative path i is an image of.
 
-    A representative with r labels >= 3 is relabeled by each of the (n-2)_r
-    injective maps of 3..r+2 into 3..n, one gather of the relabeling table
-    with the path; its images keep its class k and first k-cycle (p, k),
-    since relabeling commutes with both.
+    The rows stand for their images end to end, and each chunk of at most
+    CHUNK consecutive paths, across rows and label counts, is one gather of
+    the relabeling table at each row's edges.  Relabeling commutes with
+    the class k and the first k-cycle, so the images of a row keep its
+    split of edges.  A chunk is cut into its class runs, which are
+    contiguous since the rows are in class order.
     """
-    M, r, _, _ = _cycle_walk(n)
-    for t in range(n - 1):
-        # sigma[i, v] is the image of vertex v under map i (column 0 pads)
-        sigma = np.array([(0, 1, 2, *labels)
-                          for labels in itertools.permutations(range(3, n + 1), t)],
-                         np.intp)
-        reps = np.flatnonzero(r == t)
-        total = len(reps) * len(sigma)
-        for start in range(0, total, CHUNK):
-            i = np.arange(start, min(start + CHUNK, total))
-            rep = reps[i // len(sigma)]
-            yield rep, sigma[(i % len(sigma))[:, None], M[rep]]
+    k, edges, images, table = _decomposition_plan(n)
+    end = np.cumsum(images)
+    first, stride = end - images, len(table) // images
+    for start in range(0, int(end[-1]), CHUNK):
+        i = np.arange(start, min(start + CHUNK, end[-1]))
+        rep = np.searchsorted(end, i, side="right")
+        index = table[((i - first[rep]) * stride[rep])[:, None], edges[rep]]
+        kr = k[rep]
+        cut = [0, *(np.flatnonzero(kr[1:] != kr[:-1]) + 1).tolist(), len(i)]
+        for a, z in zip(cut, cut[1:]):
+            yield int(kr[a]), rep[a:z], index[a:z]
 
 
 def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool:
@@ -384,17 +424,20 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     must bound a*v(m), and the lhs must sum to at most the positive part
     sum_{j != n} (A^j)_{1,2} of entry (1,2) of p_a(A).  A path with v(g) = 0
     adds nothing to either side.  nu comes from the census, and each path's
-    class and cycle from the row of _cycle_walk it is expanded from; the
-    check is False if census_cap(n) is None.
+    class and cycle from the plan row it is expanded from; the check is
+    False if census_cap(n) is None.
 
     It runs on integers: A = B/D, and S, the numerator of the positive
     part over D^(2n), comes from _p_a_numerator's B^0..B^(n+1).  With N the
-    lcm of the nu and a_sq = p/q, a path is valued on B, and w = D^(2k) N/nu
-    + N c_B^2 is N D^(2k) (1/nu + c^2), so the termwise test is
-    q w^2 >= p (N D^k c_B)^2 and the sum of the v_B(g) w D^(n-k) is compared
-    with N S_{1,2}.  Each chunk of _expanded_paths reads its edge values with
-    _edge_values and forms every value as numpy object-array products of
-    Python ints, so it stays exact with no per-path loop.
+    lcm of the nu and a_sq = p/q, a path is valued on B, and u = D^(2k) +
+    nu c_B^2 is nu D^(2k) (1/nu + c^2), so the termwise test is
+    q u^2 >= p nu^2 D^(2k) c_B^2, and the sum over k of
+    D^(n-k) (N/nu) sum v_B(g) u is compared with N S_{1,2}.  Each run of
+    _expanded_paths holds paths of one class k, so nu and D^(2k) are
+    Python-int scalars for it; its edge values come from _edge_values, and
+    v_B(g) is the product of the first n-k of them and c_B of the last k,
+    numpy object-array products of Python ints, so it stays exact with no
+    per-path loop.
 
     For every nonnegative A it is True at every a_sq <= census_cap(n):
     AM-GM gives 1/nu + c^2 >= 2c/sqrt(nu) >= a c for a^2 <= 4/nu(n,k); phi
@@ -410,29 +453,18 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
         return False
     census = _census(n, cap)
     N = lcm(*(nu for _, _, nu in census.values()))
-    # indexed by class k: the weight of 1/nu in w, of c_B^2 in the termwise
-    # test and of the path in the covered sum (census_cap has checked that
-    # the classes are 1..n-1)
-    ks = range(1, n)
-    wg = np.array([0, *(D ** (2 * k) * (N // census[k][2]) for k in ks)], object)
-    wm = np.array([0, *(p * (N * D**k) ** 2 for k in ks)], object)
-    wd = np.array([0, *(D ** (n - k) for k in ks)], object)
-    edge = np.zeros((n + 1, n + 1), object)
-    edge[1:, 1:] = B
-    edge = edge.ravel()
-    _, _, k, start = _cycle_walk(n)
-    j = np.arange(n)
-    on_cycle = (start[:, None] <= j) & (j < (start + k)[:, None])  # edges of the k-cycle
-    covered = 0
-    for rep, path in _expanded_paths(n):
-        x = _edge_values(edge, path)
-        cyc, kr = on_cycle[rep], k[rep]
-        vg = np.where(cyc, 1, x).prod(axis=1)
-        c = np.where(cyc, x, 1).prod(axis=1)
-        w = wg[kr] + N * c * c
-        if (q * w * w < wm[kr] * c * c)[vg != 0].any():
+    b = B.ravel()
+    total = dict.fromkeys(census, 0)
+    for k, _, index in _expanded_paths(n):
+        nu, d = census[k][2], D ** (2 * k)
+        x = _edge_values(b, index)
+        vg, c = x[:, : n - k].prod(axis=1), x[:, n - k :].prod(axis=1)
+        c2 = c * c
+        u = d + nu * c2
+        if (q * u * u < p * nu * nu * d * c2)[vg != 0].any():
             return False
-        covered += (wd[kr] * vg * w).sum()
+        total[k] += (vg * u).sum()
+    covered = sum(D ** (n - k) * (N // census[k][2]) * t for k, t in total.items())
     return covered <= N * S[0, 1]
 
 

@@ -147,6 +147,28 @@ def test_memory_error_is_resource_error(capsys, monkeypatch, exc, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["bound", "--n", "400"],
+     "mu(400,%d)" % next(k for k in range(1, 401) if nnpoly.mu(400, k) >= 10**640)),
+    (["bound", "--n", "2", "--d", ",".join(["1/1" + "0" * 400] * 5)],
+     "the denominator of cap_sq at k = 1"),
+], ids=["mu", "cap_denominator"])
+def test_report_past_digit_limit_names_the_quantity(capsys, argv, name):
+    # the interpreter's limit on writing an int as text, lowered from 4300
+    # so that a small table passes it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: {name} has more than 640 digits, "
+                            "the interpreter's limit for writing an integer as text\n")
+
+
 def test_nu_command(capsys):
     code, out = run(capsys, "nu", "--n", "3", "--k", "2")
     payload = json.loads(out)

@@ -92,6 +92,12 @@ def test_bound_table_rows():
     assert table.safe_a_sq == F(2)
 
 
+@pytest.mark.parametrize("n", range(2, 41))
+def test_bound_table_mu_matches_formula(n):
+    # the rows carry the product in mu(n,k) from k to k+1
+    assert [(k, m) for k, m, *_ in bound_table(n).rows] == [(k, mu(n, k)) for k in range(1, n + 1)]
+
+
 def test_bound_table_rejects_n1():
     with pytest.raises(ValueError):
         bound_table(1)

@@ -1,11 +1,13 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -313,16 +315,40 @@ def test_decomposition_check_rejects_negative_matrix():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_decomposition_plan_matches_oracle(n):
-    # the chunks of expanded orbit representatives against rescanning every
-    # path of M_n: each path once, with the class and first minimal cycle
-    # of the representative it is an image of
-    _, _, k, p = (a.tolist() for a in paths_module._cycle_walk(n))
+    # the runs of expanded orbit representatives against rescanning every
+    # path of M_n: each path once, in a run of its class k, its edges read
+    # back from their indices in B.ravel(), psi(m)'s first and the k edges
+    # of the first minimal cycle at its representative's start p last
+    _, _, walk_k, walk_p = paths_module._cycle_walk(n)
+    p = walk_p[np.argsort(walk_k, kind="stable")].tolist()  # the plan's rows: stable class order
     got = []
-    for rep, path in paths_module._expanded_paths(n):
-        assert len(rep) == len(path) <= paths_module.CHUNK
-        got += [(tuple(m), (p[i], k[i])) for i, m in zip(rep.tolist(), path.tolist())]
+    for k, rep, index in paths_module._expanded_paths(n):
+        assert len(rep) == len(index) <= paths_module.CHUNK
+        for i, row in zip(rep.tolist(), index.tolist()):
+            edges = [divmod(e, n) for e in row]  # (s-1, t-1) of each edge s -> t
+            g = edges[: n - k]
+            walk = g[: p[i]] + edges[n - k :] + g[p[i] :]
+            assert [s for s, _ in walk[1:]] == [t for _, t in walk[:-1]]
+            got.append(((walk[0][0] + 1, *(t + 1 for _, t in walk)), (p[i], k)))
     expect = [(m, first_cycle(m, min_cycle_length(m))) for m in enumerate_monomials(n, n)]
     assert sorted(got) == expect
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_relabeling_table_strides_give_permutations(n):
+    # sigma(v) is read off the image of the loop v -> v in each row; the
+    # rows fix 1 and 2, map every edge s -> t to sigma(s) -> sigma(t), and
+    # at stride (n-2-r)! restrict to each r-permutation of 3..n once, in
+    # itertools order
+    table = paths_module._decomposition_plan(n)[3]
+    assert table.dtype == np.int16 and table.shape == (factorial(n - 2), n * n)
+    sigma = table[:, :: n + 1] // n  # sigma(v) - 1 for v = 1..n
+    assert (sigma[:, :2] == [0, 1]).all()
+    assert (table == (sigma[:, :, None] * n + sigma[:, None, :]).reshape(len(table), -1)).all()
+    for r in range(n - 1):
+        rows = sigma[:: factorial(n - 2 - r), 2 : r + 2] + 1
+        assert [tuple(row) for row in rows.tolist()] == list(
+            itertools.permutations(range(3, n + 1), r))
 
 
 def planned_paths(n, rows):
@@ -417,12 +443,62 @@ def test_decomposition_check_branches(n, scale, A, tamper, reference):
     assert check_against_reference(n, scale, A, tamper) == (reference == "ok", reference)
 
 
+def seeded_matrices_with_zeros(n, seed, count=3):
+    """count n x n matrices of small fractions, about a third of the entries 0."""
+    rng = random.Random(f"{seed}:{n}")
+    return [[[F(rng.randint(0, 4), rng.randint(1, 3)) if rng.random() < 0.67 else F(0)
+              for _ in range(n)] for _ in range(n)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("tamper", [False, True], ids=["census", "nu_one"])
+def test_decomposition_check_small_chunks_match_reference(monkeypatch, n, tamper):
+    # chunks of a prime number of paths cut inside class runs and across
+    # label counts, and each verdict must still be the per-path reference's
+    monkeypatch.setattr(paths_module, "CHUNK", 7)
+    outcomes = set()
+    for A in seeded_matrices_with_zeros(n, seed=29):
+        for scale in (1, F(17, 16), 100, 10**4):
+            check, reference = check_against_reference(n, scale, A, tamper)
+            assert check == (reference == "ok"), (A, scale)
+            outcomes.add(reference)
+    assert "ok" in outcomes and len(outcomes) > 1
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_expanded_paths_do_not_depend_on_chunk(monkeypatch, n):
+    # chunks of 7 paths give the same paths, classes and rows, in the same
+    # order, as one chunk of all n^(n-1)
+    def expanded():
+        return [(k, i, tuple(e)) for k, rep, index in paths_module._expanded_paths(n)
+                for i, e in zip(rep.tolist(), index.tolist())]
+
+    whole = expanded()
+    monkeypatch.setattr(paths_module, "CHUNK", 7)
+    assert expanded() == whole and len(whole) == n ** (n - 1)
+
+
+def test_decomposition_check_n6_matches_reference():
+    # 7,776 paths: two chunks at the default CHUNK
+    (A,) = seeded_matrices_with_zeros(6, seed=6, count=1)
+    assert 6**5 > paths_module.CHUNK
+    assert check_against_reference(6, 1, A, False) == (True, "ok")
+    assert check_against_reference(6, 10**4, A, False) == (False, "termwise")
+
+
 def test_decomposition_cap_guard_after_cached_success():
     A = [[F(1)] * 5 for _ in range(5)]
     a_sq = certified_cap(5)[0]
     assert numeric_decomposition_check(5, a_sq, A, cap=5**4)
     with pytest.raises(EnumerationCapExceeded):
         numeric_decomposition_check(5, a_sq, A, cap=5**4 - 1)
+
+
+def test_decomposition_plan_not_built_for_refused_n():
+    paths_module._decomposition_plan.cache_clear()
+    with pytest.raises(EnumerationCapExceeded):
+        numeric_decomposition_check(4, F(1), [[F(1)] * 4 for _ in range(4)], cap=4**3 - 1)
+    assert paths_module._decomposition_plan.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("check", [verify_certificate_on_matrix, numeric_decomposition_check])
