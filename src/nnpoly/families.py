@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod, isqrt
 
-SQRT_DENOM = 10**6  # rational_sqrt_floor rounds down to a multiple of 1/SQRT_DENOM
+SQRT_DIGITS = 7  # rational_sqrt_floor keeps at least this many significant digits
 
 
 def make_p_a(n: int, a):
@@ -129,8 +129,18 @@ def bound_table(n: int, d=None, nu_values=None) -> BoundTable:
 
 
 def rational_sqrt_floor(c: Fraction) -> Fraction:
-    """Largest multiple of 1/SQRT_DENOM whose square is <= c."""
+    """Largest multiple of 10^-k whose square is <= c, so at least
+    SQRT_DIGITS significant digits: k = SQRT_DIGITS - 1 for c >= 1 and
+    k = SQRT_DIGITS - 1 - e below 1, for 10^e <= sqrt(c) < 10^(e+1).
+    0 at c = 0."""
     if c < 0:
         raise ValueError("negative argument")
-    # exact, as isqrt(floor(x)) == floor(sqrt(x)) for x = c * SQRT_DENOM^2 >= 0
-    return Fraction(isqrt(c.numerator * SQRT_DENOM**2 // c.denominator), SQRT_DENOM)
+    k = SQRT_DIGITS - 1
+    x, low = c.numerator * 100**k, c.denominator * 100**k
+    # x / den = c 100^k; below low / den = 100^(SQRT_DIGITS - 1), the floor
+    # of sqrt(c) 10^k has fewer than SQRT_DIGITS digits
+    while 0 < x < low:
+        x *= 100
+        k += 1
+    # exact, as isqrt(floor(y)) == floor(sqrt(y)) for y = c * 100^k >= 0
+    return Fraction(isqrt(x // c.denominator), 10**k)

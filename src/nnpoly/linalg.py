@@ -12,8 +12,8 @@ exploration only.  There is one kernel per arithmetic and no generic one:
   exact at any size.  _scaled_ints is the one door into exact evaluation,
   for entries, coefficients and the scalars a_sq, a and t alike: it reads
   int, Fraction and numpy integers as Python ints and refuses all else.
-  poly_eval_ratio reads B^0..B^top and the checks in paths B^0..B^(n+1),
-  as p_a's positive part is (1 + x^(n+1)) sum_{j<n} x^j.
+  poly_eval_ratio reads B^0..B^top and the checks in paths B^0..B^n, as
+  p_a's positive part is R + x^n (R - 1 + x^n) for R = sum_{j<n} x^j.
 - float: poly_min_entries is a batched numpy Horner of left-to-right sums
   over an (m, m, batch) copy of a stack of matrices, batch axis last, so it
   gives the same floats on every Python.

@@ -428,7 +428,7 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     False if census_cap(n) is None.
 
     It runs on integers: A = B/D, and S, the numerator of the positive
-    part over D^(2n), comes from _p_a_numerator's B^0..B^(n+1).  With N the
+    part over D^(2n), comes from _p_a_numerator's B^0..B^n.  With N the
     lcm of the nu and a_sq = p/q, a path is valued on B, and u = D^(2k) +
     nu c_B^2 is nu D^(2k) (1/nu + c^2), so the termwise test is
     q u^2 >= p nu^2 D^(2k) c_B^2, and the sum over k of
@@ -477,29 +477,35 @@ def _a_sq_ratio(a_sq):
 
 
 def _p_a_numerator(n: int, A):
-    """(D, powers, S) with (D, powers) = exact_powers(A, n + 1), A = B/D of
+    """(D, powers, S) with (D, powers) = exact_powers(A, n), A = B/D of
     order n, and S the numerator over D^(2n) of P(A), P = sum_{j != n} x^j
-    the positive part of p_a = P - a*x^n.  P = (1 + x^(n+1)) sum_{j<n} x^j,
-    and polynomials in B commute, so with Q = D^(n-1) sum_{j<n} A^j from
-    poly_numerator, S = D^(n+1) Q + B^(n+1) Q exactly."""
+    the positive part of p_a = P - a*x^n.  With R = sum_{j<n} x^j,
+    x R = R - 1 + x^n, so P = R + x^n (R - 1 + x^n); polynomials in B
+    commute, so with Q = D^(n-1) R(A) from poly_numerator,
+    S = D^(n+1) Q + B^n T for T = D Q - D^n I + B^n, exactly."""
     if order_of(A) != n:
         raise ValueError("matrix order must equal n")
-    D, powers = exact_powers(A, n + 1)
+    D, powers = exact_powers(A, n)
     Q = poly_numerator([1] * n, D, powers[:n])
-    return D, powers, D ** (n + 1) * Q + powers[n + 1].dot(Q)
+    T = D * Q + powers[n]  # a new array: powers[n] is read as B^n
+    T.flat[:: n + 1] -= D**n
+    return D, powers, D ** (n + 1) * Q + powers[n].dot(T)
 
 
 def verify_certificate_on_matrix(n: int, a_sq, A) -> bool:
     """End-to-end sanity: certificate verdict implies p_a(A) >= 0 entrywise,
     for A of order n.
 
-    a = sqrt(a_sq) may be irrational, so each entry s - a*b (s, b >= 0) of
-    p_a(A) = P(A) - a A^n is signed exactly on numerators over D^(2n), from
-    B^0..B^(n+1): with a_sq = p/q, s >= 0 and s^2 * q >= p * b^2.
+    a = sqrt(a_sq) may be irrational, so each entry s - a*x of p_a(A) =
+    P(A) - a A^n is signed exactly on numerators over D^(2n), from
+    B^0..B^n: s from S and x = D^n b for b the entry of B^n.  With
+    a_sq = p/q, it is nonnegative exactly when s >= 0 and
+    s^2 * q >= p D^(2n) b^2; D^(2n) is multiplied into p once.
     """
     p, q = _a_sq_ratio(a_sq)
     D, powers, S = _p_a_numerator(n, A)
+    p *= D ** (2 * n)
     return all(
         s >= 0 and s * s * q >= p * b * b
-        for rs, rb in zip(S, D**n * powers[n]) for s, b in zip(rs, rb)
+        for s, b in zip(S.ravel().tolist(), powers[n].ravel().tolist())
     )

@@ -251,17 +251,18 @@ int64 = st.integers(-2**63, 2**63 - 1).map(np.int64)
 @settings(max_examples=60, deadline=None)
 @given(order_and_matrix(st.one_of(rational, huge, int64), max_order=6))
 def test_p_a_numerator_matches_the_full_sum(nA):
-    # (1 + B^(n+1)) times the sum below n against every power up to 2n
+    # R + B^n (R - 1 + B^n), R the sum below n, against every power up to
+    # 2n; the powers stop at B^n, which forming S leaves as it was
     n, A = nA
     D, P, S = paths_module._p_a_numerator(n, A)
     D_ref, P_ref = exact_powers(A, 2 * n)
-    assert D == D_ref and P.tolist() == P_ref[: n + 2].tolist()
+    assert D == D_ref and P.tolist() == P_ref[: n + 1].tolist()
     assert_python_ints(S)
     assert S.tolist() == poly_numerator([int(j != n) for j in range(2 * n + 1)], D, P_ref).tolist()
 
 
 @settings(max_examples=80, deadline=None)
-@given(order_and_matrix(nonneg), st.fractions(min_value=0, max_value=10, max_denominator=20))
+@given(order_and_matrix(nonneg, max_order=6), st.fractions(min_value=0, max_value=10, max_denominator=20))
 def test_verify_matches_oracle(nA, a_sq):
     n, A = nA
     assert verify_certificate_on_matrix(n, a_sq, A) == verify_oracle(n, a_sq, A)

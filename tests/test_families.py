@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -138,6 +139,16 @@ def test_bound_table_json_shape():
 
 
 def test_rational_sqrt_floor():
-    for c in [F(2), F(1), F(4, 3), F(1, 12), F(0), F(9, 4), F(1, 10**13), F(10**30 + 1)]:
+    # a relative bound: 7 significant digits however small c is, so a > 0
+    # for every c > 0; at c >= 1 the old floor to a multiple of 10^-6
+    for c in [F(2), F(1), F(4, 3), F(1, 12), F(0), F(9, 4), F(1, 10**13), F(10**30 + 1),
+              F(2 * 10**30), F(1, 10461394944000), F(1, 100), F(1, 10**400)]:
         a = rational_sqrt_floor(c)
-        assert a * a <= c < (a + F(1, 10**6)) ** 2
+        assert a * a <= c
+        if c > 0:
+            assert a > 0 and c < (a * (1 + F(1, 10**6))) ** 2
+        if c >= 1:
+            old = F(isqrt(c.numerator * 10**12 // c.denominator), 10**6)
+            assert a == old
+    assert rational_sqrt_floor(F(1, 100)) == F(1, 10)
+    assert rational_sqrt_floor(F(1, 10461394944000)) == F(3091755, 10**13)
