@@ -27,7 +27,7 @@ from .paths import (
     phi,
     psi,
 )
-from .witness import WitnessReport, cycle_witness, search_witness
+from .witness import WitnessReport, cycle_witness, family_witness
 from .bracket import BoundEstimate, bracket_optimal_a
 from .niep import jll_check, power_sum, transform_list
 
@@ -42,6 +42,7 @@ __all__ = [
     "cycle_witness",
     "enumerate_monomials",
     "exact_nu",
+    "family_witness",
     "first_cycle",
     "jll_check",
     "make_f_a",
@@ -56,6 +57,5 @@ __all__ = [
     "power_sum",
     "psi",
     "safe_a_squared",
-    "search_witness",
     "transform_list",
 ]

@@ -17,7 +17,9 @@ from .families import rational_sqrt_floor, safe_a_squared, make_p_a
 from .linalg import format_scalar
 from .paths import (DEFAULT_CAP, EnumerationCapExceeded, _a_sq_ratio, census_cap,
                     verify_certificate_on_matrix)
-from .witness import SCALE_SWEEP, WitnessReport, shift_witness
+from .witness import WitnessReport, shift_witness
+
+SCALE_SWEEP = [Fraction(2) ** e for e in range(-4, 5)]  # sampled matrix scales
 
 # Not read by the package: certified_cap sharpens whenever the census fits
 # the enumeration cap.  perfbench/make_reference.py records certified_cap

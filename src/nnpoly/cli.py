@@ -83,11 +83,8 @@ def cmd_nu(args):
 
 
 def cmd_falsify(args):
-    coeffs = linalg.parse_poly(args.coeffs)
-    rep = witness.search_witness(
-        coeffs, args.m, starts=args.starts, iterations=args.iterations, seed=args.seed
-    )
-    cfg = _config_dict(args, ["coeffs", "m", "starts", "iterations", "seed"])
+    rep = witness.family_witness(linalg.parse_poly(args.coeffs), args.m)
+    cfg = _config_dict(args, ["coeffs", "m"])
     if rep is None:
         _emit({"config": cfg, "found": False, "note": "inconclusive, not a membership proof"}, args)
         return EXIT_OK
@@ -169,7 +166,7 @@ def build_parser():
     parser = _Parser(
         prog="nnpoly",
         description="Polynomials preserving nonnegative matrices: certified "
-        "coefficient bounds, exhaustive proof checking, witness search.",
+        "coefficient bounds, exhaustive proof checking, exact witnesses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,12 +208,11 @@ def build_parser():
     common(p, cap=True)
     p.set_defaults(func=cmd_nu)
 
-    p = sub.add_parser("falsify", help="search for a nonnegative matrix with p(A) < 0 somewhere")
+    p = sub.add_parser(
+        "falsify", help="decide exactly whether a matrix tI + N or a scaled cycle "
+        "of order <= m has p(A) < 0 somewhere")
     p.add_argument("--coeffs", required=True, help="constant term first")
     p.add_argument("--m", type=int, required=True, help="matrix order")
-    p.add_argument("--starts", type=int, default=16)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_falsify)
 
@@ -233,7 +229,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     # parsed and ignored: no float search runs, so they cannot change a
     # report; they go when the benchmark's search workload stops passing
-    # them (ROADMAP item 7)
+    # them (ROADMAP item 8)
     for flag in ("--seed", "--starts", "--iterations"):
         p.add_argument(flag, type=int, help=argparse.SUPPRESS)
     common(p)

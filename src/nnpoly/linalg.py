@@ -1,25 +1,20 @@
-"""Exact and float evaluation of matrix polynomials, and their text formats.
+"""Exact evaluation of matrix polynomials, and their text formats.
 
-Matrices come in as lists of row lists, or numpy integer arrays on the
-exact side.  Certification verdicts are computed exactly; floats are for
-exploration only.  There is one kernel per arithmetic and no generic one:
-
-- exact: exact_powers writes a rational matrix as A = B/D, with D the lcm
-  of its entry denominators and B an int matrix, and builds B^0..B^top in
-  a numpy object array of Python ints, one .dot per power past B;
-  poly_numerator turns them into the numerator of p(A) with one more .dot.
-  Numpy's object loop calls the ints' own * and +, so the arithmetic is
-  exact at any size.  _scaled_ints is the one door into exact evaluation,
-  for entries, coefficients and the scalars a_sq, a and t alike: it reads
-  int, Fraction and numpy integers as Python ints and refuses all else.
-  poly_eval_ratio reads B^0..B^top and the checks in paths B^0..B^n, as
-  p_a's positive part is R + x^n (R - 1 + x^n) for R = sum_{j<n} x^j.
-- float: poly_min_entries is a batched numpy Horner of left-to-right sums
-  over an (m, m, batch) copy of a stack of matrices, batch axis last, so it
-  gives the same floats on every Python.
+Matrices come in as lists of row lists or numpy integer arrays.  Every
+matrix evaluation in the package is exact, on one kernel.  exact_powers
+writes a rational matrix as A = B/D, with D the lcm of its entry
+denominators and B an int matrix, and builds B^0..B^top in a numpy object
+array of Python ints, one .dot per power past B; poly_numerator turns them
+into the numerator of p(A) with one more .dot.  Numpy's object loop calls
+the ints' own * and +, so the arithmetic is exact at any size.
+_scaled_ints is the one door into exact evaluation, for entries,
+coefficients and the scalars a_sq, a and t alike: it reads int, Fraction
+and numpy integers as Python ints and refuses all else.  poly_eval_ratio
+reads B^0..B^top and the checks in paths B^0..B^n, as p_a's positive part
+is R + x^n (R - 1 + x^n) for R = sum_{j<n} x^j.
 
 The list-of-lists products, powers, Horner and min_entry that the tests
-pin both kernels to are references, kept in tests/list_kernels.py.  Rows
+pin the kernel to are references, kept in tests/list_kernels.py.  Rows
 and columns are reported 1-based; storage is 0-based.
 """
 
@@ -108,7 +103,7 @@ def poly_eval_ratio(coeffs, A):
     and N an (n, n) numpy object array of Python ints.
 
     Coefficients and entries are int, Fraction or numpy integers; floats
-    raise ValueError (poly_min_entries is the float kernel).  With L the lcm
+    raise ValueError.  With L the lcm
     of the coefficient denominators, den = L D^top and N is the
     poly_numerator of the integer coefficients L*coeffs[d].
     """
@@ -124,43 +119,6 @@ def poly_eval_matrix(coeffs, A):
     entries N / den of poly_eval_ratio."""
     den, N = poly_eval_ratio(coeffs, A)
     return [[Fraction(x, den) for x in row] for row in N.tolist()]
-
-
-def poly_min_entries(coeffs, As):
-    """The smallest entry of p(A) for each A in As, batched, with p the
-    float coefficients.
-
-    As is a (batch, m, m) stack of float matrices.  The Horner runs on a
-    contiguous (m, m, batch) copy X of the stack, so every elementwise
-    operation sweeps the batch axis in one contiguous loop.  Each product is
-    accumulated as a left-to-right sum over k of
-    acc[:, k, None] * X[None, k], into one buffer through one temporary, and
-    c is added through a strided view of the diagonal only, so every entry
-    of every matrix goes through the same IEEE operations as the
-    left-to-right generic Horner `horner` in tests/list_kernels.py on that
-    matrix (no matmul, einsum or BLAS, which may reorder or fuse the sums).
-    Like that file's min_entry, which scans from entry (1, 1) with `<`, a
-    matrix whose entry (1, 1) of p(A) is nan gets nan; otherwise nan
-    entries are skipped.  Like that Horner, whose identity is built from
-    A[0][0] * 0 + 1, a matrix with A[0][0] inf or nan gets nan.  Overflow
-    to inf or nan is expected and silent.
-    """
-    As = np.asarray(As, dtype=np.float64)
-    batch, m = As.shape[0], As.shape[2]
-    X = np.ascontiguousarray(As.transpose(1, 2, 0))  # X[k, j, b] = A[b, k, j]
-    acc = np.zeros_like(X)
-    acc.reshape(m * m, batch)[:: m + 1] = coeffs[-1]
-    prod, term = np.empty_like(X), np.empty_like(X)
-    with np.errstate(all="ignore"):
-        for c in reversed(coeffs[:-1]):
-            np.multiply(acc[:, 0, None], X[None, 0], out=prod)
-            for k in range(1, m):
-                prod += np.multiply(acc[:, k, None], X[None, k], out=term)
-            prod.reshape(m * m, batch)[:: m + 1] += c
-            acc, prod = prod, acc
-        mins = np.fmin.reduce(acc.reshape(m * m, batch), axis=0)
-    mins[np.isnan(acc[0, 0]) | ~np.isfinite(X[0, 0])] = np.nan
-    return mins.tolist()
 
 
 # -- text formats ------------------------------------------------------------

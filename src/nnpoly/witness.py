@@ -1,27 +1,23 @@
 """Witness matrices proving a polynomial does not preserve nonnegativity.
 
-Two routes: a structured cyclic-shift construction tailored to p_a (exact,
-always succeeds, exhibits strict containment of the preserver sets), and a
-best-effort multi-start numerical search whose candidates are re-verified
-in exact rationals before being reported.  An empty search result is
-inconclusive, never a membership proof.
+Every witness is an exact matrix.  cycle_witness builds the scaled cyclic
+shift that falsifies p_a one order up (the strict containment of the
+preserver sets), and shift_witness checks a shift against its closed form.
+family_witness decides exactly whether a member of two one-parameter
+families, tI + N and the scaled cycles, falsifies any polynomial at a given
+order.  When neither does, that is inconclusive, never a membership proof.
 """
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-import numpy as np
-
+from .exact_univariate import negative_point
 from .families import make_p_a
-from .linalg import _scaled_ints, format_scalar, is_nonneg, poly_eval_ratio, poly_min_entries
-
-SCALE_SWEEP = [Fraction(2) ** e for e in range(-4, 5)]
-RATIONALIZE_DENOM = 10**6
-SEARCH_BLOCK = 64  # starts advanced together, bounding the stack at 9 * 64
+from .linalg import _scaled_ints, format_scalar, is_nonneg, poly_eval_ratio
 
 
 @dataclass
@@ -31,7 +27,7 @@ class WitnessReport:
     matrix: list  # Fraction entries, nonnegative
     entry: tuple  # (row, col), 1-based
     value: Fraction  # < 0
-    method: str  # "structured-cycle" or "search"
+    method: str  # "structured-cycle", "jordan-family" or "cycle-family"
 
     def to_json(self):
         return {
@@ -76,10 +72,11 @@ def _verified_report(coeffs, A, method) -> WitnessReport | None:
     return None
 
 
-def _shift(m, t):
-    """t times the cyclic shift 1 -> 2 -> ... -> m -> 1, in Fractions."""
-    zero = Fraction(0)
-    return [[t if c == (r + 1) % m else zero for c in range(m)] for r in range(m)]
+def _shift(m, t, j=None):
+    """t times the cyclic shift 1 -> 2 -> ... -> j -> 1 (j = m by default),
+    padded with zeros to order m, in Fractions."""
+    j, zero = j or m, Fraction(0)
+    return [[t if r < j and c == (r + 1) % j else zero for c in range(m)] for r in range(m)]
 
 
 def shift_witness(coeffs, m, t, entry, value) -> WitnessReport:
@@ -107,107 +104,49 @@ def cycle_witness(n: int, a, t=Fraction(1)) -> WitnessReport:
     return shift_witness(make_p_a(n, a), n + 1, t, (1, n + 1), -a * t**n)
 
 
-def _rationalize(A):
-    return [
-        [Fraction(x).limit_denominator(RATIONALIZE_DENOM) for x in row] for row in A
-    ]
+def _jordan(m, t):
+    """tI + N, N the shift 1 -> 2 -> ... -> m, in Fractions."""
+    return [[t if c == r else Fraction(c == r + 1) for c in range(m)] for r in range(m)]
 
 
-def probe_witness(coeffs, m: int) -> WitnessReport | None:
-    """First exact witness among the deterministic probes t*J and t*P
-    (all-ones, cyclic shift) over a sweep of t, or None."""
+def _family_rows(ints, m):
+    """(method, j, row polynomial, open_lo) for family_witness, in its order."""
+    top = max((d for d, c in enumerate(ints) if c), default=-1)
+    ints = ints[:top + 1]
+    for i in range(min(m, top + 1)):
+        yield "jordan-family", m, [comb(d, i) * ints[d] for d in range(i, top + 1)], False
+    for j in range(2, min(m, top) + 1):
+        for i in range(j):
+            yield "cycle-family", j, [c if d % j == i else 0 for d, c in enumerate(ints)], True
+
+
+def family_witness(coeffs, m: int) -> WitnessReport | None:
+    """The first exact witness of order m in two one-parameter families, or
+    None when no member of either has a negative entry in p(A).
+
+    The rows checked, in this order, each for a rational t where it is
+    negative (exact_univariate.negative_point):
+    1. Jordan, A = tI + N with N the shift 1 -> 2 -> ... -> m, t >= 0:
+       p(A) is upper-triangular Toeplitz, and its entry (1, i+1) is
+       q_i(t) = sum_d C(d, i) c_d t^(d-i), for i = 0 .. min(m, deg p + 1) - 1.
+    2. cycle, A = diag(tP_j, 0), P_j the shift 1 -> ... -> j -> 1, t > 0:
+       p(tP_j) is circulant with entry (1, i+1) r_i(t) = sum_{d = i mod j}
+       c_d t^d, for j = 2 .. min(m, deg p) and i = 0 .. j-1.
+    A witness at order j < m embeds as diag(A, 0), whose p is diag(p(A), c_0 I).
+    For j > deg p, r_i = c_i t^i, which q_i(0) = c_i already decides.
+    The hit's matrix is evaluated exactly, and the report holds its first
+    most negative entry; AssertionError is raised, under python -O too, if
+    that evaluation has no negative entry.
+    """
     if m < 1:
         raise ValueError("order must be >= 1")
-    for t in SCALE_SWEEP + [Fraction(1, m), Fraction(1, 2 * m)]:
-        probes = [[[t] * m for _ in range(m)]]
-        if m > 1:  # at m = 1 the shift is J
-            probes.append(_shift(m, t))
-        for A in probes:
-            rep = _verified_report(coeffs, A, "search")
-            if rep is not None:
-                return rep
+    _, ints = _scaled_ints(coeffs)  # scaled by the positive lcm: signs kept
+    for method, j, row, open_lo in _family_rows(ints, m):
+        t = negative_point(row, open_lo)
+        if t is not None:
+            A = _jordan(m, t) if method == "jordan-family" else _shift(m, t, j)
+            rep = _verified_report(coeffs, A, method)
+            if rep is None:
+                raise AssertionError("exact evaluation disagrees with construction")
+            return rep
     return None
-
-
-def search_witness(
-    coeffs, m: int, starts: int = 16, iterations: int = 200, seed: int = 0
-) -> WitnessReport | None:
-    """probe_witness, then multi-start projected coordinate descent on min p(A).
-
-    Floating point drives the search; any negative candidate is rationalized
-    (continued fractions, bounded denominator) and kept only if the exact
-    re-evaluation is still negative.  Starts are seeded independently from
-    (seed, start index) and advance in lockstep, SEARCH_BLOCK at a time, so
-    a coordinate step of a whole block is one poly_min_entries call.  Each
-    start's path depends only on its own stream and its own kernel values,
-    so it is the path the start would take alone, and the lowest verified
-    start index is returned; later blocks are not run.
-    """
-    if starts < 0 or iterations < 0:
-        raise ValueError("starts and iterations must be >= 0")
-    rep = probe_witness(coeffs, m)
-    if rep is not None:
-        return rep
-    coeffs_f = []
-    for d, c in enumerate(coeffs):
-        try:
-            coeffs_f.append(float(c))
-        except OverflowError:
-            raise ValueError(
-                f"coefficient of x^{d} is too large for the float search"
-            ) from None
-    for first in range(0, starts, SEARCH_BLOCK):
-        block = range(first, min(first + SEARCH_BLOCK, starts))
-        objs, As = _descend_block(coeffs_f, m, block, iterations, seed)
-        for obj, A in zip(objs, As):
-            if obj < -1e-12:
-                rep = _verified_report(coeffs, _rationalize(A), "search")
-                if rep is not None:
-                    return rep
-    return None
-
-
-def _descend_block(coeffs_f, m, block, iterations, seed):
-    """(objectives, matrices) after `iterations` coordinate steps from each
-    start index in block, as float lists.
-
-    coeffs_f is one float coefficient list shared by the block.  Start idx
-    draws from random.Random(f"{seed}:{idx}") its initial matrix,
-    then per step i, j and, only if entry (i, j) is 0, nine draws r.  Its
-    nine candidates max(base * f, 0) (or max(scale * f * r, 0) from 0) are
-    one numpy expression over the whole block, the same floats as Python's
-    arithmetic and max(x, 0.0), nan included.  They become nine rows of one
-    (len(block) * 9, m, m) stack, and the start moves to the first
-    candidate whose value is strictly below its objective and below every
-    earlier candidate's, as a strict `val < best_val` scan does.
-    """
-    factors = np.array([0.0, 0.25, 0.5, 0.8, 0.95, 1.05, 1.25, 2.0, 4.0])
-    rngs = [random.Random(f"{seed}:{idx}") for idx in block]
-    scales = [float(SCALE_SWEEP[idx % len(SCALE_SWEEP)]) for idx in block]
-    As = np.array([[[rng.random() * scale for _ in range(m)] for _ in range(m)]
-                   for rng, scale in zip(rngs, scales)])
-    obj = np.array(poly_min_entries(coeffs_f, As))
-    obj[np.isnan(obj)] = np.inf  # nan compares false, so nothing could beat it
-    rows = np.arange(len(block))
-    spread = np.array(scales)[:, None] * factors  # scale * f, per start
-    draws = np.zeros_like(spread)  # a start's r, redrawn when it is used
-    for _ in range(iterations):
-        ii, jj = np.array([(rng.randrange(m), rng.randrange(m)) for rng in rngs]).T
-        base = As[rows, ii, jj]
-        from_zero = base == 0
-        for s in np.flatnonzero(from_zero):
-            draws[s] = [rngs[s].random() for _ in factors]
-        with np.errstate(all="ignore"):  # inf * 0.0 is nan, as in Python
-            cands = np.maximum(
-                np.where(from_zero[:, None], spread * draws, base[:, None] * factors), 0.0)
-        stack = np.repeat(As[:, None], len(factors), axis=1)
-        stack[rows, :, ii, jj] = cands
-        vals = np.array(poly_min_entries(coeffs_f, stack.reshape(-1, m, m)))
-        vals = vals.reshape(cands.shape)
-        vals[np.isnan(vals)] = np.inf  # never chosen; -inf is re-verified exactly
-        pick = vals.argmin(axis=1)  # the first of equal minima
-        best = vals[rows, pick]
-        moved = best < obj
-        As[rows[moved], ii[moved], jj[moved]] = cands[rows, pick][moved]
-        obj = np.where(moved, best, obj)
-    return obj.tolist(), As.tolist()

@@ -1,13 +1,11 @@
 """List-of-lists matrix kernels: the references the package kernels are
 tested against.
 
-Every function is generic over the scalar type (int, Fraction, float) and
+Every function is generic over the scalar type (int, Fraction) and
 written as the obvious definition, not for speed.  Every sum of products
-is added left to right with reduce(add, map(mul, ...)): on ints and
-Fractions that is exactly sum(), and on floats it gives the bits that
-linalg.poly_min_entries must reproduce (the built-in sum() of floats is
-compensated from Python 3.12 on).  This module holds no tests; test
-modules import it by name.
+is added left to right with reduce(add, map(mul, ...)), which on ints and
+Fractions is exactly sum().  This module holds no tests; test modules
+import it by name.
 """
 
 from fractions import Fraction

@@ -4,6 +4,7 @@ import pytest
 
 import nnpoly.paths as paths_module
 from nnpoly import linalg, witness
+from nnpoly.exact_univariate import negative_point
 from nnpoly.bracket import bracket_optimal_a, certified_cap, sample_pa_membership
 from nnpoly.families import make_p_a, safe_a_squared
 from nnpoly.paths import build_certificate
@@ -118,12 +119,12 @@ def test_sample_pa_membership_refuses_negative_trials():
 
 
 def test_default_bracket_makes_no_kernel_calls(monkeypatch):
-    # no float search runs: the witness is an exact probe
-    def refuse(coeffs_f, As):
-        raise AssertionError("float kernel called")
+    # no witness search runs: the witness is the shift, built exactly
+    def refuse(*args):
+        raise AssertionError("witness search called")
 
-    monkeypatch.setattr(linalg, "poly_min_entries", refuse)
-    monkeypatch.setattr(witness, "poly_min_entries", refuse)
+    monkeypatch.setattr(witness, "family_witness", refuse)
+    monkeypatch.setattr(witness, "negative_point", refuse)
     est = bracket_optimal_a(3)
     assert est.witness.reverify()
 
@@ -133,10 +134,15 @@ EPS = F(1, 10**9)
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_probes_falsify_p_a_exactly_above_2(n):
-    # entry (1,1) of p_a(P) is 2 - a for the order-n shift P; the shift at
-    # t != 1 needs a > t^n + t^-n > 2 and t*J needs more still
+    # the probe t*P, P the order-n shift, is the cycle family at j = n: row
+    # 0 of p_a(tP) is 1 - a t^n + t^2n, negative at some t > 0 iff a > 2,
+    # and its other rows have no negative coefficient
     for a in [2 - EPS, F(2), 2 + EPS, F(199, 100), F(201, 100), F(2 * n)]:
-        assert (witness.probe_witness(make_p_a(n, a), n) is not None) == (a > 2), a
+        hits = [negative_point(row, open_lo)
+                for method, j, row, open_lo in witness._family_rows(make_p_a(n, a), n)
+                if method == "cycle-family" and j == n]
+        assert len(hits) == n
+        assert any(t is not None for t in hits) == (a > 2), a
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -161,9 +167,9 @@ def test_bracket_evaluates_its_witness_once(monkeypatch, n):
         return powers(A, top)
 
     def refuse(coeffs, m):
-        raise AssertionError("probe_witness called")
+        raise AssertionError("family_witness called")
 
     monkeypatch.setattr(linalg, "exact_powers", counted)
-    monkeypatch.setattr(witness, "probe_witness", refuse)
+    monkeypatch.setattr(witness, "family_witness", refuse)
     assert bracket_optimal_a(n).witness.m == n
     assert calls == [n]

@@ -75,8 +75,7 @@ def test_falsify_found(capsys):
 
 
 def test_falsify_inconclusive(capsys):
-    code, out = run(capsys, "falsify", "--coeffs", "1,2,1", "--m", "2",
-                    "--starts", "2", "--iterations", "20")
+    code, out = run(capsys, "falsify", "--coeffs", "1,2,1", "--m", "2")
     assert code == 0
     assert json.loads(out)["found"] is False
 
@@ -235,7 +234,8 @@ def test_search_a_ignores_the_float_search_budget(capsys):
     (["bound", "--n", "3"], {"n": "3", "nu": "False", "d": "1,1,1,1,1,1,1"}),
     (["bound", "--n", "3", "--d", "2,2,2,1,2,2,0.5"],
      {"n": "3", "nu": "False", "d": "2,2,2,1,2,2,1/2"}),
-], ids=["search_a_default", "search_a_budget", "bound_default", "bound_weights"])
+    (["falsify", "--coeffs=1,2,1", "--m", "2"], {"coeffs": "1,2,1", "m": "2"}),
+], ids=["search_a_default", "search_a_budget", "bound_default", "bound_weights", "falsify"])
 def test_report_config_is_the_full_configuration(capsys, argv, config):
     # every option that can change a report is in its config, resolved
     code, out = run(capsys, *argv)
@@ -243,12 +243,14 @@ def test_report_config_is_the_full_configuration(capsys, argv, config):
     assert json.loads(out)["config"] == config
 
 
-def test_falsify_float_overflow_is_usage_error(capsys):
+def test_falsify_huge_coefficient_is_exact(capsys):
+    # 1e400 overflows a float; falsify reads and decides it exactly
     code = main(["falsify", "--coeffs=-1,0,1e400", "--m", "1"])
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == "error: coefficient of x^2 is too large for the float search\n"
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert (payload["poly"][2], payload["value"]) == (str(10**400), "-1")
 
 
 def test_byte_identical_reports(capsys):
@@ -390,18 +392,16 @@ def test_bound_rejects_bad_weights(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["falsify", "--coeffs=1,-3,1", "--m", "2", "--starts", "-2"],
-     "starts and iterations must be >= 0"),
-    (["falsify", "--coeffs=1,-3,1", "--m", "2", "--iterations", "-4"],
-     "starts and iterations must be >= 0"),
-], ids=["falsify_starts", "falsify_iterations"])
-def test_negative_search_budget_rejected(capsys, argv, message):
-    code = main(argv)
+@pytest.mark.parametrize("flag,value", [("--starts", "-2"), ("--iterations", "-4")],
+                         ids=["falsify_starts", "falsify_iterations"])
+def test_negative_search_budget_rejected(capsys, flag, value):
+    # falsify has no search budget: the flags are unknown, at any value
+    with pytest.raises(SystemExit) as exc:
+        main(["falsify", "--coeffs=1,-3,1", "--m", "2", flag, value])
     captured = capsys.readouterr()
-    assert code == 1
+    assert exc.value.code == 1
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -431,23 +431,25 @@ def test_jll_empty_table_is_usage_error(capsys, flag):
 
 
 def test_zero_search_budget_runs_probes_only(capsys):
-    code, out = run(capsys, "falsify", "--coeffs=1,-3,1", "--m", "2",
-                    "--starts", "0", "--iterations", "0")
+    # no search budget: the exact families alone decide; 1 - 3t + t^2 < 0
+    # on (0.38, 2.62), so the Jordan row q_0 = p(t) hits
+    code, out = run(capsys, "falsify", "--coeffs=1,-3,1", "--m", "2")
     assert code == 2
-    assert json.loads(out)["found"] is True
+    payload = json.loads(out)
+    assert payload["found"] is True and payload["method"] == "jordan-family"
 
 
-@pytest.mark.parametrize("coeffs,starts,code,golden", [
-    # a probe matrix already falsifies it; the float search never runs
-    ("1e300,0,0,0,-1e300,0,0,0,0,0,0,1e300", "2", 2, "falsify_overflow_probe.json"),
-    # no witness exists: every start runs, and objectives overflow to inf and nan
-    ("1e300,0,0,0,0,0,0,0,0,0,0,0,1e300", "9", 0, "falsify_overflow_search.json"),
+@pytest.mark.parametrize("coeffs,code,golden", [
+    # a family member falsifies it
+    ("1e300,0,0,0,-1e300,0,0,0,0,0,0,1e300", 2, "falsify_overflow_probe.json"),
+    # no family member does: every row is decided, and none is negative
+    ("1e300,0,0,0,0,0,0,0,0,0,0,0,1e300", 0, "falsify_overflow_search.json"),
 ], ids=["probe", "search"])
-def test_falsify_overflow_is_silent(coeffs, starts, code, golden):
-    # the reports were recorded before the float search moved onto numpy;
-    # overflow inside the batched kernel must not warn, even with -W error
+def test_falsify_overflow_is_silent(coeffs, code, golden):
+    # coefficients past the float range are decided exactly, with no
+    # warning, even under -W error
     argv = [sys.executable, "-W", "error", "-m", "nnpoly.cli", "falsify",
-            f"--coeffs={coeffs}", "--m", "3", "--starts", starts, "--iterations", "20"]
+            f"--coeffs={coeffs}", "--m", "3"]
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nnpoly.__file__))}
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code

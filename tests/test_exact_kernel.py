@@ -33,7 +33,7 @@ from nnpoly.paths import (
     psi,
     verify_certificate_on_matrix,
 )
-from nnpoly.witness import WitnessReport, cycle_witness, probe_witness, search_witness
+from nnpoly.witness import WitnessReport, cycle_witness, family_witness, shift_witness
 from list_kernels import horner, mat_add, mat_pow, mat_scale
 
 F = Fraction
@@ -403,7 +403,7 @@ def test_exact_entry_points_refuse_inexact_entries(entry):
     "value", [0.1, 1.0, np.float64(0.5), 1 + 0j, True, np.bool_(True), "1/3", None],
     ids=["float", "integral_float", "np_float64", "complex", "bool", "np_bool", "str", "none"])
 def test_exact_scalars_refuse_inexact_values(value):
-    # a_sq, a, t and search coefficients go through the same door as entries
+    # a_sq, a, t and falsify's coefficients go through the same door as entries
     A = [[F(1), F(2)], [F(3), F(0)]]
     calls = [
         lambda: verify_certificate_on_matrix(2, value, A),
@@ -413,8 +413,8 @@ def test_exact_scalars_refuse_inexact_values(value):
         lambda: sample_pa_membership(2, value, 3),
         lambda: cycle_witness(2, value),
         lambda: cycle_witness(2, F(1), value),
-        lambda: probe_witness([F(-1), value, F(1)], 2),
-        lambda: search_witness([F(1), value, F(1)], 2, starts=2, iterations=5),
+        lambda: family_witness([F(-1), value, F(1)], 2),
+        lambda: family_witness([F(1), value, F(1)], 2),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="exact evaluation"):
@@ -450,9 +450,7 @@ def test_numpy_integers_evaluate_as_python_ints():
     assert sample_pa_membership(2, np.int64(2), 20) == sample_pa_membership(2, 2, 20)
     for coeffs in ([-1, 0, 1], [1, -3, 1]):
         int64s = [np.int64(c) for c in coeffs]
-        assert probe_witness(int64s, 2).to_json() == probe_witness(coeffs, 2).to_json()
-        assert (search_witness(int64s, 2, starts=2, iterations=5).to_json()
-                == search_witness(coeffs, 2, starts=2, iterations=5).to_json())
+        assert family_witness(int64s, 2).to_json() == family_witness(coeffs, 2).to_json()
     # -a * t**4 = -2 * 10**24 would wrap in np.int64
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -567,10 +565,10 @@ def tampered(rep):
 @pytest.mark.parametrize("rep", [
     cycle_witness(2, F(1)),
     cycle_witness(3, F(2, 3), F(3, 2)),
-    search_witness([F(-1), F(0), F(1)], 1, seed=3),
-    search_witness(make_p_a(2, F(3)), 2, seed=0),
+    family_witness([F(-1), F(0), F(1)], 1),
+    family_witness(make_p_a(2, F(3)), 2),
     # every diagonal entry of p_a(P) is 2 - a, so a wrapped (0, 0) would pass
-    probe_witness(make_p_a(3, F(5, 2)), 3),
+    shift_witness(make_p_a(3, F(5, 2)), 3, F(1), (1, 1), F(-1, 2)),
 ], ids=["cycle_n2", "cycle_n3", "search_x2_minus_1", "search_p_a", "probe_p_a"])
 def test_reverify_accepts_witnesses_and_rejects_tampering(rep):
     assert rep is not None and rep.reverify()

@@ -1,35 +1,30 @@
-import math
+import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 import nnpoly
-from nnpoly.families import make_p_a
+from nnpoly.bracket import SCALE_SWEEP
+from nnpoly.families import make_f_a, make_p_a
 from nnpoly import witness
-from nnpoly.linalg import poly_eval_matrix, poly_min_entries
-from nnpoly.witness import (
-    SCALE_SWEEP,
-    SEARCH_BLOCK,
-    WitnessReport,
-    cycle_witness,
-    probe_witness,
-    search_witness,
-)
-from list_kernels import min_entry
+from nnpoly.linalg import poly_eval_matrix
+from nnpoly.witness import WitnessReport, cycle_witness, family_witness
+from list_kernels import horner, min_entry
 
 F = Fraction
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_probe_falsifies_p_a_at_2n(n):
-    # entry (1,1) of p_{2n}(P) is 2 - 2n for the n-cycle shift P
-    rep = probe_witness(make_p_a(n, 2 * n), n)
-    assert rep is not None and rep.reverify()
+    # entry (1,1) of p_{2n}(P) is 2 - 2n for the n-cycle shift P, a member
+    # of the cycle family; the Jordan family, checked first, may hit sooner
+    rep = family_witness(make_p_a(n, 2 * n), n)
+    assert rep is not None and rep.m == n and rep.reverify()
 
 
 def test_cycle_witness_n2():
@@ -70,15 +65,14 @@ def test_cycle_witness_rejects_bad_args():
 
 
 def test_search_finds_x2_minus_1_witness():
-    rep = search_witness([F(-1), F(0), F(1)], 1, seed=3)
-    assert rep is not None
-    assert rep.value < 0
+    rep = family_witness([F(-1), F(0), F(1)], 1)
+    assert (rep.matrix, rep.value, rep.method) == ([[F(0)]], F(-1), "jordan-family")
     assert rep.reverify()
 
 
 def test_search_cross_checks_cycle_structure():
     # p_1 for n=2 must fail at order 3; the structured oracle says so
-    rep = search_witness(make_p_a(2, F(1)), 3, seed=1)
+    rep = family_witness(make_p_a(2, F(1)), 3)
     assert rep is not None
     assert rep.reverify()
     assert cycle_witness(2, F(1)).reverify()
@@ -86,12 +80,12 @@ def test_search_cross_checks_cycle_structure():
 
 def test_search_no_witness_for_nonneg_coeffs():
     coeffs = [F(1), F(4), F(6), F(4), F(1)]  # (1+x)^4
-    assert search_witness(coeffs, 2, starts=4, iterations=50) is None
+    assert family_witness(coeffs, 2) is None
 
 
 def test_search_deterministic():
-    a = search_witness(make_p_a(2, F(2)), 2, starts=6, iterations=80, seed=42)
-    b = search_witness(make_p_a(2, F(2)), 2, starts=6, iterations=80, seed=42)
+    a = family_witness(make_p_a(2, F(2)), 2)
+    b = family_witness(make_p_a(2, F(2)), 2)
     assert (a is None) == (b is None)
     if a is not None:
         assert a.to_json() == b.to_json()
@@ -118,20 +112,21 @@ def test_reverify_rejects_tampering():
 
 
 def test_soundness_exact_value():
-    rep = search_witness(make_p_a(2, F(3)), 2, seed=0)
-    if rep is not None:
-        C = poly_eval_matrix(rep.poly, rep.matrix)
-        assert C[rep.entry[0] - 1][rep.entry[1] - 1] == rep.value < 0
+    rep = family_witness(make_p_a(2, F(3)), 2)
+    C = poly_eval_matrix(rep.poly, rep.matrix)
+    assert C[rep.entry[0] - 1][rep.entry[1] - 1] == rep.value < 0
 
 
 def test_cycle_witness_check_survives_optimize():
     # a wrong evaluation must be caught even with asserts stripped by -O, by
-    # the check that cycle_witness and bracket_optimal_a share
+    # the check that cycle_witness and bracket_optimal_a share and by
+    # family_witness's own
     script = (
         "import numpy as np\n"
         "from nnpoly import bracket, witness\n"
         "witness.poly_eval_ratio = lambda p, A: (1, np.zeros((len(A),) * 2, dtype=object))\n"
-        "calls = [lambda: witness.cycle_witness(2, 1), lambda: bracket.bracket_optimal_a(3)]\n"
+        "calls = [lambda: witness.cycle_witness(2, 1), lambda: bracket.bracket_optimal_a(3),\n"
+        "         lambda: witness.family_witness([-1, 0, 1], 1)]\n"
         "for build in calls:\n"
         "    try:\n"
         "        build()\n"
@@ -143,65 +138,6 @@ def test_cycle_witness_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_search_rejects_coefficient_too_large_for_float():
-    with pytest.raises(ValueError, match=r"coefficient of x\^2 is too large"):
-        search_witness([F(-1), F(0), F(10**400)], 1)
-
-
-def fake_objective(coeffs_f, A):
-    """-x on [0, 1], then -inf up to 2, then nan."""
-    x = A[0][0]
-    return -x if x <= 1 else -math.inf if x <= 2 else math.nan
-
-
-def batched(objective):
-    """The batch signature of linalg.poly_min_entries around a scripted
-    per-matrix objective."""
-    return lambda coeffs_f, As: [objective(coeffs_f, A) for A in As]
-
-
-def rationalized(monkeypatch, objective):
-    """Run a search with a scripted float objective; return the float
-    matrices handed to exact re-verification."""
-    seen = []
-    rationalize = witness._rationalize
-    monkeypatch.setattr(witness, "poly_min_entries", batched(objective))
-    monkeypatch.setattr(witness, "_rationalize", lambda A: seen.append(A) or rationalize(A))
-    return seen
-
-
-def test_search_moves_to_negative_inf_never_to_nan(monkeypatch):
-    seen = rationalized(monkeypatch, fake_objective)
-    starts = 9  # one per scale, 1/16 .. 16
-    assert search_witness([F(1)], 1, starts=starts, iterations=30) is None
-    assert len(seen) == starts
-    objectives = [fake_objective(None, A) for A in seen]
-    assert not any(math.isnan(v) for v in objectives)
-    assert -math.inf in objectives
-
-
-def test_search_verifies_negative_inf_objective(monkeypatch):
-    # -inf means a negative term overflowed: the candidate is kept and
-    # re-verified exactly, and here it is a real witness of x^2 - 1
-    monkeypatch.setattr(witness, "probe_witness", lambda coeffs, m: None)
-    seen = rationalized(monkeypatch, lambda coeffs_f, A: -math.inf)
-    rep = search_witness([F(-1), F(0), F(1)], 1, starts=1, iterations=5)
-    assert len(seen) == 1
-    assert rep is not None and rep.value < 0 and rep.reverify()
-
-
-def test_search_start_with_nan_objective_begins_at_inf(monkeypatch):
-    calls = []
-
-    def first_nan(coeffs_f, A):
-        calls.append(A)
-        return math.nan if len(calls) == 1 else -A[0][0]
-
-    seen = rationalized(monkeypatch, first_nan)
-    assert search_witness([F(1)], 1, starts=1, iterations=5) is None
-    assert len(seen) == 1 and seen[0][0][0] > 0
 
 
 def reference_report(coeffs, A):
@@ -243,131 +179,88 @@ def test_verified_report_matches_fraction_matrix_on_probes():
     assert seen == {"tie", "negative", "none", "L > 1"}
 
 
-# -- lockstep blocks against the one-start-at-a-time search ---------------------
-
-
-def sequential_descent(coeffs_f, m, idx, iterations, seed):
-    """(objective, matrix) of start idx run alone, each coordinate step a
-    kernel call on its own nine candidates: the search before its starts
-    advanced in blocks."""
-    factors = [0.0, 0.25, 0.5, 0.8, 0.95, 1.05, 1.25, 2.0, 4.0]
-    rng = random.Random(f"{seed}:{idx}")
-    scale = float(SCALE_SWEEP[idx % len(SCALE_SWEEP)])
-    A = [[rng.random() * scale for _ in range(m)] for _ in range(m)]
-    obj = poly_min_entries(coeffs_f, [A])[0]
-    if math.isnan(obj):
-        obj = math.inf
-    for _ in range(iterations):
-        i, j = rng.randrange(m), rng.randrange(m)
-        base = A[i][j]
-        cands = [
-            max(base * f if base else scale * f * rng.random(), 0.0)
-            for f in factors
-        ]
-        stack = np.array([A] * len(cands))
-        stack[:, i, j] = cands
-        best_val, best = obj, base
-        for val, cand in zip(poly_min_entries(coeffs_f, stack), cands):
-            if val < best_val:
-                best_val, best = val, cand
-        A[i][j] = best
-        obj = best_val
-    return obj, A
-
-
-def sequential_search(coeffs, m, starts, iterations, seed):
-    """(report, winning start index) of the search run one start at a time.
-    The probe matrices are left out: the cases below have no probe witness."""
-    coeffs = [F(c) for c in coeffs]
-    coeffs_f = [float(c) for c in coeffs]
-    for idx in range(starts):
-        obj, A = sequential_descent(coeffs_f, m, idx, iterations, seed)
-        if obj < -1e-12:
-            rep = witness._verified_report(coeffs, witness._rationalize(A), "search")
-            if rep is not None:
-                return rep, idx
-    return None, None
+# -- the exact families ---------------------------------------------------------
 
 
 def search_cases(count, seed):
-    """Seeded (x - r)^2 - eps, some with a small x^3 term, that no probe
-    matrix falsifies, with the search budget to run on each.  At m >= 2 a
-    probe t*J with small t falsifies every one of them, so only m = 1 stays."""
+    """Seeded (x - r)^2 - eps, some with a small x^3 term, r in [1, 4]: each
+    is negative only within sqrt(eps) of r, where the x^3 term adds at most
+    eps/2, so each has a witness at order 1 that a sweep of t can miss."""
     rng = random.Random(seed)
     cases = []
-    while len(cases) < count:
-        m = rng.randint(1, 3)
-        r = F(rng.randint(10, 40), 10)
-        coeffs = [r * r - F(1, rng.choice([100, 1000])), -2 * r, 1,
-                  rng.choice([0, F(1, 1000)])]
-        if probe_witness(coeffs, m) is None:
-            cases.append((coeffs, m, rng.choice([1, 3, 6, SEARCH_BLOCK + 6]),
-                          rng.choice([0, 1, 5, 20]), rng.randrange(1000)))
+    for _ in range(count):
+        r, eps = F(rng.randint(10, 40), 10), F(1, rng.choice([100, 1000]))
+        cases.append([r * r - eps, -2 * r, 1, rng.choice([0, eps / 128])])
     return cases
 
 
-def test_lockstep_search_matches_sequential_search():
-    # the last case's first verified start, 68, lies in the second block
-    r = F(17, 10)
-    cases = search_cases(120, seed=0) + [([r * r - F(1, 100), -2 * r, 1], 1,
-                                          SEARCH_BLOCK + 6, 0, 48)]
-    winners = []
-    for coeffs, m, starts, iterations, seed in cases:
-        want, idx = sequential_search(coeffs, m, starts, iterations, seed)
-        got = search_witness(coeffs, m, starts, iterations, seed)
-        assert (got and got.to_json()) == (want and want.to_json()), (coeffs, m, seed)
-        winners.append(idx)
-    assert any(idx is not None and 0 < idx < SEARCH_BLOCK for idx in winners)
-    assert any(idx is not None and idx >= SEARCH_BLOCK for idx in winners)
-    assert None in winners
+def test_family_finds_every_search_case_at_order_1():
+    for coeffs in search_cases(60, seed=0):
+        rep = family_witness(coeffs, 1)
+        assert rep is not None and rep.method == "jordan-family", coeffs
+        assert rep.reverify()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_lockstep_starts_follow_their_own_paths(m):
-    # every start of a block ends where it ends alone, at m = 2 and 3 too,
-    # where no search case above survives the probes.  A top coefficient of
-    # -1e300 makes several candidates of a step overflow to the same -inf,
-    # and a start must then move to the first of them.
-    rng = random.Random(m)
-    for top in (1.0, 1.0, 1.0, -1e300, -1e300):
-        coeffs_f = [rng.uniform(-3, 3) for _ in range(rng.randint(1, 5))] + [top]
-        first, seed = rng.randrange(20), rng.randrange(1000)
-        block = range(first, first + rng.choice([1, 5, 11]))
-        objs, As = witness._descend_block(coeffs_f, m, block, 12, seed)
-        assert list(zip(objs, As)) == [
-            sequential_descent(coeffs_f, m, idx, 12, seed) for idx in block]
+def test_family_finds_every_corpus_witness_of_the_float_search():
+    # the corpus records the earlier float search's outcome on each case
+    corpus = json.loads((Path(__file__).parent / "data" / "falsify_corpus.json").read_text())
+    found = {"probe": 0, "descent": 0, None: 0}
+    for case in corpus["cases"]:
+        coeffs = make_f_a([F(x) for x in case["d"]], F(case["a"]))
+        rep = family_witness(coeffs, case["m"])
+        assert rep is not None or case["parent"] is None, case
+        if rep is not None:
+            assert rep.m == case["m"] and rep.reverify()
+            found[case["parent"]] += 1
+    assert found == {"probe": 319, "descent": 41, None: 5}
 
 
-def test_lockstep_starts_at_the_benchmark_shape():
-    # p_a at order 3, 8 starts of 150 steps each
-    coeffs_f = [float(c) for c in make_p_a(3, F(19999, 10000))]
-    objs, As = witness._descend_block(coeffs_f, 3, range(8), 150, 0)
-    assert list(zip(objs, As)) == [
-        sequential_descent(coeffs_f, 3, idx, 150, 0) for idx in range(8)]
+EPS = F(1, 10**9)
 
 
-@pytest.mark.filterwarnings("error")
-def test_lockstep_starts_overflow_to_inf_silently():
-    # -x drives an entry of start 1 to inf; later steps on it take the
-    # base = inf branch, whose candidate inf * 0.0 is nan
-    objs, As = witness._descend_block([0.0, -1.0], 2, range(2), 2600, 0)
-    assert objs[1] == -math.inf and math.inf in sum(As[1], [])
-    assert list(zip(objs, As)) == [
-        sequential_descent([0.0, -1.0], 2, idx, 2600, 0) for idx in range(2)]
+@pytest.mark.parametrize("n,a,falsified", [
+    *[(n, a, a > 2) for n in (2, 3, 4) for a in (2 - EPS, F(2), 2 + EPS)],
+    # the Jordan end at n = 5 is about 1.98409, below the cycle's 2
+    (5, F(19840, 10000), False), (5, F(19841, 10000), True),
+])
+def test_family_threshold_of_p_a_at_order_n(n, a, falsified):
+    rep = family_witness(make_p_a(n, a), n)
+    assert (rep is not None) == falsified
+    if n == 5 and falsified:
+        t = rep.matrix[0][0]
+        assert rep.method == "jordan-family" and F(16, 100) < t < F(17, 100)
 
 
-def test_each_block_step_is_one_kernel_call(monkeypatch):
-    batches = []
+def test_family_witness_leaves_the_float_plateau():
+    # 10^30 - x^2 is positive on [0, 10^15): the float descent never left it
+    rep = family_witness([10**30, 0, -1], 1)
+    assert rep.matrix[0][0] > 10**15 and rep.value < 0 and rep.reverify()
 
-    def recording(coeffs_f, As):
-        batches.append(len(As))
-        return poly_min_entries(coeffs_f, As)
 
-    monkeypatch.setattr(witness, "poly_min_entries", recording)
-    coeffs = [F(1), F(2), F(1)]  # (1 + x)^2: no witness, every start runs
-    assert search_witness(coeffs, 2, starts=2 * SEARCH_BLOCK + 3, iterations=4) is None
-    assert len(batches) == 3 * (4 + 1)
-    assert max(batches) <= 9 * SEARCH_BLOCK
-    batches.clear()
-    assert search_witness(coeffs, 2, starts=0, iterations=4) is None
-    assert batches == []
+def test_family_witness_refuses_order_below_1():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            family_witness([F(-1)], m)
+
+
+def family_matrix(method, m, j, t):
+    if method == "jordan-family":
+        return [[t if c == r else F(c == r + 1) for c in range(m)] for r in range(m)]
+    return [[t if r < j and c == (r + 1) % j else F(0) for c in range(m)] for r in range(m)]
+
+
+def test_family_rows_are_entries_of_p_of_the_family_matrix():
+    # row i of a family is entry (1, i+1) of p(A) at every t, by the
+    # generic Horner of the list kernels
+    rng = random.Random(2)
+    for _ in range(40):
+        ints = [rng.randint(-5, 5) for _ in range(rng.randint(1, 7))] + [0] * rng.randint(0, 2)
+        m = rng.randint(1, 5)
+        t = F(rng.randint(1, 9), rng.randint(1, 4))
+        rows = {}
+        for method, j, row, open_lo in witness._family_rows(ints, m):
+            rows.setdefault((method, j), []).append(row)
+            assert open_lo == (method == "cycle-family")
+        for (method, j), family in rows.items():
+            C = horner(ints, family_matrix(method, m, j, t))
+            assert [sum(c * t**d for d, c in enumerate(row)) for row in family] == C[0][:len(family)]
