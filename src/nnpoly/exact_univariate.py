@@ -71,28 +71,27 @@ def count_roots(chain, lo, hi):
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def negative_point(q, open_lo=False):
-    """A rational t >= 0 (t > 0 if open_lo) with q(t) < 0, or None when
-    there is none.
+def negative_point(q):
+    """A rational t >= 0 with q(t) < 0, or None when there is none.
 
     Every root lies in (-B, B), B = 1 + max |q_i / q_top| (Cauchy).  (0, B]
     is bisected while a piece holds two roots or more, or holds one and
-    starts at a root (or at 0, if open_lo).  Then each gap between
-    consecutive roots, and the one after the last, holds a piece's left end
-    or B.  q keeps its sign on each gap and beyond B, so testing the ends in
+    starts at a root.  Then each gap between consecutive roots, and the ones
+    before the first and after the last, holds 0, a piece's left end or B.
+    q keeps its sign on each gap and beyond B, so testing the ends in
     ascending order finds the first of them where q < 0, if q is negative
-    anywhere on the range.
+    anywhere on [0, inf).
     """
     q = _trim(q)
     if not q:
         return None
     B = 1 + max((abs(Fraction(c) / q[-1]) for c in q[:-1]), default=0)
     chain = sturm_chain(q)
-    pieces, ends = [(Fraction(0), B)], {B} if open_lo else {Fraction(0), B}
+    pieces, ends = [(Fraction(0), B)], {Fraction(0), B}
     while pieces:
         lo, hi = pieces.pop()
         k = count_roots(chain, lo, hi)
-        if k > 1 or k == 1 and (_eval(q, lo) == 0 or open_lo and lo == 0):
+        if k > 1 or k == 1 and _eval(q, lo) == 0:
             mid = (lo + hi) / 2
             pieces += [(lo, mid), (mid, hi)]
             ends.add(mid)

@@ -4,8 +4,8 @@ Every witness is an exact matrix.  cycle_witness builds the scaled cyclic
 shift that falsifies p_a one order up (the strict containment of the
 preserver sets), and shift_witness checks a shift against its closed form.
 family_witness decides exactly whether a member of two one-parameter
-families, tI + N and the scaled cycles, falsifies any polynomial at a given
-order.  When neither does, that is inconclusive, never a membership proof.
+families, tI + N and the scaled cycles with a tail, falsifies any polynomial
+at a given order.  When neither does, that is inconclusive, never a membership proof.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .exact_univariate import negative_point
@@ -72,11 +73,12 @@ def _verified_report(coeffs, A, method) -> WitnessReport | None:
     return None
 
 
-def _shift(m, t, j=None):
-    """t times the cyclic shift 1 -> 2 -> ... -> j -> 1 (j = m by default),
-    padded with zeros to order m, in Fractions."""
-    j, zero = j or m, Fraction(0)
-    return [[t if r < j and c == (r + 1) % j else zero for c in range(m)] for r in range(m)]
+def _shift(m, t, j=None, tail=0):
+    """t times the path 1 -> ... -> tail + j closed by tail + j -> tail + 1
+    (j = m: the cyclic shift), padded with zeros to order m, in Fractions."""
+    k, zero = tail + (j or m), Fraction(0)
+    return [[t if r < k and c == ((r + 1) % k or tail) else zero for c in range(m)]
+            for r in range(m)]
 
 
 def shift_witness(coeffs, m, t, entry, value) -> WitnessReport:
@@ -110,30 +112,36 @@ def _jordan(m, t):
 
 
 def _family_rows(ints, m):
-    """(method, j, row polynomial, open_lo) for family_witness, in its order."""
+    """(method, member, row polynomial) for family_witness, in its order;
+    member(t) is the family's matrix at t.  Tail L drops c_(L-1) from one
+    row of tail L - 1 and repeats the others, which are skipped."""
     top = max((d for d, c in enumerate(ints) if c), default=-1)
     ints = ints[:top + 1]
     for i in range(min(m, top + 1)):
-        yield "jordan-family", m, [comb(d, i) * ints[d] for d in range(i, top + 1)], False
-    for j in range(2, min(m, top) + 1):
+        yield "jordan-family", partial(_jordan, m), [comb(d, i) * ints[d] for d in range(i, top + 1)]
+    for L, j in ((L, j) for L in range(min(m - 1, top)) for j in range(2, min(m - L, top) + 1)):
         for i in range(j):
-            yield "cycle-family", j, [c if d % j == i else 0 for d, c in enumerate(ints)], True
+            if L == 0 or i == (L - 1) % j and ints[L - 1]:
+                row = [c if d % j == i and d >= L else 0 for d, c in enumerate(ints)]
+                yield "cycle-family", partial(_shift, m, j=j, tail=L), row
 
 
 def family_witness(coeffs, m: int) -> WitnessReport | None:
     """The first exact witness of order m in two one-parameter families, or
     None when no member of either has a negative entry in p(A).
 
-    The rows checked, in this order, each for a rational t where it is
-    negative (exact_univariate.negative_point):
+    Each row below, in this order, is searched for a t where it is negative:
     1. Jordan, A = tI + N with N the shift 1 -> 2 -> ... -> m, t >= 0:
        p(A) is upper-triangular Toeplitz, and its entry (1, i+1) is
        q_i(t) = sum_d C(d, i) c_d t^(d-i), for i = 0 .. min(m, deg p + 1) - 1.
-    2. cycle, A = diag(tP_j, 0), P_j the shift 1 -> ... -> j -> 1, t > 0:
-       p(tP_j) is circulant with entry (1, i+1) r_i(t) = sum_{d = i mod j}
-       c_d t^d, for j = 2 .. min(m, deg p) and i = 0 .. j-1.
-    A witness at order j < m embeds as diag(A, 0), whose p is diag(p(A), c_0 I).
-    For j > deg p, r_i = c_i t^i, which q_i(0) = c_i already decides.
+    2. cycle, A = diag(tC, 0), t >= 0, C the path 1 -> ... -> L + j closed
+       into a j-cycle by L + j -> L + 1 (L = 0: the shift P_j): entry
+       (1, L + 1 + (i - L mod j)) of p(tC) is r_i(t) = sum c_d t^d over
+       d >= L, d = i mod j, for L < min(m - 1, deg p), j = 2 .. min(m - L, deg p)
+       and i = 0 .. j-1: the tail drops the low terms of a cycle's row.
+    A witness at order L + j < m embeds as diag(A, 0), with p diag(p(A), c_0 I).
+    For j > deg p, r_i = c_i t^i, which q_i(0) = c_i already decides; and
+    at t = 0 a cycle row is c_0 or 0, which q_0 has decided before it.
     The hit's matrix is evaluated exactly, and the report holds its first
     most negative entry; AssertionError is raised, under python -O too, if
     that evaluation has no negative entry.
@@ -141,11 +149,10 @@ def family_witness(coeffs, m: int) -> WitnessReport | None:
     if m < 1:
         raise ValueError("order must be >= 1")
     _, ints = _scaled_ints(coeffs)  # scaled by the positive lcm: signs kept
-    for method, j, row, open_lo in _family_rows(ints, m):
-        t = negative_point(row, open_lo)
+    for method, member, row in _family_rows(ints, m):
+        t = negative_point(row)
         if t is not None:
-            A = _jordan(m, t) if method == "jordan-family" else _shift(m, t, j)
-            rep = _verified_report(coeffs, A, method)
+            rep = _verified_report(coeffs, member(t), method)
             if rep is None:
                 raise AssertionError("exact evaluation disagrees with construction")
             return rep

@@ -134,15 +134,19 @@ EPS = F(1, 10**9)
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_probes_falsify_p_a_exactly_above_2(n):
-    # the probe t*P, P the order-n shift, is the cycle family at j = n: row
-    # 0 of p_a(tP) is 1 - a t^n + t^2n, negative at some t > 0 iff a > 2,
-    # and its other rows have no negative coefficient
+    # the bracket's upper end is the order-n cycle tP, once falsify's probe:
+    # entry (1, i+1) of p_a(tP) sums the t^d with d = i (mod n), so entry
+    # (1, 1) is 1 - a t^n + t^2n, negative at some t > 0 iff a > 2, and the
+    # others are t^i + t^(n+i) >= 0; no t does better than the bracket's t = 1
     for a in [2 - EPS, F(2), 2 + EPS, F(199, 100), F(201, 100), F(2 * n)]:
-        hits = [negative_point(row, open_lo)
-                for method, j, row, open_lo in witness._family_rows(make_p_a(n, a), n)
-                if method == "cycle-family" and j == n]
-        assert len(hits) == n
-        assert any(t is not None for t in hits) == (a > 2), a
+        p = make_p_a(n, a)
+        rows = [[c if d % n == i else 0 for d, c in enumerate(p)] for i in range(n)]
+        assert all(c >= 0 for row in rows[1:] for c in row)
+        assert rows[0] == [1] + [0] * (n - 1) + [-a] + [0] * (n - 1) + [1]
+        t = negative_point(rows[0])
+        assert (t is not None) == (a > 2), a
+        if t is not None:
+            assert 1 - a * t**n + t**(2 * n) < 0
 
 
 @pytest.mark.parametrize("n", range(2, 10))

@@ -24,15 +24,13 @@ def value(q, t):
     return sum(c * t**d for d, c in enumerate(q))
 
 
-def negative_somewhere(roots, c, open_lo):
-    """Whether c * prod (t - r)^k < 0 at some t >= 0 (t > 0 if open_lo):
-    its sign is constant between consecutive roots, so one point in each
-    gap of [0, inf) decides it."""
+def negative_somewhere(roots, c):
+    """Whether c * prod (t - r)^k < 0 at some t >= 0: its sign is constant
+    between consecutive roots, so one point in each gap of [0, inf) decides
+    it."""
     q = from_roots(roots, c)
     cuts = sorted({F(0), *(r for r in roots if r > 0)})
-    points = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[-1] + 1]
-    if not open_lo:
-        points.append(F(0))
+    points = [F(0)] + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[-1] + 1]
     return any(value(q, t) < 0 for t in points)
 
 
@@ -68,12 +66,11 @@ def test_count_roots_counts_distinct_roots_in_half_open_interval(roots, c):
 
 @pytest.mark.parametrize("roots", ROOT_SETS, ids=range(len(ROOT_SETS)))
 @pytest.mark.parametrize("c", [1, -3, F(2, 7)])
-@pytest.mark.parametrize("open_lo", [False, True])
-def test_negative_point_on_known_roots(roots, c, open_lo):
+def test_negative_point_on_known_roots(roots, c):
     q = from_roots(roots, c)
-    t = negative_point(q, open_lo)
-    if negative_somewhere(roots, c, open_lo):
-        assert t is not None and value(q, t) < 0 and (t > 0 if open_lo else t >= 0)
+    t = negative_point(q)
+    if negative_somewhere(roots, c):
+        assert t is not None and value(q, t) < 0 and t >= 0
     else:
         assert t is None
 
@@ -87,27 +84,24 @@ def test_random_products_of_powers():
         q = from_roots(roots, c)
         chain = sturm_chain(q)
         assert count_roots(chain, F(0), F(10)) == sum(0 < r <= 10 for r in roots)
-        for open_lo in (False, True):
-            t = negative_point(q, open_lo)
-            assert (t is not None) == negative_somewhere(roots, c, open_lo), (roots, c)
-            assert t is None or value(q, t) < 0
+        t = negative_point(q)
+        assert (t is not None) == negative_somewhere(roots, c), (roots, c)
+        assert t is None or value(q, t) < 0
 
 
 def test_multiple_root_at_zero():
     # the plain Sturm chain of q vanishes at 0 in every member here
     q = [0, 0, 0, -4, 0, 0, 0, 0, 0, 0, 11]  # -4t^3 + 11t^10
     assert count_roots(sturm_chain(q), F(0), F(2)) == 1
-    for open_lo in (False, True):
-        t = negative_point(q, open_lo)
-        assert t > 0 and value(q, t) < 0
+    t = negative_point(q)
+    assert t > 0 and value(q, t) < 0
 
 
 def test_constant_and_zero_polynomials():
     for q in ([F(5)], [3, 0, 0]):
         assert count_roots(sturm_chain(q), F(-1), F(1)) == 0
-        assert negative_point(q) is None and negative_point(q, True) is None
+        assert negative_point(q) is None
     assert negative_point([-2]) == 0
-    assert negative_point([-2], open_lo=True) > 0
     for q in ([], [0], [F(0), 0]):
         assert negative_point(q) is None
         with pytest.raises(ValueError, match="zero polynomial"):

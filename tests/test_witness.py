@@ -201,34 +201,50 @@ def test_family_finds_every_search_case_at_order_1():
         assert rep.reverify()
 
 
-def test_family_finds_every_corpus_witness_of_the_float_search():
+CORPUS = json.loads((Path(__file__).parent / "data" / "falsify_corpus.json").read_text())
+
+
+@pytest.mark.parametrize("part,expected", [
+    ("cases", {"probe": 319, "descent": 41, None: 5}),
+    ("general", {"probe": 461, "descent": 7, None: 0}),
+], ids=["make_f_a", "general"])
+def test_family_finds_every_corpus_witness_of_the_float_search(part, expected):
     # the corpus records the earlier float search's outcome on each case
-    corpus = json.loads((Path(__file__).parent / "data" / "falsify_corpus.json").read_text())
     found = {"probe": 0, "descent": 0, None: 0}
-    for case in corpus["cases"]:
-        coeffs = make_f_a([F(x) for x in case["d"]], F(case["a"]))
+    for case in CORPUS[part]:
+        if part == "general":
+            coeffs = [F(x) for x in case["coeffs"]]
+        else:
+            coeffs = make_f_a([F(x) for x in case["d"]], F(case["a"]))
         rep = family_witness(coeffs, case["m"])
         assert rep is not None or case["parent"] is None, case
         if rep is not None:
             assert rep.m == case["m"] and rep.reverify()
             found[case["parent"]] += 1
-    assert found == {"probe": 319, "descent": 41, None: 5}
+    assert found == expected
 
 
 EPS = F(1, 10**9)
 
 
+# from n = 5 on the Jordan end lies below the cycle's 2 (ROADMAP item 1's
+# table has 1.98409, 1.91023 and 1.86797 at n = 5, 7, 9): a bracket of it
+# in units of 10^-4
+JORDAN_END = {5: (19840, 19841), 6: (19415, 19416), 7: (19102, 19103),
+              8: (18864, 18866), 9: (18679, 18680)}
+
+
 @pytest.mark.parametrize("n,a,falsified", [
     *[(n, a, a > 2) for n in (2, 3, 4) for a in (2 - EPS, F(2), 2 + EPS)],
-    # the Jordan end at n = 5 is about 1.98409, below the cycle's 2
-    (5, F(19840, 10000), False), (5, F(19841, 10000), True),
+    *[(n, F(a, 10000), a == hi) for n, (lo, hi) in JORDAN_END.items() for a in (lo, hi)],
 ])
 def test_family_threshold_of_p_a_at_order_n(n, a, falsified):
     rep = family_witness(make_p_a(n, a), n)
     assert (rep is not None) == falsified
+    if n >= 5 and falsified:
+        assert rep.method == "jordan-family" and rep.reverify()
     if n == 5 and falsified:
-        t = rep.matrix[0][0]
-        assert rep.method == "jordan-family" and F(16, 100) < t < F(17, 100)
+        assert F(16, 100) < rep.matrix[0][0] < F(17, 100)
 
 
 def test_family_witness_leaves_the_float_plateau():
@@ -243,24 +259,43 @@ def test_family_witness_refuses_order_below_1():
             family_witness([F(-1)], m)
 
 
-def family_matrix(method, m, j, t):
-    if method == "jordan-family":
+def family_matrix(m, t, j=None, tail=0):
+    """tI + N, or t times the path 1 -> ... -> tail + j with the edge
+    tail + j -> tail + 1 closing a j-cycle."""
+    if j is None:
         return [[t if c == r else F(c == r + 1) for c in range(m)] for r in range(m)]
-    return [[t if r < j and c == (r + 1) % j else F(0) for c in range(m)] for r in range(m)]
+    edges = {(r, r + 1) for r in range(tail + j - 1)} | {(tail + j - 1, tail)}
+    return [[t if (r, c) in edges else F(0) for c in range(m)] for r in range(m)]
 
 
 def test_family_rows_are_entries_of_p_of_the_family_matrix():
-    # row i of a family is entry (1, i+1) of p(A) at every t, by the
-    # generic Horner of the list kernels
+    # each row is an entry in row 1 of p(A) for its member A at every t, by
+    # the generic Horner of the list kernels
     rng = random.Random(2)
     for _ in range(40):
         ints = [rng.randint(-5, 5) for _ in range(rng.randint(1, 7))] + [0] * rng.randint(0, 2)
-        m = rng.randint(1, 5)
+        m = rng.randint(1, 9)
         t = F(rng.randint(1, 9), rng.randint(1, 4))
-        rows = {}
-        for method, j, row, open_lo in witness._family_rows(ints, m):
-            rows.setdefault((method, j), []).append(row)
-            assert open_lo == (method == "cycle-family")
-        for (method, j), family in rows.items():
-            C = horner(ints, family_matrix(method, m, j, t))
-            assert [sum(c * t**d for d, c in enumerate(row)) for row in family] == C[0][:len(family)]
+        rows = list(witness._family_rows(ints, m))
+        top = max((d for d, c in enumerate(ints) if c), default=-1)
+        assert [method for method, _, _ in rows].count("jordan-family") == min(m, top + 1)
+        first_rows = {}
+        for method, member, row in rows:
+            key = tuple(member.keywords.items())
+            if key not in first_rows:
+                A = member(t)
+                assert A == family_matrix(m, t, **member.keywords)
+                first_rows[key] = horner(ints, A)[0]
+            assert sum(c * t**d for d, c in enumerate(row)) in first_rows[key]
+
+
+def test_cycle_tail_drops_the_low_terms():
+    # the even part 3 + t^2/3 - 48/25 t^4 + 5/3 t^6 of this p is positive,
+    # so no 2-cycle falsifies it; a one-vertex tail into the 2-cycle drops
+    # the constant 3, and 1/3 - 48/25 s + 5/3 s^2 < 0 at some s = t^2
+    p = [F(3), F(1), F(1, 3), F(1), F(-48, 25), F(1, 3), F(5, 3), F(4)]
+    assert family_witness(p, 2) is None
+    rep = family_witness(p, 3)
+    t = rep.matrix[0][1]
+    assert rep.method == "cycle-family" and rep.matrix == family_matrix(3, t, 2, 1)
+    assert rep.reverify()
