@@ -1,7 +1,7 @@
 """Bracket the largest admissible coefficient a for p_a at a given order.
 
 The lower end is certified (caps from the mu formula, sharpened with exact
-pre-image counts when enumeration is feasible); the upper end is the
+pre-image counts within the census limit); the upper end is the
 closed form of the cyclic-shift witness family, backed by a stored exact
 witness.  Sampled non-failure never moves the lower end: only certificates
 do.
@@ -15,15 +15,15 @@ from fractions import Fraction
 
 from .families import rational_sqrt_floor, safe_a_squared, make_p_a
 from .linalg import format_scalar
-from .paths import (DEFAULT_CAP, EnumerationCapExceeded, _a_sq_ratio, census_cap,
+from .paths import (EnumerationCapExceeded, _a_sq_ratio, census_cap,
                     verify_certificate_on_matrix)
 from .witness import WitnessReport, shift_witness
 
 SCALE_SWEEP = [Fraction(2) ** e for e in range(-4, 5)]  # sampled matrix scales
 
-# Not read by the package: certified_cap sharpens whenever the census fits
-# the enumeration cap.  perfbench/make_reference.py records certified_cap
-# up to this n.
+# Not read by the package: certified_cap sharpens whenever n is within the
+# census limit paths.CENSUS_N_MAX.  perfbench/make_reference.py records
+# certified_cap up to this n.
 NU_FEASIBLE_LIMIT = 7
 
 
@@ -51,13 +51,14 @@ class BoundEstimate:
         }
 
 
-def certified_cap(n: int, cap: int = DEFAULT_CAP):
+def certified_cap(n: int):
     """(a^2 cap, provenance): the cap paths.census_cap computes from the
-    census of M_n when the census fits the enumeration cap and its facts
-    hold, else the mu-formula cap families.safe_a_squared computes."""
+    census of M_n when n is within the census limit paths.CENSUS_N_MAX and
+    the census facts hold, else the mu-formula cap families.safe_a_squared
+    computes."""
     a_sq = safe_a_squared(n)
     try:
-        sharp = census_cap(n, cap)
+        sharp = census_cap(n)
     except EnumerationCapExceeded:
         sharp = None
     if sharp is not None and sharp > a_sq:

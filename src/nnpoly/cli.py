@@ -44,7 +44,7 @@ def _config_dict(args, keys):
 
 def cmd_bound(args):
     d = linalg.parse_poly(args.d) if args.d else [Fraction(1)] * (2 * args.n + 1)
-    nu_values = paths.all_nu(args.n, cap=args.cap) if args.nu else None
+    nu_values = paths.all_nu(args.n) if args.nu else None
     table = families.bound_table(args.n, d=d, nu_values=nu_values)
     cfg = {**_config_dict(args, ["n", "nu"]), "d": ",".join(map(linalg.format_scalar, d))}
     payload = {"config": cfg, **table.to_json()}
@@ -53,9 +53,9 @@ def cmd_bound(args):
 
 
 def cmd_certify(args):
-    a_sq = Fraction(args.a_sq) if args.a_sq else (  # the census guard runs before any cap
-        paths.census_cap(args.n, args.cap) or bracket.certified_cap(args.n, args.cap)[0])
-    report = paths.build_certificate(args.n, a_sq, cap=args.cap)
+    a_sq = Fraction(args.a_sq) if args.a_sq is not None else (  # the census guard runs first
+        paths.census_cap(args.n) or bracket.certified_cap(args.n)[0])
+    report = paths.build_certificate(args.n, a_sq)
     payload = {"config": {"n": str(args.n), "a_sq": str(a_sq)}, **report.to_json()}
     _emit(payload, args)
     return EXIT_OK if report.verdict else EXIT_FALSIFIED
@@ -73,7 +73,7 @@ def cmd_enumerate(args):
 
 
 def cmd_nu(args):
-    nu = paths.exact_nu(args.n, args.k, cap=args.cap)
+    nu = paths.exact_nu(args.n, args.k)
     payload = {
         "config": _config_dict(args, ["n", "k"]),
         "n": args.n, "k": args.k, "nu": nu, "mu": families.mu(args.n, args.k),
@@ -170,11 +170,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cap=False):
+    def common(p):
         p.add_argument("--out", help="write the report to a file")
-        if cap:
-            p.add_argument("--cap", type=int, default=paths.DEFAULT_CAP,
-                           help="enumeration size guard")
 
     def spectrum_input(p):
         group = p.add_mutually_exclusive_group(required=True)
@@ -186,26 +183,28 @@ def build_parser():
     p.add_argument("--d", help="comma-separated positive weights d_0..d_2n")
     p.add_argument("--nu", action="store_true",
                    help="sharpen with exact pre-image counts (census of M_n)")
-    common(p, cap=True)
+    common(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("certify", help="exhaustive proof check for p_a at order n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a-sq", help='rational cap on a^2, e.g. "2" or "4/3" (default: certified cap)')
-    common(p, cap=True)
+    common(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("enumerate", help="list path monomials 1 -> ... -> 2")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True, help="path length (edges)")
     p.add_argument("--count", action="store_true")
-    common(p, cap=True)
+    p.add_argument("--cap", type=int, default=paths.DEFAULT_CAP,
+                   help="enumeration size guard")
+    common(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("nu", help="exact maximal pre-image count of cycle deletion")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p, cap=True)
+    common(p)
     p.set_defaults(func=cmd_nu)
 
     p = sub.add_parser(
@@ -258,7 +257,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except paths.EnumerationCapExceeded as exc:
-        print(f"error: {exc} (raise --cap to override)", file=sys.stderr)
+        hint = " (raise --cap to override)" if "cap" in vars(args) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_ERROR
     except ZeroDivisionError as exc:  # Fraction("1/0") in a rational argument
         print(f"error: zero denominator in {exc}", file=sys.stderr)

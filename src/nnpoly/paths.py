@@ -48,6 +48,13 @@ from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numera
 
 DEFAULT_CAP = 10**8
 
+# The largest n the census walks.  Its walk has one row per relabeling
+# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.3-0.4 s at a 77 MB peak
+# RSS and R(11) = 3,535,026 take 2.2-2.6 s at 345 MB (walk plus census in a
+# fresh Python 3.11 process, shared 2-core Linux machine);
+# R(12) = 23,430,839 is refused.
+CENSUS_N_MAX = 11
+
 
 class EnumerationCapExceeded(Exception):
     pass
@@ -225,7 +232,7 @@ def _canonical_rows(G, n):
     return out
 
 
-def _census(n: int, cap: int = DEFAULT_CAP):
+def _census(n: int):
     """{k: (|M_{n,k}|, phi injective on M_{n,k}, nu(n,k))} over all of M_n.
 
     phi(m) inserts the cycle after its first occurrence, so it keeps both
@@ -235,8 +242,13 @@ def _census(n: int, cap: int = DEFAULT_CAP):
     commutes with relabeling, so a canonical target g with r_g labels >= 3
     has sum over representatives m with canon(psi(m)) = g of
     (n-2)_{r_m} / (n-2)_{r_g} pre-images, each term an exact integer.
+    Refused past CENSUS_N_MAX, before anything is walked.
     """
-    count_monomials(n, n, cap)
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if n > CENSUS_N_MAX:
+        raise EnumerationCapExceeded(
+            f"n = {n} is past the census limit n <= {CENSUS_N_MAX}")
     return _census_of(n)
 
 
@@ -251,7 +263,7 @@ def _census_of(n):
     psi(m)[j] = m[j if j < p else j+k].  The psi images are made canonical
     and grouped by _row_groups; a canonical g uses the labels 1..max(g), so
     r_g = max(g) - 2.  The weights are int64, exact since they sum to at
-    most n^(n-1) < 2^63 for n <= 15, far beyond any n whose walk fits.
+    most n^(n-1) < 2^63 for n <= 15, past CENSUS_N_MAX.
     """
     M, r, ks, ps = _cycle_walk(n)
     size = np.array(_orbit_sizes(n), np.int64)
@@ -272,22 +284,22 @@ def _census_of(n):
     return MappingProxyType(stats)
 
 
-def partition_stats(n: int, cap: int = DEFAULT_CAP):
+def partition_stats(n: int):
     """[(k, |M_{n,k}|)] for k = 1..n-1; counts sum to n^(n-1)."""
-    return [(k, count) for k, (count, _, _) in _census(n, cap).items()]
+    return [(k, count) for k, (count, _, _) in _census(n).items()]
 
 
-def exact_nu(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
+def exact_nu(n: int, k: int) -> int:
     """Exact maximal pre-image cardinality of the cycle-deletion map on M_{n,k}."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range 1..{n - 1}")
-    return _census(n, cap)[k][2]
+    return _census(n)[k][2]
 
 
-def all_nu(n: int, cap: int = DEFAULT_CAP):
-    return [nu for _, _, nu in _census(n, cap).values()]
+def all_nu(n: int):
+    return [nu for _, _, nu in _census(n).values()]
 
 
 @dataclass
@@ -309,13 +321,14 @@ class CertificateReport:
         }
 
 
-def census_cap(n: int, cap: int = DEFAULT_CAP) -> Fraction | None:
+def census_cap(n: int) -> Fraction | None:
     """Largest a^2 the census of M_n certifies: min(4, min_k 4/nu(n,k)), the
     AM-GM and diagonal caps of build_certificate's proof.  families computes
     the mu-formula cap, and bracket.certified_cap chooses between the two.
     None when a census fact fails: the classes k = 1..n-1 partition all
-    n^(n-1) paths, phi is injective and nu(n,k) <= mu(n,k) on each."""
-    stats = _census(n, cap)
+    n^(n-1) paths, phi is injective and nu(n,k) <= mu(n,k) on each.
+    EnumerationCapExceeded past the census limit CENSUS_N_MAX."""
+    stats = _census(n)
     if (set(stats) != set(range(1, n))
             or sum(cnt for cnt, _, _ in stats.values()) != n ** (n - 1)
             or not all(inj and nu <= mu(n, k) for k, (_, inj, nu) in stats.items())):
@@ -323,7 +336,7 @@ def census_cap(n: int, cap: int = DEFAULT_CAP) -> Fraction | None:
     return min(Fraction(4), *(Fraction(4, nu) for _, _, nu in stats.values()))
 
 
-def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport:
+def build_certificate(n: int, a_sq) -> CertificateReport:
     """Census all of M_n and check every ingredient of the membership proof.
 
     Verdict true means a_sq <= census_cap(n), which certifies p_a at
@@ -339,8 +352,8 @@ def build_certificate(n: int, a_sq, cap: int = DEFAULT_CAP) -> CertificateReport
         raise ValueError("a_sq must be positive")
     a_sq = Fraction(p, q)
     per_k = [(k, cnt, inj, nu, mu(n, k))
-             for k, (cnt, inj, nu) in _census(n, cap).items()]
-    limit = census_cap(n, cap)
+             for k, (cnt, inj, nu) in _census(n).items()]
+    limit = census_cap(n)
     verdict = limit is not None and a_sq <= limit
     return CertificateReport(n=n, a_sq=a_sq, per_k=per_k, verdict=verdict)
 
@@ -415,7 +428,7 @@ def _expanded_paths(n):
             yield int(kr[a]), rep[a:z], index[a:z]
 
 
-def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool:
+def numeric_decomposition_check(n: int, a_sq, A) -> bool:
     """Exact replay on one matrix of the termwise proof behind census_cap.
 
     A length-n path m of class k is g = psi(m) with its first k-cycle, of
@@ -443,15 +456,19 @@ def numeric_decomposition_check(n: int, a_sq, A, cap: int = DEFAULT_CAP) -> bool
     AM-GM gives 1/nu + c^2 >= 2c/sqrt(nu) >= a c for a^2 <= 4/nu(n,k); phi
     is injective and each g has at most nu(n,k) pre-images in class k, so
     the lhs use each term of (A^(n+k))_{1,2} and (A^(n-k))_{1,2} at most once.
+
+    It expands every one of the n^(n-1) paths, so it is refused when they
+    pass DEFAULT_CAP, from n = 10 on, before the census or plan is read.
     """
+    count_monomials(n, n)
     D, powers, S = _p_a_numerator(n, A)
     B = powers[1]
     if not is_nonneg(B):  # D > 0, so B has the signs of A
         raise ValueError("matrix must be entrywise nonnegative")
     p, q = _a_sq_ratio(a_sq)
-    if census_cap(n, cap) is None:
+    if census_cap(n) is None:
         return False
-    census = _census(n, cap)
+    census = _census(n)
     N = lcm(*(nu for _, _, nu in census.values()))
     b = B.ravel()
     total = dict.fromkeys(census, 0)

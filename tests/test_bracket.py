@@ -31,9 +31,10 @@ def test_certified_cap_n8_sharpened():
     assert cap > safe_a_squared(8) == F(1, 2520)
 
 
-def test_certified_cap_n10_falls_back_to_mu_formula():
-    # 10^9 paths exceed the default enumeration cap
-    assert certified_cap(10) == (safe_a_squared(10), "mu-formula cap")
+def test_certified_cap_n10_sharpened_n12_falls_back_to_mu_formula():
+    # the census walks 562,594 rows at n = 10; n = 12 is past its limit
+    assert certified_cap(10) == (F(1, 30240), "nu-sharpened cap (exact pre-image enumeration)")
+    assert certified_cap(12) == (safe_a_squared(12), "mu-formula cap")
 
 
 def test_certified_cap_census_sized_n_falls_back_to_mu_formula():
@@ -55,8 +56,8 @@ def test_certificate_accepts_exactly_up_to_certified_cap(n):
 def test_failed_census_fact_falls_back_to_mu_formula(monkeypatch, tamper):
     census = paths_module._census
 
-    def broken(n, cap=paths_module.DEFAULT_CAP):
-        stats = dict(census(n, cap))
+    def broken(n):
+        stats = dict(census(n))
         stats[1] = tamper(*stats[1])
         return stats
 
@@ -133,7 +134,7 @@ EPS = F(1, 10**9)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
-def test_probes_falsify_p_a_exactly_above_2(n):
+def test_cycle_row_falsifies_p_a_exactly_above_2(n):
     # the bracket's upper end is the order-n cycle tP, once falsify's probe:
     # entry (1, i+1) of p_a(tP) sums the t^d with d = i (mod n), so entry
     # (1, 1) is 1 - a t^n + t^2n, negative at some t > 0 iff a > 2, and the

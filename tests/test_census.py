@@ -240,16 +240,35 @@ def test_orbit_weights_cover_m_n(n, reps):
     assert sum(weights) == n ** (n - 1)
 
 
+def walk_size(n):
+    """R(n), the rows of _cycle_walk(n), counted without walking: a prefix
+    with r labels >= 3 has r + 2 children that keep r, and one new label
+    while r < n - 2."""
+    ways = [1] + [0] * (n - 2)
+    for _ in range(n - 1):
+        ways = [w * (r + 2) + (ways[r - 1] if r else 0) for r, w in enumerate(ways)]
+    return sum(ways)
+
+
+def test_walk_size_counts_the_rows_of_the_walk():
+    assert [walk_size(n) for n in range(2, 10)] == [len(_cycle_walk(n)[0]) for n in range(2, 10)]
+    # the sizes the census limit paths.CENSUS_N_MAX = 11 was measured at
+    assert [walk_size(n) for n in (10, 11, 12)] == [562_594, 3_535_026, 23_430_839]
+
+
 def test_representatives_are_canonical_and_distinct():
     reps = [m for m, *_ in walk_rows(6)]
     assert all(_canonical(m) == m for m in reps)
     assert len(set(reps)) == len(reps)
 
 
-def test_census_cap_is_on_all_paths():
-    assert _census(5, cap=5**4) == brute_census(5)
-    with pytest.raises(EnumerationCapExceeded):
-        _census(5, cap=5**4 - 1)
+def test_census_cap_is_on_all_paths(monkeypatch):
+    from nnpoly import paths
+
+    assert _census(5) == brute_census(5)
+    monkeypatch.setattr(paths, "CENSUS_N_MAX", 4)
+    with pytest.raises(EnumerationCapExceeded, match=r"^n = 5 is past the census limit n <= 4$"):
+        _census(5)
 
 
 def test_census_computed_once_per_n(monkeypatch):
@@ -263,8 +282,9 @@ def test_census_computed_once_per_n(monkeypatch):
     first = _census(6)
     assert _census(6) is first
     assert walks == [6]
+    monkeypatch.setattr(paths, "CENSUS_N_MAX", 5)
     with pytest.raises(EnumerationCapExceeded):
-        _census(6, cap=6**5 - 1)  # the cap still holds after a cached success
+        _census(6)  # the limit still holds after a cached success
     with pytest.raises(TypeError):
         first[1] = (0, False, 0)
     assert walks == [6] and first == brute_census(6)

@@ -278,6 +278,14 @@ def test_report_roundtrip_reverifies(capsys):
 def test_malformed_rational_is_usage_error(capsys):
     code = main(["certify", "--n", "2", "--a-sq", "nonsense"])
     assert code == 1
+    capsys.readouterr()
+    # an empty --a-sq is malformed too, not a request for the default
+    code = main(["certify", "--n", "3", "--a-sq="])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: Invalid literal for Fraction")
+    assert captured.err.count("\n") == 1
 
 
 def test_cap_exceeded_is_resource_error(capsys):
@@ -285,13 +293,18 @@ def test_cap_exceeded_is_resource_error(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["nu", "--n", "2000", "--k", "1"],
-    ["enumerate", "--n", "2000", "--j", "2000", "--count"],
-    ["certify", "--n", "2000"],
-    ["bound", "--n", "2000", "--nu"],
+CENSUS_REFUSAL = "error: n = 2000 is past the census limit n <= 11\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["nu", "--n", "2000", "--k", "1"], CENSUS_REFUSAL),
+    # the one command that lists paths keeps --cap, and its hint
+    (["enumerate", "--n", "2000", "--j", "2000", "--count"],
+     "error: n^(j-1) = 2000^1999 exceeds cap 100000000 (raise --cap to override)\n"),
+    (["certify", "--n", "2000"], CENSUS_REFUSAL),
+    (["bound", "--n", "2000", "--nu"], CENSUS_REFUSAL),
 ], ids=["nu", "enumerate_count", "certify", "bound_nu"])
-def test_census_sized_n_fails_with_cap_message(capsys, monkeypatch, argv):
+def test_census_sized_n_fails_with_cap_message(capsys, monkeypatch, argv, message):
     # the default a^2 of certify takes seconds at this n, so it must not run
     # before the cap check
     def too_slow(*args, **kwargs):
@@ -302,8 +315,17 @@ def test_census_sized_n_fails_with_cap_message(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == ("error: n^(j-1) = 2000^1999 exceeds cap 100000000 "
-                            "(raise --cap to override)\n")
+    assert captured.err == message
+
+
+def test_certify_has_no_cap_flag(capsys):
+    # the census is guarded by its own size limit, so there is no --cap to raise
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--n", "3", "--cap", "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --cap 5\n")
 
 
 def test_output_file(tmp_path, capsys):
@@ -394,7 +416,7 @@ def test_bound_rejects_bad_weights(capsys, argv, message):
 
 @pytest.mark.parametrize("flag,value", [("--starts", "-2"), ("--iterations", "-4")],
                          ids=["falsify_starts", "falsify_iterations"])
-def test_negative_search_budget_rejected(capsys, flag, value):
+def test_falsify_rejects_the_removed_budget_flags(capsys, flag, value):
     # falsify has no search budget: the flags are unknown, at any value
     with pytest.raises(SystemExit) as exc:
         main(["falsify", "--coeffs=1,-3,1", "--m", "2", flag, value])
@@ -430,7 +452,7 @@ def test_jll_empty_table_is_usage_error(capsys, flag):
     assert captured.err == "error: k_max and m_max must be >= 1\n"
 
 
-def test_zero_search_budget_runs_probes_only(capsys):
+def test_falsify_exact_families_decide_alone(capsys):
     # no search budget: the exact families alone decide; 1 - 3t + t^2 < 0
     # on (0.38, 2.62), so the Jordan row q_0 = p(t) hits
     code, out = run(capsys, "falsify", "--coeffs=1,-3,1", "--m", "2")
@@ -441,10 +463,10 @@ def test_zero_search_budget_runs_probes_only(capsys):
 
 @pytest.mark.parametrize("coeffs,code,golden", [
     # a family member falsifies it
-    ("1e300,0,0,0,-1e300,0,0,0,0,0,0,1e300", 2, "falsify_overflow_probe.json"),
+    ("1e300,0,0,0,-1e300,0,0,0,0,0,0,1e300", 2, "falsify_overflow_found.json"),
     # no family member does: every row is decided, and none is negative
-    ("1e300,0,0,0,0,0,0,0,0,0,0,0,1e300", 0, "falsify_overflow_search.json"),
-], ids=["probe", "search"])
+    ("1e300,0,0,0,0,0,0,0,0,0,0,0,1e300", 0, "falsify_overflow_none.json"),
+], ids=["found", "none"])
 def test_falsify_overflow_is_silent(coeffs, code, golden):
     # coefficients past the float range are decided exactly, with no
     # warning, even under -W error

@@ -258,8 +258,8 @@ def test_decomposition_check_reads_budgets_from_census(monkeypatch, tamper):
     # class breaks either budget must fail the check
     census = paths_module._census
 
-    def broken(n, cap=paths_module.DEFAULT_CAP):
-        stats = dict(census(n, cap))
+    def broken(n):
+        stats = dict(census(n))
         stats[1] = tamper(*stats[1], mu(n, 1))
         return stats
 
@@ -400,8 +400,8 @@ def census_with_nu_one(census):
     """The census with every nu(n,k) set to 1.  nu <= mu still holds, so
     census_cap accepts it at 4, but each psi image is charged once per
     pre-image, so the covered sum can pass the positive part."""
-    def tampered(n, cap=paths_module.DEFAULT_CAP):
-        return {k: (count, inj, 1) for k, (count, inj, _) in census(n, cap).items()}
+    def tampered(n):
+        return {k: (count, inj, 1) for k, (count, inj, _) in census(n).items()}
     return tampered
 
 
@@ -487,17 +487,18 @@ def test_decomposition_check_n6_matches_reference():
 
 
 def test_decomposition_cap_guard_after_cached_success():
-    A = [[F(1)] * 5 for _ in range(5)]
-    a_sq = certified_cap(5)[0]
-    assert numeric_decomposition_check(5, a_sq, A, cap=5**4)
-    with pytest.raises(EnumerationCapExceeded):
-        numeric_decomposition_check(5, a_sq, A, cap=5**4 - 1)
+    # the census of M_10 fits, but the check would expand all 10^9 paths
+    A = [[F(1)] * 10 for _ in range(10)]
+    a_sq = paths_module.census_cap(10)  # computes and caches the census
+    assert a_sq == F(1, 30240)
+    with pytest.raises(EnumerationCapExceeded, match=r"10\^9 = 1000000000 exceeds cap"):
+        numeric_decomposition_check(10, a_sq, A)
 
 
 def test_decomposition_plan_not_built_for_refused_n():
     paths_module._decomposition_plan.cache_clear()
     with pytest.raises(EnumerationCapExceeded):
-        numeric_decomposition_check(4, F(1), [[F(1)] * 4 for _ in range(4)], cap=4**3 - 1)
+        numeric_decomposition_check(10, F(1), [[F(1)] * 10 for _ in range(10)])
     assert paths_module._decomposition_plan.cache_info().currsize == 0
 
 

@@ -64,13 +64,13 @@ def test_cycle_witness_rejects_bad_args():
         cycle_witness(2, F(0))
 
 
-def test_search_finds_x2_minus_1_witness():
+def test_family_finds_x2_minus_1_witness():
     rep = family_witness([F(-1), F(0), F(1)], 1)
     assert (rep.matrix, rep.value, rep.method) == ([[F(0)]], F(-1), "jordan-family")
     assert rep.reverify()
 
 
-def test_search_cross_checks_cycle_structure():
+def test_family_cross_checks_cycle_structure():
     # p_1 for n=2 must fail at order 3; the structured oracle says so
     rep = family_witness(make_p_a(2, F(1)), 3)
     assert rep is not None
@@ -78,12 +78,12 @@ def test_search_cross_checks_cycle_structure():
     assert cycle_witness(2, F(1)).reverify()
 
 
-def test_search_no_witness_for_nonneg_coeffs():
+def test_family_no_witness_for_nonneg_coeffs():
     coeffs = [F(1), F(4), F(6), F(4), F(1)]  # (1+x)^4
     assert family_witness(coeffs, 2) is None
 
 
-def test_search_deterministic():
+def test_family_witness_deterministic():
     a = family_witness(make_p_a(2, F(2)), 2)
     b = family_witness(make_p_a(2, F(2)), 2)
     assert (a is None) == (b is None)
