@@ -4,6 +4,8 @@ Exit codes: 0 = verified / report produced, 2 = falsified or check failed
 (so pipelines can branch on both directions), 1 = usage or resource error.
 Every JSON report embeds the resolved configuration; rationals are emitted
 in canonical "p/q" form, so identical invocations give identical bytes.
+A call builds the parser of only the subcommand it runs; --help, an
+unknown subcommand or an option before the subcommand builds all nine.
 """
 
 from __future__ import annotations
@@ -159,101 +161,125 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache
-def build_parser():
-    """The one parser of the process, built on first use; parse_args keeps
-    no state in it between calls."""
-    parser = _Parser(
-        prog="nnpoly",
-        description="Polynomials preserving nonnegative matrices: certified "
-        "coefficient bounds, exhaustive proof checking, exact witnesses.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="write the report to a file")
-
-    def spectrum_input(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--spectrum", help='comma-separated, e.g. "1,i,-i"')
-        group.add_argument("--matrix-file", help="CSV matrix; its eigenvalues are used")
-
-    p = sub.add_parser("bound", help="per-k cap table and certified a^2 cap")
+def _bound_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", help="comma-separated positive weights d_0..d_2n")
     p.add_argument("--nu", action="store_true",
                    help="sharpen with exact pre-image counts (census of M_n)")
-    common(p)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("certify", help="exhaustive proof check for p_a at order n")
+
+def _certify_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a-sq", help='rational cap on a^2, e.g. "2" or "4/3" (default: certified cap)')
-    common(p)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("enumerate", help="list path monomials 1 -> ... -> 2")
+
+def _enumerate_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True, help="path length (edges)")
     p.add_argument("--count", action="store_true")
     p.add_argument("--cap", type=int, default=paths.DEFAULT_CAP,
                    help="enumeration size guard")
-    common(p)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("nu", help="exact maximal pre-image count of cycle deletion")
+
+def _nu_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
     p.set_defaults(func=cmd_nu)
 
-    p = sub.add_parser(
-        "falsify", help="decide exactly whether a matrix tI + N or a scaled cycle "
-        "of order <= m has p(A) < 0 somewhere")
+
+def _falsify_args(p):
     p.add_argument("--coeffs", required=True, help="constant term first")
     p.add_argument("--m", type=int, required=True, help="matrix order")
-    common(p)
     p.set_defaults(func=cmd_falsify)
 
-    p = sub.add_parser("witness-cycle", help="structured witness: p_a fails at order n+1")
+
+def _witness_cycle_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", required=True, help="rational, e.g. 1 or 7/5")
     p.add_argument("--t", default="1", help="scale of the shift matrix")
-    common(p)
     p.set_defaults(func=cmd_witness_cycle)
 
-    p = sub.add_parser(
-        "search-a", help="bracket the optimal coefficient for p_a: certified cap "
-        "below, the cyclic shift's closed form above")
+
+def _search_a_args(p):
     p.add_argument("--n", type=int, required=True)
     # parsed and ignored: no float search runs, so they cannot change a
     # report; they go when the benchmark's search workload stops passing
     # them (ROADMAP item 8)
     for flag in ("--seed", "--starts", "--iterations"):
         p.add_argument(flag, type=int, help=argparse.SUPPRESS)
-    common(p)
     p.set_defaults(func=cmd_search_a)
 
-    p = sub.add_parser("jll", help="trace power inequalities on a spectrum list")
-    spectrum_input(p)
+
+def _spectrum_input(p):
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--spectrum", help='comma-separated, e.g. "1,i,-i"')
+    group.add_argument("--matrix-file", help="CSV matrix; its eigenvalues are used")
+
+
+def _jll_args(p):
+    _spectrum_input(p)
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--tol", type=float, default=niep.DEFAULT_TOL)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    common(p)
     p.set_defaults(func=cmd_jll)
 
-    p = sub.add_parser("transform", help="apply a polynomial to a spectrum list")
+
+def _transform_args(p):
     p.add_argument("--coeffs", required=True)
-    spectrum_input(p)
-    common(p)
+    _spectrum_input(p)
     p.set_defaults(func=cmd_transform)
 
+
+# name -> (help, function adding the arguments but --out), in the order
+# --help lists them
+COMMANDS = {
+    "bound": ("per-k cap table and certified a^2 cap", _bound_args),
+    "certify": ("exhaustive proof check for p_a at order n", _certify_args),
+    "enumerate": ("list path monomials 1 -> ... -> 2", _enumerate_args),
+    "nu": ("exact maximal pre-image count of cycle deletion", _nu_args),
+    "falsify": ("decide exactly whether a matrix tI + N or a scaled cycle "
+                "of order <= m has p(A) < 0 somewhere", _falsify_args),
+    "witness-cycle": ("structured witness: p_a fails at order n+1", _witness_cycle_args),
+    "search-a": ("bracket the optimal coefficient for p_a: certified cap "
+                 "below, the cyclic shift's closed form above", _search_a_args),
+    "jll": ("trace power inequalities on a spectrum list", _jll_args),
+    "transform": ("apply a polynomial to a spectrum list", _transform_args),
+}
+
+
+@functools.cache
+def build_parser(command=None):
+    """The parser of the process for one subcommand, or for all of them
+    with no argument, built on first use; parse_args keeps no state in it
+    between calls.  A one-command parser is the full parser with the other
+    subcommands left out, so it parses that command's argv the same way."""
+    parser = _Parser(
+        prog="nnpoly",
+        description="Polynomials preserving nonnegative matrices: certified "
+        "coefficient bounds, exhaustive proof checking, exact witnesses.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS if command is None else [command]:
+        help_text, add_args = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.add_argument("--out", help="write the report to a file")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call builds only its own subcommand's parser; --help, an unknown
+    # subcommand or an option first need the full one
+    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # the full parser reports them, its usage naming every subcommand
+        build_parser().parse_args(argv)
     try:
         return args.func(args)
     except paths.EnumerationCapExceeded as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -586,3 +587,86 @@ def test_certify_reads_a_decimal_a_sq_exactly(capsys):
     payload = json.loads(out)
     assert payload["a_sq"] == payload["config"]["a_sq"] == "1/2"
     assert payload["verdict"] is True
+
+
+# one normal run of each subcommand; the usage errors below are built on it
+NORMAL_RUNS = {
+    "bound": ["--n", "3"],
+    "certify": ["--n", "3", "--a-sq", "1"],
+    "enumerate": ["--n", "3", "--j", "3"],
+    "nu": ["--n", "3", "--k", "2"],
+    "falsify": ["--coeffs=-1,0,1", "--m", "1"],
+    "witness-cycle": ["--n", "2", "--a", "1"],
+    "search-a": ["--n", "3"],
+    "jll": ["--spectrum", "1,i,-i"],
+    "transform": ["--coeffs", "1,1", "--spectrum", "2,0"],
+}
+MALFORMED_INT = {
+    "bound": ["--n", "x"],
+    "certify": ["--n", "3.5"],
+    "enumerate": ["--n", "3", "--j", "x"],
+    "nu": ["--n", "3", "--k", "two"],
+    "falsify": ["--coeffs=-1,0,1", "--m", "1/2"],
+    "witness-cycle": ["--n", "", "--a", "1"],
+    "search-a": ["--n", "3", "--seed", "x"],
+    "jll": ["--spectrum", "1", "--k-max", "x"],
+    "transform": ["--coeffs", "1,1", "--spectrum"],  # no int flag: a flag missing its value
+}
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage error's exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_argv_tables_cover_every_subcommand():
+    assert list(NORMAL_RUNS) == list(MALFORMED_INT) == list(nnpoly.cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, *extra] for name in NORMAL_RUNS for extra in (
+        ["--help"],
+        [],  # a required flag missing
+        MALFORMED_INT[name],
+        [*NORMAL_RUNS[name], "extra"],
+        NORMAL_RUNS[name],
+    )),
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--out", "x", "search-a", "--n", "3"],
+], ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(tmp_path, capsys, monkeypatch, argv):
+    # main with each call's own one-command parser, against main with the
+    # full parser for every call: same stdout, stderr and exit code
+    monkeypatch.chdir(tmp_path)  # no --out may land in the checkout
+    got = outcome(capsys, argv)
+    full = nnpoly.cli.build_parser()
+    monkeypatch.setattr(nnpoly.cli, "build_parser", lambda command=None: full)
+    assert got == outcome(capsys, argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def subcommands(parser):
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return set(action.choices)
+
+
+def test_a_call_builds_only_its_own_subcommand(capsys, monkeypatch):
+    build_parser = nnpoly.cli.build_parser
+    built = []
+
+    def recording(*args):
+        built.append(build_parser(*args))
+        return built[-1]
+
+    monkeypatch.setattr(nnpoly.cli, "build_parser", recording)
+    code, out = run(capsys, "nu", "--n", "3", "--k", "2")
+    assert code == 0 and json.loads(out)["nu"] == 3
+    assert [subcommands(p) for p in built] == [{"nu"}]
+    assert subcommands(build_parser()) == set(nnpoly.cli.COMMANDS)

@@ -459,6 +459,55 @@ def test_numpy_integers_evaluate_as_python_ints():
     assert rep.value == -2 * 10**24 and rep.reverify()
 
 
+def numpy_fraction(x):
+    """x as Fraction(np.int64(p), np.int64(q)), which keeps its parts as
+    numpy ints: its as_integer_ratio() returns np.int64 parts."""
+    f = F(np.int64(x.numerator), np.int64(x.denominator))
+    assert type(f.as_integer_ratio()[0]) is np.int64  # the case under test
+    return f
+
+
+def kernel_results(coeffs, A, a_sqs):
+    """p(A), then the membership and decomposition verdicts at each a_sq, at n = 4."""
+    checks = (verify_certificate_on_matrix, numeric_decomposition_check)
+    return [poly_eval_matrix(coeffs, A), *(check(4, a_sq, A) for a_sq in a_sqs for check in checks)]
+
+
+def test_fractions_of_numpy_integers_evaluate_as_python_ints():
+    # numerators and denominators near 10**4: their lcm D and the scaled
+    # entries of B pass 2**63, where np.int64 parts would wrap
+    rng = random.Random(33)
+    a_sqs = [F(1, 3), F(4, 7), F(10**6)]
+    for _ in range(3):
+        exact = [[F(rng.randint(9000, 11000), rng.randint(9000, 11000)) for _ in range(4)]
+                 for _ in range(4)]
+        coeffs = [F(rng.randint(-10**4, 10**4), rng.randint(1, 30)) for _ in range(9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_results([numpy_fraction(c) for c in coeffs],
+                                 [[numpy_fraction(x) for x in row] for row in exact],
+                                 [numpy_fraction(a_sq) for a_sq in a_sqs])
+        want = kernel_results(coeffs, exact, a_sqs)
+        assert got == want
+        assert want[1::2] == [True, True, False]  # the membership verdicts
+
+
+def test_family_witness_reads_fractions_of_numpy_integers_as_python_ints():
+    rng = random.Random(33)
+    found = 0
+    for m in (2, 3, 4) * 4:
+        coeffs = [F(rng.randint(-10**4, 10**4), rng.randint(1, 30)) for _ in range(9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = family_witness([numpy_fraction(c) for c in coeffs], m)
+        want = family_witness(coeffs, m)
+        assert (rep is None) == (want is None)
+        if rep is not None:
+            found += 1
+            assert rep.to_json() == want.to_json() and rep.reverify()
+    assert found  # the hits are evaluated exactly, on np.int64 coefficients
+
+
 def test_exact_entry_points_return_python_types():
     # the benchmark oracle checks `out is True`: an np.bool_ would fail it
     A = [[F(1, 2), 3], [0, F(2, 7)]]
