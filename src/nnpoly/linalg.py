@@ -4,14 +4,17 @@ Matrices come in as lists of row lists or numpy integer arrays.  Every
 matrix evaluation in the package is exact, on one kernel.  exact_powers
 writes a rational matrix as A = B/D, with D the lcm of its entry
 denominators and B an int matrix, and builds B^0..B^top in a numpy object
-array of Python ints, one .dot per power past B; poly_numerator turns them
-into the numerator of p(A) with one more .dot.  Numpy's object loop calls
-the ints' own * and +, so the arithmetic is exact at any size.
-_scaled_ints is the one door into exact evaluation, for entries,
-coefficients and the scalars a_sq, a and t alike: it reads int, Fraction
-and numpy integers as Python ints and refuses all else.  poly_eval_ratio
-reads B^0..B^top and the checks in paths B^0..B^n, as p_a's positive part
-is R + x^n (R - 1 + x^n) for R = sum_{j<n} x^j.
+array of Python ints, one .dot per power past B, written into its slot;
+poly_numerator turns them into the numerator of p(A) with one more .dot.
+Numpy's object loop calls the ints' own * and +, so the arithmetic is
+exact at any size.  _scaled_ints is the one door into exact evaluation,
+for entries, coefficients and the scalars a_sq, a and t alike: it reads
+int, Fraction and numpy integers as Python ints and refuses all else; an
+exact Fraction is read by one as_integer_ratio() call, anything else by
+.numerator and .denominator, and int() of each part leaves no numpy
+scalar.  poly_eval_ratio reads B^0..B^top and the checks in paths
+B^0..B^n, as p_a's positive part is R + x^n (R - 1 + x^n) = R + x^n (x R)
+for R = sum_{j<n} x^j.
 
 The list-of-lists products, powers, Horner and min_entry that the tests
 pin the kernel to are references, kept in tests/list_kernels.py.  Rows
@@ -40,15 +43,25 @@ _EXACT_ONLY = "exact evaluation takes only int or Fraction values"
 def _scaled_ints(xs):
     """(D, [x * D for x in xs]) in Python ints, D the lcm of the denominators,
     in one pass over the list xs; all but int, Fraction and numpy integers
-    (floats, complex, bools, strings, None) raise ValueError."""
+    (floats, complex, Decimals, bools, strings, None) raise ValueError.  An
+    exact Fraction is read by one as_integer_ratio() call, anything else by
+    its .numerator and .denominator, and int() is taken of each part, so a
+    Fraction of numpy integer parts cannot wrap."""
+    nums, dens = [], []
     try:
-        ratios = [(int(x.numerator), int(x.denominator)) for x in xs if type(x) is not bool]
-    except AttributeError:  # a float, a complex, an np.bool_, a string or None
+        for x in xs:
+            if type(x) is Fraction:
+                p, d = x.as_integer_ratio()
+            elif type(x) is bool:
+                raise ValueError(_EXACT_ONLY)
+            else:  # a float, complex, Decimal, np.bool_, string or None has none
+                p, d = x.numerator, x.denominator
+            nums.append(int(p))
+            dens.append(int(d))
+    except AttributeError:
         raise ValueError(_EXACT_ONLY) from None
-    if len(ratios) != len(xs):  # a bool was skipped
-        raise ValueError(_EXACT_ONLY)
-    D = lcm(*(d for _, d in ratios))
-    return D, [p * (D // d) for p, d in ratios]
+    D = lcm(*dens)
+    return D, [p * (D // d) for p, d in zip(nums, dens)]
 
 
 def exact_powers(A, top):
@@ -56,7 +69,8 @@ def exact_powers(A, top):
 
     A holds int, Fraction or numpy integer entries and D is the lcm of their
     denominators.  P is a (top+1, n, n) numpy object array of Python ints;
-    P[1] is B itself and each higher power is one P[j].dot(B).  Numpy's
+    P[1] is B itself and each higher power is one np.dot(P[j], B), written
+    into its slot P[j+1].  Numpy's
     object loop calls the ints' own * and +, so the products are exact at
     any size and no numpy scalar enters them.
     """
@@ -64,11 +78,11 @@ def exact_powers(A, top):
         raise ValueError("exponent must be >= 0")
     n = order_of(A)
     D, ints = _scaled_ints([x for row in A for x in row])
-    P = np.empty((top + 1, n, n), dtype=object)
-    P[0] = np.identity(n, dtype=object)
+    P = np.zeros((top + 1, n, n), dtype=object)
+    P[0].flat[:: n + 1] = 1
     P[1:2] = np.array(ints, dtype=object).reshape(n, n)  # empty when top = 0
     for j in range(1, top):
-        P[j + 1] = P[j].dot(P[1])
+        np.dot(P[j], P[1], out=P[j + 1])
     return D, P
 
 

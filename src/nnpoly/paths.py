@@ -499,14 +499,15 @@ def _p_a_numerator(n: int, A):
     the positive part of p_a = P - a*x^n.  With R = sum_{j<n} x^j,
     x R = R - 1 + x^n, so P = R + x^n (R - 1 + x^n); polynomials in B
     commute, so with Q = D^(n-1) R(A) from poly_numerator,
-    S = D^(n+1) Q + B^n T for T = D Q - D^n I + B^n, exactly."""
+    S = D^(n+1) Q + B^n T for T = Q B, exactly: Q B is
+    sum_{j=1..n} D^(n-j) B^j, the numerator of x R = R - 1 + x^n over D^n."""
     if order_of(A) != n:
         raise ValueError("matrix order must equal n")
     D, powers = exact_powers(A, n)
     Q = poly_numerator([1] * n, D, powers[:n])
-    T = D * Q + powers[n]  # a new array: powers[n] is read as B^n
-    T.flat[:: n + 1] -= D**n
-    return D, powers, D ** (n + 1) * Q + powers[n].dot(T)
+    S = powers[n].dot(Q.dot(powers[1]))
+    S += D ** (n + 1) * Q
+    return D, powers, S
 
 
 def verify_certificate_on_matrix(n: int, a_sq, A) -> bool:

@@ -10,6 +10,7 @@ which takes int, Fraction and numpy integers and refuses all else.
 import random
 import warnings
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -21,7 +22,14 @@ from hypothesis import strategies as st
 from nnpoly import paths as paths_module
 from nnpoly.bracket import certified_cap, sample_pa_membership
 from nnpoly.families import make_p_a, mu, safe_a_squared
-from nnpoly.linalg import exact_powers, is_nonneg, order_of, poly_eval_matrix, poly_numerator
+from nnpoly.linalg import (
+    _scaled_ints,
+    exact_powers,
+    is_nonneg,
+    order_of,
+    poly_eval_matrix,
+    poly_numerator,
+)
 from nnpoly.paths import (
     build_certificate,
     enumerate_monomials,
@@ -385,8 +393,11 @@ def test_decomposition_int_matrix_matches_oracle(data):
 
 
 @pytest.mark.parametrize(
-    "entry", [0.5, 1.0, np.float64(0.5), np.float32(2), 1 + 0j, True, np.bool_(True)],
-    ids=["float", "integral_float", "np_float64", "np_float32", "complex", "bool", "np_bool"])
+    "entry",
+    [0.5, 1.0, np.float64(0.5), np.float32(2), 1 + 0j, True, np.bool_(True),
+     Decimal("0.5"), Decimal(3)],
+    ids=["float", "integral_float", "np_float64", "np_float32", "complex", "bool", "np_bool",
+         "decimal", "integral_decimal"])
 def test_exact_entry_points_refuse_inexact_entries(entry):
     # the decomposition check reads A through exact_powers before it tests
     # the signs, so a complex entry is refused, not compared
@@ -400,8 +411,11 @@ def test_exact_entry_points_refuse_inexact_entries(entry):
 
 
 @pytest.mark.parametrize(
-    "value", [0.1, 1.0, np.float64(0.5), 1 + 0j, True, np.bool_(True), "1/3", None],
-    ids=["float", "integral_float", "np_float64", "complex", "bool", "np_bool", "str", "none"])
+    "value",
+    [0.1, 1.0, np.float64(0.5), 1 + 0j, True, np.bool_(True), "1/3", None,
+     Decimal("0.5"), Decimal(3)],
+    ids=["float", "integral_float", "np_float64", "complex", "bool", "np_bool", "str", "none",
+         "decimal", "integral_decimal"])
 def test_exact_scalars_refuse_inexact_values(value):
     # a_sq, a, t and falsify's coefficients go through the same door as entries
     A = [[F(1), F(2)], [F(3), F(0)]]
@@ -419,6 +433,24 @@ def test_exact_scalars_refuse_inexact_values(value):
     for call in calls:
         with pytest.raises(ValueError, match="exact evaluation"):
             call()
+
+
+class SubFraction(Fraction):
+    """A Fraction subclass: the door reads it by .numerator and .denominator."""
+
+
+@pytest.mark.parametrize(
+    "value, D, p",
+    [(np.uint64(2**64 - 1), 1, 2**64 - 1), (np.int8(-7), 1, -7), (SubFraction(-3, 4), 4, -3)],
+    ids=["np_uint64_max", "np_int8", "fraction_subclass"])
+def test_exact_door_reads_values_as_python_ints(value, D, p):
+    # value = p/D, alone and beside other values, with no numpy scalar left
+    L = lcm(D, 10)
+    assert _scaled_ints([value]) == (D, [p])
+    assert _scaled_ints([value, F(1, 10), 3]) == (L, [p * (L // D), L // 10, 3 * L])
+    for xs in ([value], [value, F(1, 10), 3]):
+        scale, ints = _scaled_ints(xs)
+        assert all(type(x) is int for x in [scale, *ints])
 
 
 def test_poly_eval_refuses_float_coefficients():
