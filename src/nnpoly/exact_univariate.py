@@ -1,7 +1,8 @@
 """Exact sign questions about one real polynomial in one variable.
 
 A polynomial is a coefficient list of ints or Fractions, constant term
-first, as in linalg.  Roots are counted with the Sturm chain of the
+first, as in linalg, and is valued by linalg.poly_eval, the package's one
+scalar Horner.  Roots are counted with the Sturm chain of the
 square-free part q / gcd(q, q'): the plain chain of q shares a multiple
 root's factor in every member, so all of it vanishes there and the count
 goes wrong (-4t^3 + 11t^10 would get no root in (0, 2]).
@@ -11,19 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import poly_eval
+
 
 def _trim(q):
     q = list(q)
     while q and q[-1] == 0:
         q.pop()
     return q
-
-
-def _eval(q, x):
-    acc = 0
-    for c in reversed(q):
-        acc = acc * x + c
-    return acc
 
 
 def _derivative(q):
@@ -61,7 +57,7 @@ def sturm_chain(q):
 
 
 def _variations(chain, x):
-    signs = [v > 0 for v in (_eval(p, x) for p in chain) if v]
+    signs = [v > 0 for v in (poly_eval(p, x) for p in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -91,8 +87,8 @@ def negative_point(q):
     while pieces:
         lo, hi = pieces.pop()
         k = count_roots(chain, lo, hi)
-        if k > 1 or k == 1 and _eval(q, lo) == 0:
+        if k > 1 or k == 1 and poly_eval(q, lo) == 0:
             mid = (lo + hi) / 2
             pieces += [(lo, mid), (mid, hi)]
             ends.add(mid)
-    return next((t for t in sorted(ends) if _eval(q, t) < 0), None)
+    return next((t for t in sorted(ends) if poly_eval(q, t) < 0), None)

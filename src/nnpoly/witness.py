@@ -1,8 +1,11 @@
 """Witness matrices proving a polynomial does not preserve nonnegativity.
 
-Every witness is an exact matrix.  cycle_witness builds the scaled cyclic
-shift that falsifies p_a one order up (the strict containment of the
-preserver sets), and shift_witness checks a shift against its closed form.
+Every witness is an exact matrix, and every one the package builds passes
+one check, _verified_report: p(A) is evaluated exactly and must have a
+negative entry, and where the construction has a closed form, the first
+most negative entry must be that form's.  cycle_witness builds the scaled
+cyclic shift that falsifies p_a one order up (the strict containment of the
+preserver sets), and shift_witness gives that check a shift and its closed form.
 family_witness decides exactly whether a member of two one-parameter
 families, tI + N and the scaled cycles with a tail, falsifies any polynomial
 at a given order.  When neither does, that is inconclusive, never a membership proof.
@@ -54,23 +57,25 @@ class WitnessReport:
         return is_nonneg(A) and Fraction(N[entry[0] - 1, entry[1] - 1], den) == self.value < 0
 
 
-def _verified_report(coeffs, A, method) -> WitnessReport | None:
-    """Exact evaluation; report the most negative entry if one exists.
+def _verified_report(coeffs, A, method, expect=None) -> WitnessReport:
+    """The exact report of p(A) for a matrix A the caller has built to be
+    a witness: the one check of every witness the package constructs.
 
     p(A) = N / den with den > 0, so the first smallest numerator of N sits
     at the first most negative entry, and only that entry becomes a
-    Fraction.
+    Fraction.  Raises AssertionError, under python -O too, when p(A) has no
+    negative entry, or when expect = (entry, value) is given and the report
+    differs from it.
     """
     den, N = poly_eval_ratio(coeffs, A)
     flat = N.ravel().tolist()
     low = min(flat)
-    if low < 0:
-        r, c = divmod(flat.index(low), len(A))
-        return WitnessReport(
-            poly=list(coeffs), m=len(A), matrix=A,
-            entry=(r + 1, c + 1), value=Fraction(low, den), method=method,
-        )
-    return None
+    r, c = divmod(flat.index(low), len(A))
+    entry, value = (r + 1, c + 1), Fraction(low, den)
+    if low >= 0 or expect is not None and (entry, value) != expect:
+        raise AssertionError("exact evaluation disagrees with construction")
+    return WitnessReport(poly=list(coeffs), m=len(A), matrix=A,
+                         entry=entry, value=value, method=method)
 
 
 def _shift(m, t, j=None, tail=0):
@@ -82,13 +87,9 @@ def _shift(m, t, j=None, tail=0):
 
 
 def shift_witness(coeffs, m, t, entry, value) -> WitnessReport:
-    """The exact report of p(tP), P the order-m cyclic shift.  Raises
-    AssertionError, under python -O too, unless its first most negative
-    entry is the closed form's (entry, value)."""
-    rep = _verified_report(coeffs, _shift(m, t), "structured-cycle")
-    if rep is None or (rep.entry, rep.value) != (entry, value):
-        raise AssertionError("exact evaluation disagrees with construction")
-    return rep
+    """The exact report of p(tP), P the order-m cyclic shift, checked by
+    _verified_report against the closed form's (entry, value)."""
+    return _verified_report(coeffs, _shift(m, t), "structured-cycle", (entry, value))
 
 
 def cycle_witness(n: int, a, t=Fraction(1)) -> WitnessReport:
@@ -142,9 +143,8 @@ def family_witness(coeffs, m: int) -> WitnessReport | None:
     A witness at order L + j < m embeds as diag(A, 0), with p diag(p(A), c_0 I).
     For j > deg p, r_i = c_i t^i, which q_i(0) = c_i already decides; and
     at t = 0 a cycle row is c_0 or 0, which q_0 has decided before it.
-    The hit's matrix is evaluated exactly, and the report holds its first
-    most negative entry; AssertionError is raised, under python -O too, if
-    that evaluation has no negative entry.
+    The hit's matrix goes through _verified_report, the check every built
+    witness passes.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
@@ -152,8 +152,5 @@ def family_witness(coeffs, m: int) -> WitnessReport | None:
     for method, member, row in _family_rows(ints, m):
         t = negative_point(row)
         if t is not None:
-            rep = _verified_report(coeffs, member(t), method)
-            if rep is None:
-                raise AssertionError("exact evaluation disagrees with construction")
-            return rep
+            return _verified_report(coeffs, member(t), method)
     return None

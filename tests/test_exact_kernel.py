@@ -650,7 +650,7 @@ def tampered(rep):
     family_witness(make_p_a(2, F(3)), 2),
     # every diagonal entry of p_a(P) is 2 - a, so a wrapped (0, 0) would pass
     shift_witness(make_p_a(3, F(5, 2)), 3, F(1), (1, 1), F(-1, 2)),
-], ids=["cycle_n2", "cycle_n3", "search_x2_minus_1", "search_p_a", "probe_p_a"])
+], ids=["cycle_n2", "cycle_n3", "jordan_x2_minus_1", "jordan_p_a", "shift_p_a"])
 def test_reverify_accepts_witnesses_and_rejects_tampering(rep):
     assert rep is not None and rep.reverify()
     C = horner(rep.poly, rep.matrix)

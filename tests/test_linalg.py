@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnpoly.linalg import parse_matrix_csv, parse_poly, poly_eval_matrix
+from nnpoly.linalg import parse_matrix_csv, parse_poly, poly_eval, poly_eval_matrix
 from list_kernels import cyclic_shift, horner, identity, mat_mul, mat_pow, min_entry
 
 F = Fraction
@@ -48,6 +48,18 @@ def test_mat_pow_cyclic_shift_order():
 
 def test_mat_pow_1x1():
     assert mat_pow([[F(2)]], 5) == [[F(32)]]
+
+
+@pytest.mark.parametrize("coeffs", [[3], [-1, 0, 1], [2, -7, 0, 5], [F(1, 3), -2, F(-5, 2), 0, 1]])
+@pytest.mark.parametrize("x", [0, -3, 4, F(-2, 3), F(7, 5), 2 - 1j, 0.5j])
+def test_poly_eval_matches_power_sum(coeffs, x):
+    value, want = poly_eval(coeffs, x), sum(c * x**d for d, c in enumerate(coeffs))
+    assert value == (pytest.approx(want) if type(x) is complex else want)
+    # exact in, same type out: the Sturm counts of exact_univariate rely on it
+    if all(type(c) is int for c in coeffs) and type(x) is int:
+        assert type(value) is int
+    elif type(x) is F or type(x) is int:
+        assert type(value) is F
 
 
 def test_poly_eval_matrix_identity_poly():

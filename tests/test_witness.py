@@ -119,20 +119,32 @@ def test_soundness_exact_value():
 
 def test_cycle_witness_check_survives_optimize():
     # a wrong evaluation must be caught even with asserts stripped by -O, by
-    # the check that cycle_witness and bracket_optimal_a share and by
-    # family_witness's own
+    # _verified_report, the one check every built witness passes: all zeros
+    # fails every build; one negative cell off the closed form's entry fails
+    # the builds with a closed form and is family_witness's report
     script = (
         "import numpy as np\n"
         "from nnpoly import bracket, witness\n"
-        "witness.poly_eval_ratio = lambda p, A: (1, np.zeros((len(A),) * 2, dtype=object))\n"
-        "calls = [lambda: witness.cycle_witness(2, 1), lambda: bracket.bracket_optimal_a(3),\n"
-        "         lambda: witness.family_witness([-1, 0, 1], 1)]\n"
-        "for build in calls:\n"
-        "    try:\n"
-        "        build()\n"
-        "    except AssertionError:\n"
-        "        continue\n"
-        "    raise SystemExit('wrong evaluation accepted')\n"
+        "from nnpoly.families import make_p_a\n"
+        "def zeros(p, A):\n"
+        "    return 1, np.zeros((len(A),) * 2, dtype=object)\n"
+        "def last_cell(p, A):\n"
+        "    den, N = zeros(p, A)\n"
+        "    N[-1, -1] = -1\n"
+        "    return den, N\n"
+        "shifts = [lambda: witness.cycle_witness(2, 1), lambda: bracket.bracket_optimal_a(3)]\n"
+        "for fake, calls in [(zeros, shifts + [lambda: witness.family_witness([-1, 0, 1], 1)]),\n"
+        "                    (last_cell, shifts)]:\n"
+        "    witness.poly_eval_ratio = fake\n"
+        "    for build in calls:\n"
+        "        try:\n"
+        "            build()\n"
+        "        except AssertionError:\n"
+        "            continue\n"
+        "        raise SystemExit('wrong evaluation accepted')\n"
+        "rep = witness.family_witness(make_p_a(2, 3), 2)\n"
+        "if (rep.entry, rep.value) != ((2, 2), -1):\n"
+        "    raise SystemExit('family report not at the negative cell')\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nnpoly.__file__))}
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
@@ -143,7 +155,7 @@ def test_cycle_witness_check_survives_optimize():
 def reference_report(coeffs, A):
     """(value, entry) of the first most negative entry of the Fraction
     matrix p(A), or None: the oracle for the numerator scan of
-    witness._verified_report."""
+    witness._verified_report, which raises where this is None."""
     val, r, c = min_entry(poly_eval_matrix(coeffs, A))
     return (val, (r, c)) if val < 0 else None
 
@@ -165,15 +177,17 @@ def test_verified_report_matches_fraction_matrix_on_probes():
         for m in (1, 2, 3, 4):
             for A in probe_matrices(m):
                 want = reference_report(coeffs, A)
-                rep = witness._verified_report(coeffs, A, "search")
-                assert (rep and (rep.value, rep.entry)) == want, (coeffs, A)
-                if rep is not None:
+                if want is None:
+                    with pytest.raises(AssertionError):
+                        witness._verified_report(coeffs, A, "probe")
+                    seen.add("none")
+                else:
+                    rep = witness._verified_report(coeffs, A, "probe")
+                    assert (rep.value, rep.entry) == want, (coeffs, A)
                     assert (rep.poly, rep.m, rep.matrix) == (coeffs, m, A)
                     C = poly_eval_matrix(coeffs, A)
                     ties = sum(row.count(rep.value) for row in C)
                     seen.add("tie" if ties > 1 else "negative")
-                else:
-                    seen.add("none")
                 if any(c.denominator > 1 for c in coeffs):
                     seen.add("L > 1")
     assert seen == {"tie", "negative", "none", "L > 1"}
@@ -182,7 +196,7 @@ def test_verified_report_matches_fraction_matrix_on_probes():
 # -- the exact families ---------------------------------------------------------
 
 
-def search_cases(count, seed):
+def narrow_dip_cases(count, seed):
     """Seeded (x - r)^2 - eps, some with a small x^3 term, r in [1, 4]: each
     is negative only within sqrt(eps) of r, where the x^3 term adds at most
     eps/2, so each has a witness at order 1 that a sweep of t can miss."""
@@ -194,8 +208,8 @@ def search_cases(count, seed):
     return cases
 
 
-def test_family_finds_every_search_case_at_order_1():
-    for coeffs in search_cases(60, seed=0):
+def test_family_finds_every_narrow_dip_at_order_1():
+    for coeffs in narrow_dip_cases(60, seed=0):
         rep = family_witness(coeffs, 1)
         assert rep is not None and rep.method == "jordan-family", coeffs
         assert rep.reverify()
