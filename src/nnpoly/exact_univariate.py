@@ -2,10 +2,8 @@
 
 A polynomial is a coefficient list of ints or Fractions, constant term
 first, as in linalg, and is valued by linalg.poly_eval, the package's one
-scalar Horner.  Roots are counted with the Sturm chain of the
-square-free part q / gcd(q, q'): the plain chain of q shares a multiple
-root's factor in every member, so all of it vanishes there and the count
-goes wrong (-4t^3 + 11t^10 would get no root in (0, 2]).
+scalar Horner.  Roots are counted with a Sturm chain of the square-free
+part, so a multiple root counts once (-4t^3 + 11t^10 has one in (0, 2]).
 """
 
 from __future__ import annotations
@@ -41,19 +39,22 @@ def _divmod(a, b):
 
 
 def sturm_chain(q):
-    """The Sturm chain s, s', -rem(s, s'), ... of the square-free part s of
-    the nonzero polynomial q; s has the roots of q, each once."""
+    """A Sturm chain of the square-free part s of the nonzero polynomial q:
+    the signed remainder sequence q, q', -rem(q, q'), ..., which ends in
+    g = gcd(q, q'), divided by g.  Consecutive quotients are coprime; where
+    a middle one vanishes its neighbours have opposite signs, as remainders
+    are scaled only by positive numbers; at a root r of multiplicity m in q,
+    q'/g is m s'(r).  A constant g stays: a negative one flips every sign,
+    which leaves the variations alone."""
     q = _trim(q)
     if not q:
         raise ValueError("the zero polynomial has no Sturm chain")
-    g, h = q, _derivative(q)
-    while h:
-        g, h = h, _divmod(g, h)[1]
-    chain = [_divmod(q, g)[0]]
-    chain.append(_derivative(chain[0]))
+    chain = [q, _derivative(q)]
     while chain[-1]:
         chain.append([-x for x in _divmod(chain[-2], chain[-1])[1]])
-    return chain[:-1]
+    chain.pop()
+    g = chain[-1]
+    return [_divmod(p, g)[0] for p in chain] if len(g) > 1 else chain
 
 
 def _variations(chain, x):
@@ -72,23 +73,22 @@ def negative_point(q):
 
     Every root lies in (-B, B), B = 1 + max |q_i / q_top| (Cauchy).  (0, B]
     is bisected while a piece holds two roots or more, or holds one and
-    starts at a root.  Then each gap between consecutive roots, and the ones
-    before the first and after the last, holds 0, a piece's left end or B.
-    q keeps its sign on each gap and beyond B, so testing the ends in
-    ascending order finds the first of them where q < 0, if q is negative
-    anywhere on [0, inf).
-    """
+    starts at a root.  The left ends of the unsplit pieces, and B, then put
+    a test point in every gap between roots and beyond them, where q keeps
+    its sign.  Left halves are searched first, so those ends come in
+    ascending order, and the first where q < 0 is returned."""
     q = _trim(q)
     if not q:
         return None
     B = 1 + max((abs(Fraction(c) / q[-1]) for c in q[:-1]), default=0)
     chain = sturm_chain(q)
-    pieces, ends = [(Fraction(0), B)], {Fraction(0), B}
+    pieces = [(Fraction(0), B)]
     while pieces:
         lo, hi = pieces.pop()
-        k = count_roots(chain, lo, hi)
-        if k > 1 or k == 1 and poly_eval(q, lo) == 0:
+        k, v = count_roots(chain, lo, hi), poly_eval(q, lo)
+        if k > 1 or k == 1 and v == 0:
             mid = (lo + hi) / 2
-            pieces += [(lo, mid), (mid, hi)]
-            ends.add(mid)
-    return next((t for t in sorted(ends) if poly_eval(q, t) < 0), None)
+            pieces += [(mid, hi), (lo, mid)]
+        elif v < 0:
+            return lo
+    return B if poly_eval(q, B) < 0 else None

@@ -24,12 +24,7 @@ def make_p_a(n: int, a):
     """Degree-2n polynomial: all coefficients 1 except -a at degree n."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not a > 0:
-        raise ValueError("a must be positive")
-    one = a * 0 + 1
-    coeffs = [one] * (2 * n + 1)
-    coeffs[n] = -a
-    return coeffs
+    return make_f_a([a * 0 + 1] * (2 * n + 1), a)
 
 
 def make_f_a(d, a):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from nnpoly.families import (
@@ -17,6 +18,14 @@ F = Fraction
 
 def test_make_p_a_n2():
     assert make_p_a(2, F(1)) == [F(1), F(1), F(-1), F(1), F(1)]
+    # the ones are a * 0 + 1, so they take a's type
+    for a, kind in ((F(1, 2), F), (2, int), (np.int64(3), np.int64)):
+        coeffs = make_p_a(2, a)
+        assert coeffs == [1, 1, -a, 1, 1]
+        assert all(type(c) is kind for c in coeffs)
+    for a in (0, np.int64(0), F(-1, 2)):
+        with pytest.raises(ValueError, match="^a must be positive$"):
+            make_p_a(2, a)
 
 
 def test_make_p_a_n3():

@@ -20,7 +20,7 @@ F = Fraction
 
 
 @pytest.mark.parametrize("n", range(2, 10))
-def test_probe_falsifies_p_a_at_2n(n):
+def test_family_falsifies_p_a_at_2n(n):
     # entry (1,1) of p_{2n}(P) is 2 - 2n for the n-cycle shift P, a member
     # of the cycle family; the Jordan family, checked first, may hit sooner
     rep = family_witness(make_p_a(n, 2 * n), n)
