@@ -76,12 +76,17 @@ def negative_point(q):
     starts at a root.  The left ends of the unsplit pieces, and B, then put
     a test point in every gap between roots and beyond them, where q keeps
     its sign.  Left halves are searched first, so those ends come in
-    ascending order, and the first where q < 0 is returned."""
+    ascending order, and the first where q < 0 is returned.
+
+    The roots are counted on the chain of s = q / t^v, for v the number of
+    leading zero coefficients of q: s has the roots of q in every (lo, hi]
+    with lo >= 0, and its chain has no power of t to divide out.  B, the
+    values at the ends and so the split rule stay those of q."""
     q = _trim(q)
     if not q:
         return None
     B = 1 + max((abs(Fraction(c) / q[-1]) for c in q[:-1]), default=0)
-    chain = sturm_chain(q)
+    chain = sturm_chain(q[next(v for v, c in enumerate(q) if c):])
     pieces = [(Fraction(0), B)]
     while pieces:
         lo, hi = pieces.pop()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod, isqrt
+from math import inf, isqrt, prod
 
 SQRT_DIGITS = 7  # rational_sqrt_floor keeps at least this many significant digits
 
@@ -24,6 +24,9 @@ def make_p_a(n: int, a):
     """Degree-2n polynomial: all coefficients 1 except -a at degree n."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    # the ones are a * 0 + 1, which is nan for an infinite a
+    if a != a or abs(a) == inf:
+        raise ValueError(f"a must be finite, got {a}")
     return make_f_a([a * 0 + 1] * (2 * n + 1), a)
 
 

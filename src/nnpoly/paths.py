@@ -49,9 +49,9 @@ from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numera
 DEFAULT_CAP = 10**8
 
 # The largest n the census walks.  Its walk has one row per relabeling
-# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.3-0.4 s at a 77 MB peak
-# RSS and R(11) = 3,535,026 take 2.2-2.6 s at 345 MB (walk plus census in a
-# fresh Python 3.11 process, shared 2-core Linux machine);
+# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.4 s at a 52 MB peak RSS
+# and R(11) = 3,535,026 take 1.4-1.5 s at 181 MB (certify in a fresh Python
+# 3.11 process with numpy 2.4, shared 2-core Linux machine);
 # R(12) = 23,430,839 is refused.
 CENSUS_N_MAX = 11
 
@@ -153,6 +153,9 @@ def _orbit_sizes(n):
     return sizes
 
 
+BLOCK = 1 << 14  # rows per array step of the walk's cycle sweep and the census's relabeling
+
+
 @functools.cache
 def _cycle_walk(n):
     """(M, r, k, p) for the canonical paths of the orbits of M_n, cached per
@@ -164,23 +167,43 @@ def _cycle_walk(n):
     Breadth-first: a prefix with r labels >= 3 has the children 1..min(r+3,
     n), which are 1, 2, the labels already used and the next unused one;
     np.repeat puts them right after one another, so the rows stay in
-    lexicographic order.  One sweep over the columns q, with a flat table of
-    each label's last position per row, then finds k and p: column q closes
-    the cycle q - last[v], and only a shorter one replaces k, so p is the
-    leftmost start.  That k-cycle is simple, since a repeat inside it would
-    close a shorter cycle; a bit mask of labels per row checks it.
+    lexicographic order.  r stays int8 throughout, and each new column is
+    formed in int32, as R(n) < 2^31.  _first_cycles then finds k and p
+    BLOCK rows at a time, so its label table and its intp index arrays
+    (intp, since numpy converts any other index dtype to intp on every
+    use) are sized by the block, not by R.
     """
     M = np.zeros((1, n + 1), np.int8)
     M[:, 0], M[:, n] = 1, 2
-    r = np.zeros(1, np.intp)
+    r = np.zeros(1, np.int8)
     for q in range(1, n):
         width = np.minimum(r + 3, n)
         M, r = np.repeat(M, width, axis=0), np.repeat(r, width)
-        end = np.cumsum(width)
-        v = np.arange(1, end[-1] + 1) - np.repeat(end - width, width)
+        end = np.cumsum(width, dtype=np.int32)
+        v = np.arange(1, end[-1] + 1, dtype=np.int32)
+        v -= np.repeat(end - width, width)
         M[:, q] = v
-        r = np.maximum(r, v - 2)  # the labels are in first-occurrence order
-    r = r.astype(np.int8)
+        del v
+        np.maximum(r, M[:, q] - 2, out=r)  # the labels are in first-occurrence order
+    k, p = np.empty(len(M), np.int8), np.empty(len(M), np.int8)
+    for lo in range(0, len(M), BLOCK):
+        hi = lo + BLOCK
+        k[lo:hi], p[lo:hi] = _first_cycles(M[lo:hi], n)
+    for a in (M, r, k, p):
+        a.flags.writeable = False
+    return M, r, k, p
+
+
+def _first_cycles(M, n):
+    """(k, p), int8, for the rows of M, paths over 1..n: k the minimal cycle
+    length and p the start of the leftmost k-cycle.
+
+    One sweep over the columns q, with a flat table of each label's last
+    position per row, finds them: column q closes the cycle q - last[v], and
+    only a shorter one replaces k, so p is the leftmost start.  That k-cycle
+    is simple, since a repeat inside it would close a shorter cycle; a bit
+    mask of labels per row checks it, and a row with no repeat fails it.
+    """
     cell = np.arange(len(M)) * (n + 1)  # label v of row i is at cell[i] + v
     last = np.full(len(M) * (n + 1), -n - 1, np.int8)  # unseen: closes no cycle
     k, p = np.full(len(M), n + 1, np.int8), np.zeros(len(M), np.int8)  # k > n: no repeat
@@ -197,23 +220,24 @@ def _cycle_walk(n):
         seen |= bit
     if bad.any():
         raise AssertionError("first k-cycle must be simple")
-    for a in (M, r, k, p):
-        a.flags.writeable = False
-    return M, r, k, p
+    return k, p
 
 
-def _row_groups(X):
-    """(order, first): order sorts the rows of X, int8 and >= 0,
-    lexicographically and first[i] is True where sorted row i differs from
-    the one before it.  Each row's bytes are one np.void key, so rows of any
-    length stay apart; a key that packs a row into one int64 would wrap and
-    merge rows once (labels + 1)^length passes 2^63.
+def _sorted_heads(X, width):
+    """Sort the rows of X, a C-contiguous int8 array >= 0, lexicographically
+    in place, and return first: first[i] is True where sorted row i differs
+    from the one before it in its leading width columns.  Each row's bytes
+    are one np.void key, so rows of any length stay apart; a key that packs
+    a row into one int64 would wrap and merge rows once (labels +
+    1)^length passes 2^63.  No index array is formed: a row carries what
+    its group needs in columns past width.
     """
-    X = np.ascontiguousarray(X)
-    key = X.view(np.dtype((np.void, X.shape[1]))).ravel()
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    return order, np.concatenate(([True], key[1:] != key[:-1]))
+    X.view(np.dtype((np.void, X.shape[1]))).ravel().sort(kind="stable")
+    first = np.zeros(len(X), bool)
+    first[:1] = True
+    for j in range(width):
+        first[1:] |= X[1:, j] != X[:-1, j]
+    return first
 
 
 def _canonical_rows(G, n):
@@ -257,30 +281,45 @@ def _census_of(n):
     """_census without the guards, computed once per n and read-only, since
     every caller shares the one result.
 
-    Each class k is tallied on the rows of _cycle_walk with array
-    operations.  Its count is the sum of the orbit sizes.  phi and psi are
-    built column by column in int8: phi(m)[j] = m[j if j < p+k else j-k],
-    psi(m)[j] = m[j if j < p else j+k].  The psi images are made canonical
-    and grouped by _row_groups; a canonical g uses the labels 1..max(g), so
-    r_g = max(g) - 2.  The weights are int64, exact since they sum to at
-    most n^(n-1) < 2^63 for n <= 15, past CENSUS_N_MAX.
+    Each class k is tallied on its rows m of _cycle_walk with array
+    operations, and at most two int8 arrays of one class, m beside its phi
+    or its psi images, are alive beside the walk at a time.  The images are
+    written column by column into preallocated int8 arrays: phi(m)[j] =
+    m[j if j < p+k else j-k], psi(m)[j] = m[j if j < p else j+k].  The phi
+    images are sorted in place by _sorted_heads, to see that they are
+    distinct, and dropped.  The psi images carry r_m in one more column;
+    m is dropped, and they are made canonical BLOCK rows at a time, so the
+    intp temporaries of _canonical_rows are sized by the block.  Sorting
+    them in place by _sorted_heads then groups them, each row keeping its
+    r_m.  A canonical g uses the labels 1..max(g), so r_g = max(g) - 2.
+    The weights (n-2)_{r_m} are gathered after the sort, in int64, exact
+    since they sum to at most n^(n-1) < 2^63 for n <= 15, past CENSUS_N_MAX.
     """
     M, r, ks, ps = _cycle_walk(n)
     size = np.array(_orbit_sizes(n), np.int64)
     stats = {}
     for k in np.flatnonzero(np.bincount(ks)).tolist():
         sel = ks == k
-        m, w, p = M[sel], size[r[sel]], ps[sel]
+        m, p = M[sel], ps[sel]
+        X = np.empty((len(m), n + 1 + k), np.int8)
         # columns j < k are before the splice of phi, j > n after it
-        _, first = _row_groups(np.stack([np.where(j < p + k, m[:, min(j, n)], m[:, max(j - k, 0)])
-                                         for j in range(n + 1 + k)], axis=1))
-        g = _canonical_rows(np.stack([np.where(j < p, m[:, j], m[:, j + k])
-                                      for j in range(n + 1 - k)], axis=1), n)
-        order, new = _row_groups(g)
-        heads = np.flatnonzero(new)
-        weight = np.add.reduceat(w[order], heads)
-        r_g = g[order[heads]].max(axis=1) - 2
-        stats[k] = (int(w.sum()), bool(first.all()), int((weight // size[r_g]).max()))
+        for j in range(n + 1 + k):
+            X[:, j] = np.where(j < p + k, m[:, min(j, n)], m[:, max(j - k, 0)])
+        injective = bool(_sorted_heads(X, n + 1 + k).all())
+        del X
+        G = np.empty((len(m), n + 2 - k), np.int8)
+        for j in range(n + 1 - k):
+            G[:, j] = np.where(j < p, m[:, j], m[:, j + k])
+        G[:, -1] = r[sel]
+        del m, p
+        for lo in range(0, len(G), BLOCK):
+            G[lo : lo + BLOCK, :-1] = _canonical_rows(G[lo : lo + BLOCK, :-1], n)
+        heads = np.flatnonzero(_sorted_heads(G, n + 1 - k))
+        w = size[G[:, -1]]
+        weight = np.add.reduceat(w, heads)
+        r_g = G[heads, :-1].max(axis=1) - 2
+        stats[k] = (int(w.sum()), injective, int((weight // size[r_g]).max()))
+        del G, w
     return MappingProxyType(stats)
 
 

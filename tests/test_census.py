@@ -5,6 +5,7 @@ the relabelings of vertices 3..n.  They must agree exactly.  The package's
 array walk is pinned to dfs_cycle_walk, the depth-first walk it replaced.
 """
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from nnpoly.paths import (
     _census,
     _cycle_walk,
     _orbit_sizes,
-    _row_groups,
+    _sorted_heads,
     all_nu,
     build_certificate,
     census_cap,
@@ -164,7 +165,46 @@ def test_walk_is_cached_and_read_only():
             a[0] = 0
 
 
-def test_row_groups_keep_rows_a_packed_key_merges():
+def test_blocks_leave_the_walk_and_census_unchanged(monkeypatch):
+    # with blocks of 5 rows every seam of the walk's sweep and of the
+    # census's relabeling falls inside a class
+    from nnpoly import paths
+
+    monkeypatch.setattr(paths, "BLOCK", 5)
+    paths._cycle_walk.cache_clear()
+    paths._census_of.cache_clear()
+    try:
+        assert walk_rows(6) == list(dfs_cycle_walk(6))
+        assert _census(6) == brute_census(6)
+    finally:
+        paths._cycle_walk.cache_clear()
+        paths._census_of.cache_clear()
+
+
+def test_walk_and_census_peaks_are_bounded_by_the_walk():
+    # at n = 9 the walk's four arrays hold 1.23 MB; the walk and the census
+    # each peak at about 1.7 times that in numpy buffers, which tracemalloc
+    # traces, with one class or one block of rows at a time
+    from nnpoly import paths
+
+    paths._cycle_walk.cache_clear()
+    paths._census_of.cache_clear()
+    tracemalloc.start()
+    try:
+        walk = paths._cycle_walk(9)
+        walk_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        kept = tracemalloc.get_traced_memory()[0]
+        paths._census_of(9)
+        census_peak = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in walk)
+    assert walk_peak <= 2.5 * size
+    assert census_peak <= 2.5 * size
+
+
+def test_sorted_heads_keep_rows_a_packed_key_merges():
     # a base-11 int64 key, as a packing of rows of labels 1..10 would use,
     # wraps at length 20 and gives these two rows one key
     X = np.array([[1, 3, 1, 2, 1, 1, 5, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3, 1, 1, 1],
@@ -174,11 +214,12 @@ def test_row_groups_keep_rows_a_packed_key_merges():
     for col in X.T:
         key = key * 11 + col
     assert key[0] == key[1]
-    order, first = _row_groups(X)
-    assert first.tolist() == [True, True]
-    assert order.tolist() == [0, 1]
-    _, first = _row_groups(X[[1, 0, 1]])
-    assert first.tolist() == [True, True, False]
+    Y = X.copy()
+    assert _sorted_heads(Y, 20).tolist() == [True, True]
+    assert Y.tolist() == X.tolist()
+    Y = X[[1, 0, 1]]
+    assert _sorted_heads(Y, 20).tolist() == [True, True, False]
+    assert Y.tolist() == X[[0, 1, 1]].tolist()
 
 
 @st.composite
@@ -197,19 +238,20 @@ def rows_with_repeats(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows_with_repeats())
-def test_row_groups_match_sorted_tuples(X):
-    order, first = _row_groups(X)
+@given(rows_with_repeats(), st.data())
+def test_sorted_heads_match_sorted_tuples(X, data):
+    width = data.draw(st.integers(0, X.shape[1]))
     rows = sorted(map(tuple, X.tolist()))
-    assert sorted(order.tolist()) == list(range(len(X)))
-    assert [tuple(row) for row in X[order].tolist()] == rows
-    assert first.tolist() == [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
-    # two rows share a group exactly when they are equal
-    group = np.empty(len(X), np.intp)
-    group[order] = np.cumsum(first) - 1
-    for i, a in enumerate(X.tolist()):
-        for j, b in enumerate(X.tolist()):
-            assert (group[i] == group[j]) == (a == b)
+    Y = X.copy()
+    first = _sorted_heads(Y, width)
+    assert [tuple(row) for row in Y.tolist()] == rows
+    assert first.tolist() == [i == 0 or rows[i][:width] != rows[i - 1][:width]
+                              for i in range(len(rows))]
+    # two rows share a group exactly when their leading width columns agree
+    group = np.cumsum(first) - 1
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            assert (group[i] == group[j]) == (a[:width] == b[:width])
 
 
 @st.composite

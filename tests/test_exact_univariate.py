@@ -186,6 +186,12 @@ def test_single_pass_matches_the_two_pass_reference():
             roots[F(0)] = rng.randint(1, 3)
         rows.add(tuple(from_roots(roots, rng.choice([1, -1, F(-5, 2)]))))
     rows |= {tuple(from_roots(roots, c)) for roots in ROOT_SETS for c in (1, -3)}
+    # rows with a t^v factor, whose chain negative_point builds without it:
+    # p_a's rows with a zero constant term, and the root sets times t^v
+    rows |= {tuple(row) for n in range(2, 9) for a in (F(7, 4), F(2))
+             for _, _, row in _family_rows(_scaled_ints(make_p_a(n, a))[1], n) if not row[0]}
+    rows |= {(0,) * v + tuple(from_roots(roots, c))
+             for roots in ROOT_SETS for c in (1, -3) for v in (1, 2, 5)}
     for row in rows - seen.keys():
         assert_as_reference(row)
     assert len(seen.keys() | rows) > 2000
@@ -202,6 +208,16 @@ def test_sturm_chain_is_one_remainder_sequence(monkeypatch):
     chain = sturm_chain(row)
     assert len(chain[-1]) == 1 and len(chain) > 2
     assert len(calls) == len(chain) - 1
+
+
+def test_negative_point_builds_its_chain_without_the_power_of_t(monkeypatch):
+    q = [0, 0, 0, -4, 0, 0, 0, 0, 0, 0, 11]  # -4t^3 + 11t^10
+    args = []
+    chain = exact_univariate.sturm_chain
+    monkeypatch.setattr(exact_univariate, "sturm_chain", lambda q: args.append(q) or chain(q))
+    t = negative_point(q)
+    assert args == [[-4, 0, 0, 0, 0, 0, 0, 11]]
+    assert t == reference_negative_point(q)[1] and value(q, t) < 0
 
 
 @pytest.mark.parametrize("c", [-1, 1])

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from math import isqrt
 
@@ -26,6 +27,26 @@ def test_make_p_a_n2():
     for a in (0, np.int64(0), F(-1, 2)):
         with pytest.raises(ValueError, match="^a must be positive$"):
             make_p_a(2, a)
+
+
+@pytest.mark.parametrize("a, error", [
+    (float("inf"), "^a must be finite, got inf$"),
+    (float("nan"), "^a must be finite, got nan$"),
+    (float("-inf"), "^a must be finite, got -inf$"),
+    (np.float64("inf"), "^a must be finite, got inf$"),
+    (0, "^a must be positive$"),
+    (F(10**400), None),
+    (10**400, None),
+])
+def test_make_p_a_on_non_finite_zero_and_huge_a(a, error):
+    # and with no RuntimeWarning from numpy's inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            assert make_p_a(3, a) == [1] * 3 + [-a] + [1] * 3
+        else:
+            with pytest.raises(ValueError, match=error):
+                make_p_a(3, a)
 
 
 def test_make_p_a_n3():
