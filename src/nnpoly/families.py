@@ -25,9 +25,14 @@ def make_p_a(n: int, a):
     if n < 2:
         raise ValueError("n must be >= 2")
     # the ones are a * 0 + 1, which is nan for an infinite a
-    if a != a or abs(a) == inf:
-        raise ValueError(f"a must be finite, got {a}")
+    _require_finite("a", a)
     return make_f_a([a * 0 + 1] * (2 * n + 1), a)
+
+
+def _require_finite(name, x):
+    """Refuse a nan or infinite x, naming it in the error."""
+    if x != x or abs(x) == inf:
+        raise ValueError(f"{name} must be finite, got {x}")
 
 
 def make_f_a(d, a):
@@ -35,11 +40,14 @@ def make_f_a(d, a):
     if len(d) < 5 or len(d) % 2 == 0:
         raise ValueError("d must have odd length 2n+1 with n >= 2")
     n = len(d) // 2
+    _require_finite("a", a)
     if not a > 0:
         raise ValueError("a must be positive")
     for i, di in enumerate(d):
-        if i != n and not di > 0:
-            raise ValueError(f"coefficient d[{i}] must be positive")
+        if i != n:
+            _require_finite(f"coefficient d[{i}]", di)
+            if not di > 0:
+                raise ValueError(f"coefficient d[{i}] must be positive")
     coeffs = list(d)
     coeffs[n] = -a
     return coeffs

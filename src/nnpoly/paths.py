@@ -20,9 +20,10 @@ cached per n, holds one path per orbit as a row of an (R, n+1) int8 array,
 in lexicographic order, with its labels >= 3, its minimal cycle length k
 and the start p of its first k-cycle from one sweep over the columns, so
 phi and psi are built at (p, k) and no path is rescanned.  It feeds the
-census, computed once per n, whose classes are tallied with byte-key sorts
-and sums, and the decomposition check's plan, also cached per n: the rows
-in class order, each with its n edges as int16 indices into the flattened
+census, computed once per n, whose classes are tallied with sorts and sums,
+the phi images by byte keys and the psi images by one int64 key each,
+packed as they are relabeled, and the decomposition check's plan, also
+cached per n: the rows in class order, each with its n edges as int16 indices into the flattened
 matrix, psi(m)'s n-k edges first and its first k-cycle's last, and one
 int16 relabeling table of (n-2)! * n^2 entries, every permutation of 3..n
 in lexicographic order.  The check expands the rows through that table in
@@ -49,9 +50,9 @@ from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numera
 DEFAULT_CAP = 10**8
 
 # The largest n the census walks.  Its walk has one row per relabeling
-# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.4 s at a 52 MB peak RSS
-# and R(11) = 3,535,026 take 1.4-1.5 s at 181 MB (certify in a fresh Python
-# 3.11 process with numpy 2.4, shared 2-core Linux machine);
+# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.35-0.4 s at a 52 MB peak
+# RSS and R(11) = 3,535,026 take 1.3-1.5 s at 181 MB (certify in a fresh
+# Python 3.11 process with numpy 2.4, shared 2-core Linux machine);
 # R(12) = 23,430,839 is refused.
 CENSUS_N_MAX = 11
 
@@ -240,20 +241,26 @@ def _sorted_heads(X, width):
     return first
 
 
-def _canonical_rows(G, n):
-    """Each row of G, a path over 1..n, with its labels >= 3 renumbered 3, 4,
-    ... in order of first occurrence: one sweep over the columns, with a
-    flat table of the new label of each label each row has met so far."""
-    cell = np.arange(len(G)) * (n + 1)  # label v of row i is at cell[i] + v
-    table = np.tile(np.array([0, 1, 2] + [0] * (n - 2), np.int8), len(G))
-    top = np.full(len(G), 2, np.int8)
-    out = np.empty_like(G)
-    for j in range(G.shape[1]):
-        at = cell + G[:, j]
+def _pack_canonical(key, columns, n):
+    """Set key, an int64 array, to the base-(n+1) packing of its rows, given
+    as columns of labels 1..n, with each row's labels >= 3 renumbered 3, 4,
+    ... in order of first occurrence: one sweep over the columns, with a flat
+    table of the new label of each label each row has met so far.  No label
+    is 0, so rows of one length share a key exactly when their canonical
+    forms agree, as long as (n+1)^length < 2^63."""
+    cell = np.arange(len(key)) * (n + 1)  # label v of row i is at cell[i] + v
+    table = np.tile(np.array([0, 1, 2] + [0] * (n - 2), np.int8), len(key))
+    top, at = np.full(len(key), 2, np.int8), np.empty_like(cell)
+    key[:] = 0
+    for col in columns:
+        np.add(cell, col, out=at)
         t = table[at]
-        top += t == 0
-        table[at] = out[:, j] = np.where(t == 0, top, t)
-    return out
+        new = t == 0
+        top += new
+        label = np.where(new, top, t)
+        table[at] = label
+        key *= n + 1
+        key += label
 
 
 def _census(n: int):
@@ -282,19 +289,25 @@ def _census_of(n):
     every caller shares the one result.
 
     Each class k is tallied on its rows m of _cycle_walk with array
-    operations, and at most two int8 arrays of one class, m beside its phi
-    or its psi images, are alive beside the walk at a time.  The images are
-    written column by column into preallocated int8 arrays: phi(m)[j] =
-    m[j if j < p+k else j-k], psi(m)[j] = m[j if j < p else j+k].  The phi
-    images are sorted in place by _sorted_heads, to see that they are
-    distinct, and dropped.  The psi images carry r_m in one more column;
-    m is dropped, and they are made canonical BLOCK rows at a time, so the
-    intp temporaries of _canonical_rows are sized by the block.  Sorting
-    them in place by _sorted_heads then groups them, each row keeping its
-    r_m.  A canonical g uses the labels 1..max(g), so r_g = max(g) - 2.
-    The weights (n-2)_{r_m} are gathered after the sort, in int64, exact
-    since they sum to at most n^(n-1) < 2^63 for n <= 15, past CENSUS_N_MAX.
+    operations, one class at a time.  The phi images, phi(m)[j] =
+    m[j if j < p+k else j-k], are written column by column into a
+    preallocated int8 array, sorted in place by _sorted_heads, to see that
+    they are distinct, and dropped: they have up to 2n-1 interior labels, too
+    many to pack into an int64.  The psi images, psi(m)[j] =
+    m[j if j < p else j+k], are never stored.  BLOCK rows at a time, one
+    sweep forms each of their n-k-1 interior columns from m and
+    _pack_canonical folds it, relabeled, into an int64 key, which then takes
+    r_m as one more digit in base n-1; the intp temporaries are sized by the
+    block.  The keys are sorted in place, r_m is split off and the groups g
+    start where the key changes.  A canonical g uses the labels 1..max(g),
+    so r_g is its largest digit, or 2 if it has no label >= 3, minus 2.  The
+    weights (n-2)_{r_m} are gathered after the sort, in int64, exact since
+    they sum to at most n^(n-1) < 2^63 for n <= 15, past CENSUS_N_MAX.
+    Refused, before anything is walked, where a key could pass 2^63, from
+    n = 17 on.
     """
+    if (n + 1) ** (n - 2) * (n - 1) >= 2**63:
+        raise OverflowError(f"n = {n}: the census's psi keys would pass 2^63")
     M, r, ks, ps = _cycle_walk(n)
     size = np.array(_orbit_sizes(n), np.int64)
     stats = {}
@@ -307,19 +320,29 @@ def _census_of(n):
             X[:, j] = np.where(j < p + k, m[:, min(j, n)], m[:, max(j - k, 0)])
         injective = bool(_sorted_heads(X, n + 1 + k).all())
         del X
-        G = np.empty((len(m), n + 2 - k), np.int8)
-        for j in range(n + 1 - k):
-            G[:, j] = np.where(j < p, m[:, j], m[:, j + k])
-        G[:, -1] = r[sel]
-        del m, p
-        for lo in range(0, len(G), BLOCK):
-            G[lo : lo + BLOCK, :-1] = _canonical_rows(G[lo : lo + BLOCK, :-1], n)
-        heads = np.flatnonzero(_sorted_heads(G, n + 1 - k))
-        w = size[G[:, -1]]
-        weight = np.add.reduceat(w, heads)
-        r_g = G[heads, :-1].max(axis=1) - 2
-        stats[k] = (int(w.sum()), injective, int((weight // size[r_g]).max()))
-        del G, w
+        rm, key = r[sel], np.empty(len(m), np.int64)
+        for lo in range(0, len(m), BLOCK):
+            hi = lo + BLOCK
+            psi_columns = (np.where(j < p[lo:hi], m[lo:hi, j], m[lo:hi, j + k])
+                           for j in range(1, n - k))
+            _pack_canonical(key[lo:hi], psi_columns, n)
+            key[lo:hi] *= n - 1
+            key[lo:hi] += rm[lo:hi]
+        del m, p, rm
+        key.sort()
+        rm = np.empty(len(key), np.int8)
+        np.divmod(key, n - 1, out=(key, rm), casting="unsafe")  # in place: no int64 copy
+        first = np.empty(len(key), bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        heads = np.flatnonzero(first)
+        weight = np.add.reduceat(size[rm], heads)
+        g, top = key[heads], np.full(len(heads), 2, np.int64)
+        del key, rm, first
+        for _ in range(n - k - 1):
+            g, digit = np.divmod(g, n + 1)
+            np.maximum(top, digit, out=top)
+        stats[k] = (int(weight.sum()), injective, int((weight // size[top - 2]).max()))
     return MappingProxyType(stats)
 
 

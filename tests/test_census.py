@@ -5,6 +5,9 @@ the relabelings of vertices 3..n.  They must agree exactly.  The package's
 array walk is pinned to dfs_cycle_walk, the depth-first walk it replaced.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -14,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnpoly
 from nnpoly.families import bound_table, safe_a_squared
 from nnpoly.paths import (
     EnumerationCapExceeded,
-    _canonical_rows,
     _census,
     _cycle_walk,
     _orbit_sizes,
+    _pack_canonical,
     _sorted_heads,
     all_nu,
     build_certificate,
@@ -41,6 +45,22 @@ def _canonical(m):
         if v not in relabel:
             relabel[v] = len(relabel) + 1
     return tuple(map(relabel.__getitem__, m))
+
+
+def _packed(m, n):
+    """The interior labels of the path m over 1..n as base-(n+1) digits."""
+    key = 0
+    for v in m[1:-1]:
+        key = key * (n + 1) + v
+    return key
+
+
+def pack_canonical(rows, n):
+    """_pack_canonical on the interior columns of rows, paths of one length."""
+    X = np.array(rows, np.int8)
+    key = np.empty(len(X), np.int64)
+    _pack_canonical(key, X.T[1:-1], n)
+    return key
 
 
 def dfs_cycle_walk(n):
@@ -204,6 +224,32 @@ def test_walk_and_census_peaks_are_bounded_by_the_walk():
     assert census_peak <= 2.5 * size
 
 
+def test_psi_key_fit_check_survives_optimize():
+    # 17^14 * 15 < 2^63 <= 18^15 * 16: the census refuses n = 17, where its
+    # int64 psi keys could wrap, before it walks anything, and reaches the
+    # walk at n = 16; the check must raise even with asserts stripped by -O
+    script = (
+        "from nnpoly import paths\n"
+        "def walk(n):\n"
+        "    raise LookupError(n)\n"
+        "paths._cycle_walk = walk\n"
+        "try:\n"
+        "    paths._census_of(16)\n"
+        "except LookupError:\n"
+        "    pass\n"
+        "try:\n"
+        "    paths._census_of(17)\n"
+        "except OverflowError as e:\n"
+        "    expected = \"n = 17: the census's psi keys would pass 2^63\"\n"
+        "    raise SystemExit(0 if str(e) == expected else str(e))\n"
+        "raise SystemExit('n = 17 walked')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nnpoly.__file__))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sorted_heads_keep_rows_a_packed_key_merges():
     # a base-11 int64 key, as a packing of rows of labels 1..10 would use,
     # wraps at length 20 and gives these two rows one key
@@ -257,7 +303,7 @@ def test_sorted_heads_match_sorted_tuples(X, data):
 @st.composite
 def paths_of_one_length(draw):
     """(rows, n): paths 1 -> ... -> 2 over 1..n, all of one length, each with
-    its own labels, for one call of _canonical_rows."""
+    its own labels, for one call of _pack_canonical."""
     n = draw(st.integers(3, 12))
     length = draw(st.integers(0, n))
     interior = st.lists(st.integers(1, n), min_size=length, max_size=length)
@@ -269,9 +315,8 @@ def paths_of_one_length(draw):
 @given(paths_of_one_length())
 def test_canonical_rows_match_reference_row_by_row(case):
     rows, n = case
-    out = _canonical_rows(np.array(rows, np.int8), n)
-    assert out.dtype == np.int8
-    assert [tuple(row) for row in out.tolist()] == [_canonical(m) for m in rows]
+    key = pack_canonical(rows, n)
+    assert key.tolist() == [_packed(_canonical(m), n) for m in rows]
 
 
 @pytest.mark.parametrize("n, reps", [(2, 2), (3, 9), (7, 3262), (8, 17006), (9, 94827)])
@@ -381,9 +426,10 @@ def test_relabeling_commutes(case):
     assert phi(sm, cyc) == relabel(sigma, phi(m, cyc))
     assert psi(sm, cyc) == relabel(sigma, psi(m, cyc))
     assert _canonical(sm) == _canonical(m)
-    # the census's array relabeling against the reference, row by row
-    rows = np.array([sm, m, _canonical(m)], np.int8)
-    assert _canonical_rows(rows, len(m) - 1).tolist() == [list(_canonical(m))] * 3
+    # the census's packed relabeling against the reference, row by row
+    n = len(m) - 1
+    key = pack_canonical([sm, m, _canonical(m)], n)
+    assert key.tolist() == [_packed(_canonical(m), n)] * 3
 
 
 @settings(max_examples=200, deadline=None)

@@ -72,6 +72,28 @@ def test_make_f_a_rejects_zero_weight():
         make_f_a([F(1), F(0), F(1), F(1), F(1)], F(1))
 
 
+@pytest.mark.parametrize("a, error", [
+    (float("inf"), "^a must be finite, got inf$"),
+    (float("nan"), "^a must be finite, got nan$"),
+    (np.float64("inf"), "^a must be finite, got inf$"),
+])
+def test_make_f_a_rejects_non_finite_a(a, error):
+    with pytest.raises(ValueError, match=error):
+        make_f_a([1] * 7, a)
+
+
+@pytest.mark.parametrize("w, error", [
+    (float("inf"), r"^coefficient d\[2\] must be finite, got inf$"),
+    (float("nan"), r"^coefficient d\[2\] must be finite, got nan$"),
+    (np.float64("-inf"), r"^coefficient d\[2\] must be finite, got -inf$"),
+])
+def test_make_f_a_rejects_non_finite_weight(w, error):
+    with pytest.raises(ValueError, match=error):
+        make_f_a([1, 1, w, 1, 1, 1, 1], 2)
+    # d[n] is replaced by -a, so it is never read
+    assert make_f_a([1, 1, 1, w, 1, 1, 1], 2) == [1, 1, 1, -2, 1, 1, 1]
+
+
 @pytest.mark.parametrize("n,k,expected", [(2, 1, 2), (3, 2, 4), (4, 3, 12), (3, 3, 1)])
 def test_mu_values(n, k, expected):
     assert mu(n, k) == expected
