@@ -55,7 +55,7 @@ def _packed(m, n):
     return key
 
 
-def pack_canonical(rows, n):
+def packed_keys(rows, n):
     """_pack_canonical on the interior columns of rows, paths of one length."""
     X = np.array(rows, np.int8)
     key = np.empty(len(X), np.int64)
@@ -315,7 +315,7 @@ def paths_of_one_length(draw):
 @given(paths_of_one_length())
 def test_canonical_rows_match_reference_row_by_row(case):
     rows, n = case
-    key = pack_canonical(rows, n)
+    key = packed_keys(rows, n)
     assert key.tolist() == [_packed(_canonical(m), n) for m in rows]
 
 
@@ -428,7 +428,7 @@ def test_relabeling_commutes(case):
     assert _canonical(sm) == _canonical(m)
     # the census's packed relabeling against the reference, row by row
     n = len(m) - 1
-    key = pack_canonical([sm, m, _canonical(m)], n)
+    key = packed_keys([sm, m, _canonical(m)], n)
     assert key.tolist() == [_packed(_canonical(m), n)] * 3
 
 
