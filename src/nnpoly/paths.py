@@ -17,13 +17,14 @@ with relabeling.
 
 Each path fact is computed once, on arrays.  One breadth-first walk,
 cached per n, holds one path per orbit as a row of an (R, n+1) int8 array,
-in lexicographic order, with its labels >= 3, its minimal cycle length k
-and the start p of its first k-cycle from one sweep over the columns, so
-phi and psi are built at (p, k) and no path is rescanned.  It feeds the
-census, computed once per n, whose classes are tallied with sorts and sums,
-the phi images by byte keys and the psi images by one int64 key each,
-packed as they are relabeled, and the decomposition check's plan, also
-cached per n: the rows in class order, each with its n edges as int16 indices into the flattened
+with its labels >= 3, its minimal cycle length k and the start p of its
+first k-cycle from one sweep over the columns, so phi and psi are built at
+(p, k) and no path is rescanned.  Its rows are sorted by k once, so each
+class is one slice of them, lexicographic inside.  It feeds the census,
+computed once per n, whose classes are tallied with sorts and sums, the phi
+images by byte keys and the psi images by one int64 key each, packed as
+they are relabeled, and the decomposition check's plan, also cached per n:
+the walk's rows, each with its n edges as int16 indices into the flattened
 matrix, psi(m)'s n-k edges first and its first k-cycle's last, and one
 int16 relabeling table of (n-2)! * n^2 entries, every permutation of 3..n
 in lexicographic order.  The check expands the rows through that table in
@@ -50,8 +51,8 @@ from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numera
 DEFAULT_CAP = 10**8
 
 # The largest n the census walks.  Its walk has one row per relabeling
-# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.35-0.4 s at a 52 MB peak
-# RSS and R(11) = 3,535,026 take 1.3-1.5 s at 181 MB (certify in a fresh
+# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.14-0.15 s at a 52 MB peak
+# RSS and R(11) = 3,535,026 take 0.9-1.0 s at 169 MB (certify in a fresh
 # Python 3.11 process with numpy 2.4, shared 2-core Linux machine);
 # R(12) = 23,430,839 is refused.
 CENSUS_N_MAX = 11
@@ -161,9 +162,10 @@ BLOCK = 1 << 14  # rows per array step of the walk's cycle sweep and the census'
 def _cycle_walk(n):
     """(M, r, k, p) for the canonical paths of the orbits of M_n, cached per
     n and read-only: row i of the (R, n+1) int8 array M is one path, the rows
-    in lexicographic order; r[i] counts its labels >= 3, k[i] is its minimal
-    cycle length and p[i] the start of its leftmost k-cycle, so that
-    (p[i], k[i]) == first_cycle(M[i], k[i]).  All four arrays are int8.
+    grouped by k in ascending order and lexicographic inside each class;
+    r[i] counts its labels >= 3, k[i] is its minimal cycle length and p[i]
+    the start of its leftmost k-cycle, so that (p[i], k[i]) ==
+    first_cycle(M[i], k[i]).  All four arrays are int8.
 
     Breadth-first: a prefix with r labels >= 3 has the children 1..min(r+3,
     n), which are 1, 2, the labels already used and the next unused one;
@@ -172,7 +174,8 @@ def _cycle_walk(n):
     formed in int32, as R(n) < 2^31.  _first_cycles then finds k and p
     BLOCK rows at a time, so its label table and its intp index arrays
     (intp, since numpy converts any other index dtype to intp on every
-    use) are sized by the block, not by R.
+    use) are sized by the block, not by R.  Last, the one class sort: a
+    stable argsort of k, applied in place, so that M is never copied.
     """
     M = np.zeros((1, n + 1), np.int8)
     M[:, 0], M[:, n] = 1, 2
@@ -190,6 +193,11 @@ def _cycle_walk(n):
     for lo in range(0, len(M), BLOCK):
         hi = lo + BLOCK
         k[lo:hi], p[lo:hi] = _first_cycles(M[lo:hi], n)
+    order = np.argsort(k, kind="stable")
+    for a in (r, k, p):
+        a[:] = a[order]
+    for j in range(1, n):  # in place, a column at a time; M[:, 0] and M[:, n] are 1 and 2
+        M[:, j] = M[order, j]
     for a in (M, r, k, p):
         a.flags.writeable = False
     return M, r, k, p
@@ -224,21 +232,15 @@ def _first_cycles(M, n):
     return k, p
 
 
-def _sorted_heads(X, width):
-    """Sort the rows of X, a C-contiguous int8 array >= 0, lexicographically
-    in place, and return first: first[i] is True where sorted row i differs
-    from the one before it in its leading width columns.  Each row's bytes
-    are one np.void key, so rows of any length stay apart; a key that packs
-    a row into one int64 would wrap and merge rows once (labels +
-    1)^length passes 2^63.  No index array is formed: a row carries what
-    its group needs in columns past width.
-    """
-    X.view(np.dtype((np.void, X.shape[1]))).ravel().sort(kind="stable")
-    first = np.zeros(len(X), bool)
-    first[:1] = True
-    for j in range(width):
-        first[1:] |= X[1:, j] != X[:-1, j]
-    return first
+def _distinct_rows(X):
+    """True when the rows of X, a C-contiguous int8 array, are pairwise
+    distinct.  X is sorted in place by each row's bytes as one np.void key,
+    so equal rows become neighbours and rows of any length stay apart; a key
+    that packs a row into one int64 would wrap and merge rows once (labels +
+    1)^length passes 2^63."""
+    keys = X.view(np.dtype((np.void, X.shape[1]))).ravel()
+    keys.sort(kind="stable")
+    return bool((keys[1:] != keys[:-1]).all())
 
 
 def _pack_canonical(key, columns, n):
@@ -289,9 +291,10 @@ def _census_of(n):
     every caller shares the one result.
 
     Each class k is tallied on its rows m of _cycle_walk with array
-    operations, one class at a time.  The phi images, phi(m)[j] =
+    operations, one class at a time; the walk is in class order, so m is a
+    slice of it, a view and not a copy.  The phi images, phi(m)[j] =
     m[j if j < p+k else j-k], are written column by column into a
-    preallocated int8 array, sorted in place by _sorted_heads, to see that
+    preallocated int8 array, sorted in place by _distinct_rows, to see that
     they are distinct, and dropped: they have up to 2n-1 interior labels, too
     many to pack into an int64.  The psi images, psi(m)[j] =
     m[j if j < p else j+k], are never stored.  BLOCK rows at a time, one
@@ -312,15 +315,15 @@ def _census_of(n):
     size = np.array(_orbit_sizes(n), np.int64)
     stats = {}
     for k in np.flatnonzero(np.bincount(ks)).tolist():
-        sel = ks == k
-        m, p = M[sel], ps[sel]
+        start, stop = np.searchsorted(ks, [k, k + 1]).tolist()  # the walk is in class order
+        m, p, rm = M[start:stop], ps[start:stop], r[start:stop]
         X = np.empty((len(m), n + 1 + k), np.int8)
         # columns j < k are before the splice of phi, j > n after it
         for j in range(n + 1 + k):
             X[:, j] = np.where(j < p + k, m[:, min(j, n)], m[:, max(j - k, 0)])
-        injective = bool(_sorted_heads(X, n + 1 + k).all())
+        injective = _distinct_rows(X)
         del X
-        rm, key = r[sel], np.empty(len(m), np.int64)
+        key = np.empty(len(m), np.int64)
         for lo in range(0, len(m), BLOCK):
             hi = lo + BLOCK
             psi_columns = (np.where(j < p[lo:hi], m[lo:hi, j], m[lo:hi, j + k])
@@ -328,7 +331,6 @@ def _census_of(n):
             _pack_canonical(key[lo:hi], psi_columns, n)
             key[lo:hi] *= n - 1
             key[lo:hi] += rm[lo:hi]
-        del m, p, rm
         key.sort()
         rm = np.empty(len(key), np.int8)
         np.divmod(key, n - 1, out=(key, rm), casting="unsafe")  # in place: no int64 copy
@@ -432,10 +434,10 @@ def _edge_values(b, index):
 @functools.cache
 def _decomposition_plan(n):
     """(k, edges, images, table), cached per n and read-only: the rows of
-    _cycle_walk(n) in stable class order, so that each class k is one run of
-    rows, with their classes k and edges and the number images[i] = (n-2)_r
-    of paths that row i, with r labels >= 3, stands for; and the one
-    relabeling table of n.
+    _cycle_walk(n), in its class order, so that each class k is one run of
+    rows, with their classes k, the walk's own array, and edges and the
+    number images[i] = (n-2)_r of paths that row i, with r labels >= 3,
+    stands for; and the one relabeling table of n.
 
     edges[i] holds the n edges s -> t of row i as their indices
     (s-1)*n + (t-1) in B.ravel(), int16: the n-k edges of psi(m) first and
@@ -448,8 +450,6 @@ def _decomposition_plan(n):
     permutations by their first r entries.
     """
     M, r, k, p = _cycle_walk(n)
-    order = np.argsort(k, kind="stable")
-    M, r, k, p = M[order], r[order], k[order], p[order]
     # psi(m) keeps the edges j < p and j >= p+k of m, the cycle is p..p+k-1
     j, kc, pc = np.arange(n, dtype=np.int8), k[:, None], p[:, None]
     at = np.where(j < n - kc, j + kc * (j >= pc), pc + j - (n - kc))
@@ -459,7 +459,7 @@ def _decomposition_plan(n):
                      np.int16) - 1
     table = (sigma[:, :, None] * n + sigma[:, None, :]).reshape(len(sigma), n * n)
     images = np.array(_orbit_sizes(n), np.int64)[r]
-    for a in (k, edges, images, table):
+    for a in (edges, images, table):
         a.flags.writeable = False
     return k, edges, images, table
 

@@ -23,9 +23,9 @@ from nnpoly.paths import (
     EnumerationCapExceeded,
     _census,
     _cycle_walk,
+    _distinct_rows,
     _orbit_sizes,
     _pack_canonical,
-    _sorted_heads,
     all_nu,
     build_certificate,
     census_cap,
@@ -169,10 +169,17 @@ def test_census_cap_is_the_least_cap_of_bound_nu(n):
     assert census_cap(n) == min(diagonal[3], *(r[4] for r in table.rows[:-1]))
 
 
+def class_ordered(walk):
+    """The rows (m, r, k, p) of walk grouped by k in ascending order,
+    keeping their order inside each class, as _cycle_walk orders them."""
+    return sorted(walk, key=lambda row: row[2])
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_walk_matches_depth_first_reference(n):
-    # same rows in the same order, with the same r, k and p
-    assert walk_rows(n) == list(dfs_cycle_walk(n))
+    # same rows in class order, lexicographic inside a class, with the same
+    # r, k and p
+    assert walk_rows(n) == class_ordered(dfs_cycle_walk(n))
 
 
 def test_walk_is_cached_and_read_only():
@@ -194,7 +201,7 @@ def test_blocks_leave_the_walk_and_census_unchanged(monkeypatch):
     paths._cycle_walk.cache_clear()
     paths._census_of.cache_clear()
     try:
-        assert walk_rows(6) == list(dfs_cycle_walk(6))
+        assert walk_rows(6) == class_ordered(dfs_cycle_walk(6))
         assert _census(6) == brute_census(6)
     finally:
         paths._cycle_walk.cache_clear()
@@ -202,9 +209,10 @@ def test_blocks_leave_the_walk_and_census_unchanged(monkeypatch):
 
 
 def test_walk_and_census_peaks_are_bounded_by_the_walk():
-    # at n = 9 the walk's four arrays hold 1.23 MB; the walk and the census
-    # each peak at about 1.7 times that in numpy buffers, which tracemalloc
-    # traces, with one class or one block of rows at a time
+    # at n = 9 the walk's four arrays hold 1.23 MB; in numpy buffers, which
+    # tracemalloc traces, the walk peaks at 1.76 times that and the census
+    # at 1.35 times more, with one block of rows at a time and each class a
+    # slice of the class-ordered walk, not a copy
     from nnpoly import paths
 
     paths._cycle_walk.cache_clear()
@@ -221,7 +229,7 @@ def test_walk_and_census_peaks_are_bounded_by_the_walk():
         tracemalloc.stop()
     size = sum(a.nbytes for a in walk)
     assert walk_peak <= 2.5 * size
-    assert census_peak <= 2.5 * size
+    assert census_peak <= 1.5 * size
 
 
 def test_psi_key_fit_check_survives_optimize():
@@ -250,7 +258,7 @@ def test_psi_key_fit_check_survives_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sorted_heads_keep_rows_a_packed_key_merges():
+def test_distinct_rows_keep_rows_a_packed_key_merges():
     # a base-11 int64 key, as a packing of rows of labels 1..10 would use,
     # wraps at length 20 and gives these two rows one key
     X = np.array([[1, 3, 1, 2, 1, 1, 5, 1, 1, 1, 1, 1, 1, 1, 2, 1, 3, 1, 1, 1],
@@ -261,10 +269,10 @@ def test_sorted_heads_keep_rows_a_packed_key_merges():
         key = key * 11 + col
     assert key[0] == key[1]
     Y = X.copy()
-    assert _sorted_heads(Y, 20).tolist() == [True, True]
+    assert _distinct_rows(Y) is True
     assert Y.tolist() == X.tolist()
     Y = X[[1, 0, 1]]
-    assert _sorted_heads(Y, 20).tolist() == [True, True, False]
+    assert _distinct_rows(Y) is False
     assert Y.tolist() == X[[0, 1, 1]].tolist()
 
 
@@ -284,20 +292,12 @@ def rows_with_repeats(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows_with_repeats(), st.data())
-def test_sorted_heads_match_sorted_tuples(X, data):
-    width = data.draw(st.integers(0, X.shape[1]))
+@given(rows_with_repeats())
+def test_distinct_rows_match_sorted_tuples(X):
     rows = sorted(map(tuple, X.tolist()))
     Y = X.copy()
-    first = _sorted_heads(Y, width)
+    assert _distinct_rows(Y) == (len(set(rows)) == len(rows))
     assert [tuple(row) for row in Y.tolist()] == rows
-    assert first.tolist() == [i == 0 or rows[i][:width] != rows[i - 1][:width]
-                              for i in range(len(rows))]
-    # two rows share a group exactly when their leading width columns agree
-    group = np.cumsum(first) - 1
-    for i, a in enumerate(rows):
-        for j, b in enumerate(rows):
-            assert (group[i] == group[j]) == (a[:width] == b[:width])
 
 
 @st.composite

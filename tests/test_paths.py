@@ -319,8 +319,7 @@ def test_decomposition_plan_matches_oracle(n):
     # path of M_n: each path once, in a run of its class k, its edges read
     # back from their indices in B.ravel(), psi(m)'s first and the k edges
     # of the first minimal cycle at its representative's start p last
-    _, _, walk_k, walk_p = paths_module._cycle_walk(n)
-    p = walk_p[np.argsort(walk_k, kind="stable")].tolist()  # the plan's rows: stable class order
+    p = paths_module._cycle_walk(n)[3].tolist()  # the plan's rows are the walk's
     got = []
     for k, rep, index in paths_module._expanded_paths(n):
         assert len(rep) == len(index) <= paths_module.CHUNK
