@@ -51,8 +51,8 @@ from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numera
 DEFAULT_CAP = 10**8
 
 # The largest n the census walks.  Its walk has one row per relabeling
-# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.14-0.15 s at a 52 MB peak
-# RSS and R(11) = 3,535,026 take 0.9-1.0 s at 169 MB (certify in a fresh
+# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.15-0.17 s at a 52 MB peak
+# RSS and R(11) = 3,535,026 take 1.1-1.2 s at 169 MB (certify in a fresh
 # Python 3.11 process with numpy 2.4, shared 2-core Linux machine);
 # R(12) = 23,430,839 is refused.
 CENSUS_N_MAX = 11
