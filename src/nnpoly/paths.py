@@ -18,12 +18,14 @@ with relabeling.
 Each path fact is computed once, on arrays.  One breadth-first walk,
 cached per n, holds one path per orbit as a row of an (R, n+1) int8 array,
 with its labels >= 3, its minimal cycle length k and the start p of its
-first k-cycle from one sweep over the columns, so phi and psi are built at
-(p, k) and no path is rescanned.  Its rows are sorted by k once, so each
-class is one slice of them, lexicographic inside.  It feeds the census,
-computed once per n, whose classes are tallied with sorts and sums, the phi
-images by byte keys and the psi images by one int64 key each, packed as
-they are relabeled, and the decomposition check's plan, also cached per n:
+first k-cycle, carried from each prefix to its children as the walk grows,
+so phi and psi are built at (p, k) and no path is rescanned.  Its last
+level is written straight into (k, p) order, so each class is one slice of
+rows and each p one run inside it, lexicographic inside the run.  It feeds
+the census, computed once per n, whose classes are tallied with sorts and
+sums, the phi images, two slice copies per run, by byte keys and the psi
+images by one int64 key each, packed as they are relabeled, and the
+decomposition check's plan, also cached per n:
 the walk's rows, each with its n edges as int16 indices into the flattened
 matrix, psi(m)'s n-k edges first and its first k-cycle's last, and one
 int16 relabeling table of (n-2)! * n^2 entries, every permutation of 3..n
@@ -51,8 +53,8 @@ from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numera
 DEFAULT_CAP = 10**8
 
 # The largest n the census walks.  Its walk has one row per relabeling
-# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.15-0.17 s at a 52 MB peak
-# RSS and R(11) = 3,535,026 take 1.1-1.2 s at 169 MB (certify in a fresh
+# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.14-0.19 s at a 50 MB peak
+# RSS and R(11) = 3,535,026 take 0.86-0.91 s at 160 MB (certify in a fresh
 # Python 3.11 process with numpy 2.4, shared 2-core Linux machine);
 # R(12) = 23,430,839 is refused.
 CENSUS_N_MAX = 11
@@ -155,81 +157,104 @@ def _orbit_sizes(n):
     return sizes
 
 
-BLOCK = 1 << 14  # rows per array step of the walk's cycle sweep and the census's relabeling
+BLOCK = 1 << 14  # rows per step of the walk's last level and check and the census's relabeling
 
 
 @functools.cache
 def _cycle_walk(n):
     """(M, r, k, p) for the canonical paths of the orbits of M_n, cached per
     n and read-only: row i of the (R, n+1) int8 array M is one path, the rows
-    grouped by k in ascending order and lexicographic inside each class;
-    r[i] counts its labels >= 3, k[i] is its minimal cycle length and p[i]
-    the start of its leftmost k-cycle, so that (p[i], k[i]) ==
-    first_cycle(M[i], k[i]).  All four arrays are int8.
+    sorted by (k, p) and lexicographic inside each (k, p) run, so each class
+    k is a run of runs, one per p; r[i] counts its labels >= 3, k[i] is its
+    minimal cycle length and p[i] the start of its leftmost k-cycle, so that
+    (p[i], k[i]) == first_cycle(M[i], k[i]).  All four arrays are int8.
 
     Breadth-first: a prefix with r labels >= 3 has the children 1..min(r+3,
-    n), which are 1, 2, the labels already used and the next unused one;
-    np.repeat puts them right after one another, so the rows stay in
-    lexicographic order.  r stays int8 throughout, and each new column is
-    formed in int32, as R(n) < 2^31.  _first_cycles then finds k and p
-    BLOCK rows at a time, so its label table and its intp index arrays
-    (intp, since numpy converts any other index dtype to intp on every
-    use) are sized by the block, not by R.  Last, the one class sort: a
-    stable argsort of k, applied in place, so that M is never copied.
+    n), which are 1, 2, the labels already used and the next unused one,
+    each prefix's children right after one another, so the rows stay in
+    lexicographic order.  A prefix carries its (k, p) and the last position
+    of each label, so appending v at column q closes the cycle q - last[v],
+    and only a shorter one replaces k, keeping p the leftmost start; the
+    fixed edge into 2 at column n closes the last.  The last level is
+    written straight into (k, p) order: a stable argsort of its children's
+    (k, p) keys orders them, and BLOCK rows at a time each child's row is
+    gathered from its parent prefix, with v in column n-1, so M is written
+    once and never permuted; the order and parent indices are int32, as
+    R(n) < 2^31.  _check_cycles then checks the cycle of every row.
     """
     M = np.zeros((1, n + 1), np.int8)
     M[:, 0], M[:, n] = 1, 2
     r = np.zeros(1, np.int8)
+    # last[i, v] is label v's last column in prefix i; -n-1, unseen, closes no cycle
+    last = np.full((1, n + 1), -n - 1, np.int8)
+    last[:, 1] = 0
+    k, p = np.full(1, n + 1, np.int8), np.zeros(1, np.int8)  # k > n: no cycle yet
+    labels = np.arange(1, n + 1, dtype=np.int8)
     for q in range(1, n):
         width = np.minimum(r + 3, n)
-        M, r = np.repeat(M, width, axis=0), np.repeat(r, width)
-        end = np.cumsum(width, dtype=np.int32)
-        v = np.arange(1, end[-1] + 1, dtype=np.int32)
-        v -= np.repeat(end - width, width)
+        child = labels <= width[:, None]  # the children of each prefix, in row order
+        v = np.broadcast_to(labels, child.shape)[child]
+        k, p = np.repeat(k, width), np.repeat(p, width)
+        _close_cycles(k, p, q, last[:, 1:][child])
+        del child
+        if q == n - 1:
+            break
+        M, r, last = (np.repeat(a, width, axis=0) for a in (M, r, last))
         M[:, q] = v
-        del v
-        np.maximum(r, M[:, q] - 2, out=r)  # the labels are in first-occurrence order
-    k, p = np.empty(len(M), np.int8), np.empty(len(M), np.int8)
-    for lo in range(0, len(M), BLOCK):
+        np.maximum(r, v - 2, out=r)  # the labels are in first-occurrence order
+        last[np.arange(len(v)), v] = q
+    at = np.repeat(last[:, 2], width)
+    at[v == 2] = n - 1
+    _close_cycles(k, p, n, at)
+    del at, last
+    key = k * np.int16(n + 2) + p  # k <= n + 1 and p <= n
+    order = np.argsort(key, kind="stable").astype(np.int32)  # R(n) < 2^31
+    del key
+    k, p = k[order], p[order]
+    parent = np.repeat(np.arange(len(M), dtype=np.int32), width)
+    prefix, prefix_r = M, r
+    M, r = np.empty((len(v), n + 1), np.int8), np.empty(len(v), np.int8)
+    for lo in range(0, len(v), BLOCK):
         hi = lo + BLOCK
-        k[lo:hi], p[lo:hi] = _first_cycles(M[lo:hi], n)
-    order = np.argsort(k, kind="stable")
-    for a in (r, k, p):
-        a[:] = a[order]
-    for j in range(1, n):  # in place, a column at a time; M[:, 0] and M[:, n] are 1 and 2
-        M[:, j] = M[order, j]
+        i = order[lo:hi]
+        up = parent[i]
+        np.take(prefix, up, axis=0, out=M[lo:hi])
+        M[lo:hi, n - 1] = v[i]
+        np.maximum(prefix_r[up], v[i] - 2, out=r[lo:hi])
+    del order, v, parent, prefix, prefix_r
+    _check_cycles(M, k, p)
     for a in (M, r, k, p):
         a.flags.writeable = False
     return M, r, k, p
 
 
-def _first_cycles(M, n):
-    """(k, p), int8, for the rows of M, paths over 1..n: k the minimal cycle
-    length and p the start of the leftmost k-cycle.
+def _close_cycles(k, p, q, at):
+    """Update (k, p) in place for a label put at column q whose previous
+    position was at: it closes the cycle q - at, and only a shorter one
+    replaces k, so p stays the leftmost start of a k-cycle."""
+    length = q - at
+    shorter = length < k
+    k[shorter], p[shorter] = length[shorter], at[shorter]
 
-    One sweep over the columns q, with a flat table of each label's last
-    position per row, finds them: column q closes the cycle q - last[v], and
-    only a shorter one replaces k, so p is the leftmost start.  That k-cycle
-    is simple, since a repeat inside it would close a shorter cycle; a bit
-    mask of labels per row checks it, and a row with no repeat fails it.
-    """
-    cell = np.arange(len(M)) * (n + 1)  # label v of row i is at cell[i] + v
-    last = np.full(len(M) * (n + 1), -n - 1, np.int8)  # unseen: closes no cycle
-    k, p = np.full(len(M), n + 1, np.int8), np.zeros(len(M), np.int8)  # k > n: no repeat
-    for q in range(n + 1):
-        at = cell + M[:, q]
-        start, last[at] = last[at], q
-        shorter = q - start < k
-        k[shorter], p[shorter] = q - start[shorter], start[shorter]
-    # a label seen twice inside M[p:p+k], or no repeat at all, fails the check
-    seen, bad = np.zeros(len(M), np.int32), k > n
-    for q in range(n + 1):
-        bit = np.where((p <= q) & (q < p + k), 1 << M[:, q].astype(np.int32), 0)
-        bad |= (seen & bit) != 0
-        seen |= bit
-    if bad.any():
-        raise AssertionError("first k-cycle must be simple")
-    return k, p
+
+def _check_cycles(M, k, p):
+    """Raise AssertionError unless each row of M repeats a label and has no
+    label twice inside its window M[p:p+k].  A leftmost minimal k-cycle is
+    simple, since a repeat inside it would close a shorter cycle; k > n,
+    the walk's mark for a row that closed no cycle, fails too.  Consecutive
+    rows of one (k, p) are checked together, BLOCK rows at a time: their
+    windows are one slice of columns, and its columns d apart are compared
+    for each d < k."""
+    n = M.shape[1] - 1
+    cut = (np.flatnonzero((k[1:] != k[:-1]) | (p[1:] != p[:-1])) + 1).tolist()
+    for a, z in zip([0, *cut], [*cut, len(M)]):
+        c, s = int(k[a]), int(p[a])
+        if c > n:
+            raise AssertionError("first k-cycle must be simple")
+        for lo in range(a, z, BLOCK):
+            w = M[lo : min(lo + BLOCK, z), s : s + c]
+            if any((w[:, d:] == w[:, :-d]).any() for d in range(1, c)):
+                raise AssertionError("first k-cycle must be simple")
 
 
 def _distinct_rows(X):
@@ -291,18 +316,18 @@ def _census_of(n):
     every caller shares the one result.
 
     Each class k is tallied on its rows m of _cycle_walk with array
-    operations, one class at a time; the walk is in class order, so m is a
-    slice of it, a view and not a copy.  The phi images, phi(m)[j] =
-    m[j if j < p+k else j-k], are written column by column into a
-    preallocated int8 array, sorted in place by _distinct_rows, to see that
-    they are distinct, and dropped: they have up to 2n-1 interior labels, too
-    many to pack into an int64.  The psi images, psi(m)[j] =
-    m[j if j < p else j+k], are never stored.  BLOCK rows at a time, one
-    sweep forms each of their n-k-1 interior columns from m and
-    _pack_canonical folds it, relabeled, into an int64 key, which then takes
-    r_m as one more digit in base n-1; the intp temporaries are sized by the
-    block.  The keys are sorted in place, r_m is split off and the groups g
-    start where the key changes.  A canonical g uses the labels 1..max(g),
+    operations, one class at a time; the walk is in (k, p) order, so m is a
+    slice of it, a view and not a copy, and its rows of one p are one run.
+    The phi images, phi(m) = m[:p+k] + m[p:], are written run by run, as two
+    slice copies, into a preallocated int8 array, sorted in place by
+    _distinct_rows, to see that they are distinct, and dropped: they have up
+    to 2n-1 interior labels, too many to pack into an int64.  The psi
+    images, psi(m)[j] = m[j if j < p else j+k], are never stored.  BLOCK
+    rows at a time, one sweep forms each of their n-k-1 interior columns
+    from m and _pack_canonical folds it, relabeled, into an int64 key, which
+    then takes r_m as one more digit in base n-1; the intp temporaries are
+    sized by the block.  The keys are sorted in place, r_m is split off and
+    the groups g start where the key changes.  A canonical g uses the labels 1..max(g),
     so r_g is its largest digit, or 2 if it has no label >= 3, minus 2.  The
     weights (n-2)_{r_m} are gathered after the sort, in int64, exact since
     they sum to at most n^(n-1) < 2^63 for n <= 15, past CENSUS_N_MAX.
@@ -315,12 +340,15 @@ def _census_of(n):
     size = np.array(_orbit_sizes(n), np.int64)
     stats = {}
     for k in np.flatnonzero(np.bincount(ks)).tolist():
-        start, stop = np.searchsorted(ks, [k, k + 1]).tolist()  # the walk is in class order
+        # the walk is in class order; int8 bounds, as others would cast ks to their dtype
+        start, stop = np.searchsorted(ks, np.int8([k, k + 1])).tolist()
         m, p, rm = M[start:stop], ps[start:stop], r[start:stop]
         X = np.empty((len(m), n + 1 + k), np.int8)
-        # columns j < k are before the splice of phi, j > n after it
-        for j in range(n + 1 + k):
-            X[:, j] = np.where(j < p + k, m[:, min(j, n)], m[:, max(j - k, 0)])
+        # phi(m) = m[:s+k] + m[s:] on the run of rows whose cycle starts at s
+        cut = np.searchsorted(p, np.arange(n - k + 2, dtype=np.int8)).tolist()
+        for s, (a, z) in enumerate(zip(cut, cut[1:])):
+            X[a:z, : s + k] = m[a:z, : s + k]
+            X[a:z, s + k :] = m[a:z, s:]
         injective = _distinct_rows(X)
         del X
         key = np.empty(len(m), np.int64)
@@ -434,7 +462,7 @@ def _edge_values(b, index):
 @functools.cache
 def _decomposition_plan(n):
     """(k, edges, images, table), cached per n and read-only: the rows of
-    _cycle_walk(n), in its class order, so that each class k is one run of
+    _cycle_walk(n), in its (k, p) order, so that each class k is one run of
     rows, with their classes k, the walk's own array, and edges and the
     number images[i] = (n-2)_r of paths that row i, with r labels >= 3,
     stands for; and the one relabeling table of n.
@@ -475,7 +503,7 @@ def _expanded_paths(n):
     the relabeling table at each row's edges.  Relabeling commutes with
     the class k and the first k-cycle, so the images of a row keep its
     split of edges.  A chunk is cut into its class runs, which are
-    contiguous since the rows are in class order.
+    contiguous since the rows are in (k, p) order, k first.
     """
     k, edges, images, table = _decomposition_plan(n)
     end = np.cumsum(images)

@@ -22,6 +22,7 @@ from nnpoly.families import bound_table, safe_a_squared
 from nnpoly.paths import (
     EnumerationCapExceeded,
     _census,
+    _check_cycles,
     _cycle_walk,
     _distinct_rows,
     _orbit_sizes,
@@ -170,16 +171,65 @@ def test_census_cap_is_the_least_cap_of_bound_nu(n):
 
 
 def class_ordered(walk):
-    """The rows (m, r, k, p) of walk grouped by k in ascending order,
-    keeping their order inside each class, as _cycle_walk orders them."""
-    return sorted(walk, key=lambda row: row[2])
+    """The rows (m, r, k, p) of walk sorted by the pair (k, p), keeping
+    their order inside each (k, p) run, as _cycle_walk orders them."""
+    return sorted(walk, key=lambda row: (row[2], row[3]))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_walk_matches_depth_first_reference(n):
-    # same rows in class order, lexicographic inside a class, with the same
+    # same rows in (k, p) order, lexicographic inside a run, with the same
     # r, k and p
     assert walk_rows(n) == class_ordered(dfs_cycle_walk(n))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_walk_is_in_k_p_order_lexicographic_inside_each_run(n):
+    # the census and the plan read each class as a slice, and the census
+    # each p inside it as a run, whose phi images are two slice copies
+    rows = walk_rows(n)
+    keys = [(k, p) for _, _, k, p in rows]
+    assert keys == sorted(keys)
+    assert all(a[0] < b[0] for a, b in zip(rows, rows[1:]) if a[2:] == b[2:])
+
+
+# (row, k, p) the walk's cycle check must refuse: a row with no repeated
+# label, which no path of M_3 is, with k = n + 1 as the walk marks a row
+# that closed no cycle, and a row whose window M[p:p+k] = (1, 3, 3)
+# repeats the label 3
+BAD_CYCLES = [([1, 3, 4, 2], 4, 0), ([1, 3, 3, 1], 3, 0)]
+GOOD_CYCLE = ([1, 3, 1, 2], 2, 0)
+
+
+def cycle_rows(*rows):
+    """The (M, k, p) int8 arrays of rows given as (row, k, p)."""
+    return tuple(np.array(a, np.int8) for a in zip(*rows))
+
+
+@pytest.mark.parametrize("bad", BAD_CYCLES)
+def test_walk_cycle_check_fires(bad):
+    _check_cycles(*cycle_rows(GOOD_CYCLE))
+    for rows in ([GOOD_CYCLE, bad], [bad, GOOD_CYCLE]):
+        with pytest.raises(AssertionError, match="^first k-cycle must be simple$"):
+            _check_cycles(*cycle_rows(*rows))
+
+
+def test_walk_cycle_check_survives_optimize():
+    # the check is a raise, so python -O, which strips asserts, keeps it
+    script = (
+        "import numpy as np\n"
+        "from nnpoly.paths import _check_cycles\n"
+        f"for row, k, p in {BAD_CYCLES!r}:\n"
+        "    try:\n"
+        "        _check_cycles(np.array([row], np.int8), np.int8([k]), np.int8([p]))\n"
+        "    except AssertionError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'{row} passed')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nnpoly.__file__))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_walk_is_cached_and_read_only():
@@ -193,8 +243,8 @@ def test_walk_is_cached_and_read_only():
 
 
 def test_blocks_leave_the_walk_and_census_unchanged(monkeypatch):
-    # with blocks of 5 rows every seam of the walk's sweep and of the
-    # census's relabeling falls inside a class
+    # with blocks of 5 rows every seam of the walk's last level, of its
+    # cycle check and of the census's relabeling falls inside a class
     from nnpoly import paths
 
     monkeypatch.setattr(paths, "BLOCK", 5)
@@ -210,9 +260,9 @@ def test_blocks_leave_the_walk_and_census_unchanged(monkeypatch):
 
 def test_walk_and_census_peaks_are_bounded_by_the_walk():
     # at n = 9 the walk's four arrays hold 1.23 MB; in numpy buffers, which
-    # tracemalloc traces, the walk peaks at 1.77 times that and the census
+    # tracemalloc traces, the walk peaks at 2.15 times that and the census
     # at 1.35 times more, with one block of rows at a time and each class a
-    # slice of the class-ordered walk, not a copy
+    # slice of the (k, p)-ordered walk, not a copy
     from nnpoly import paths
 
     paths._cycle_walk.cache_clear()

@@ -55,6 +55,14 @@ def test_certify_defaults_to_certified_cap(capsys):
     assert payload["verdict"] is True
 
 
+def test_certify_n10_stdout_matches_golden(capsys):
+    # tests/data/certify_n10.json is `nnpoly certify --n 10`'s stdout, which
+    # CI also compares, with certify_n11.json at the census limit
+    code, out = run(capsys, "certify", "--n", "10")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "certify_n10.json").read_text()
+
+
 def test_certify_verdict_false_exits_2(capsys):
     code, out = run(capsys, "certify", "--n", "2", "--a-sq", "100")
     assert code == 2
