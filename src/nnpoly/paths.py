@@ -195,17 +195,21 @@ def _cycle_walk(n):
         child = labels <= width[:, None]  # the children of each prefix, in row order
         v = np.broadcast_to(labels, child.shape)[child]
         k, p = np.repeat(k, width), np.repeat(p, width)
-        _close_cycles(k, p, q, last[:, 1:][child])
+        at = last[:, 1:][child]  # column q closes the cycle q - at; only a shorter one counts
+        shorter = q - at < k
+        k[shorter], p[shorter] = q - at[shorter], at[shorter]
         del child
         if q == n - 1:
             break
-        M, r, last = (np.repeat(a, width, axis=0) for a in (M, r, last))
+        M, r = np.repeat(M, width, axis=0), np.repeat(r, width)
+        last = np.repeat(last, width, axis=0)
         M[:, q] = v
         np.maximum(r, v - 2, out=r)  # the labels are in first-occurrence order
         last[np.arange(len(v)), v] = q
     at = np.repeat(last[:, 2], width)
-    at[v == 2] = n - 1
-    _close_cycles(k, p, n, at)
+    at[v == 2] = n - 1  # the fixed edge into 2 at column n closes n - at
+    shorter = n - at < k
+    k[shorter], p[shorter] = n - at[shorter], at[shorter]
     del at, last
     key = k * np.int16(n + 2) + p  # k <= n + 1 and p <= n
     order = np.argsort(key, kind="stable").astype(np.int32)  # R(n) < 2^31
@@ -228,15 +232,6 @@ def _cycle_walk(n):
     return M, r, k, p
 
 
-def _close_cycles(k, p, q, at):
-    """Update (k, p) in place for a label put at column q whose previous
-    position was at: it closes the cycle q - at, and only a shorter one
-    replaces k, so p stays the leftmost start of a k-cycle."""
-    length = q - at
-    shorter = length < k
-    k[shorter], p[shorter] = length[shorter], at[shorter]
-
-
 def _check_cycles(M, k, p):
     """Raise AssertionError unless each row of M repeats a label and has no
     label twice inside its window M[p:p+k].  A leftmost minimal k-cycle is
@@ -253,8 +248,9 @@ def _check_cycles(M, k, p):
             raise AssertionError("first k-cycle must be simple")
         for lo in range(a, z, BLOCK):
             w = M[lo : min(lo + BLOCK, z), s : s + c]
-            if any((w[:, d:] == w[:, :-d]).any() for d in range(1, c)):
-                raise AssertionError("first k-cycle must be simple")
+            for d in range(1, c):
+                if (w[:, d:] == w[:, :-d]).any():
+                    raise AssertionError("first k-cycle must be simple")
 
 
 def _distinct_rows(X):
@@ -322,15 +318,16 @@ def _census_of(n):
     slice copies, into a preallocated int8 array, sorted in place by
     _distinct_rows, to see that they are distinct, and dropped: they have up
     to 2n-1 interior labels, too many to pack into an int64.  The psi
-    images, psi(m)[j] = m[j if j < p else j+k], are never stored.  BLOCK
-    rows at a time, one sweep forms each of their n-k-1 interior columns
-    from m and _pack_canonical folds it, relabeled, into an int64 key, which
-    then takes r_m as one more digit in base n-1; the intp temporaries are
-    sized by the block.  The keys are sorted in place, r_m is split off and
-    the groups g start where the key changes.  A canonical g uses the labels 1..max(g),
-    so r_g is its largest digit, or 2 if it has no label >= 3, minus 2.  The
-    weights (n-2)_{r_m} are gathered after the sort, in int64, exact since
-    they sum to at most n^(n-1) < 2^63 for n <= 15, past CENSUS_N_MAX.
+    images, psi(m)[j] = m[j if j < p else j+k], are kept only BLOCK rows at
+    a time: one np.where forms their n-k-1 interior columns from m, and
+    _pack_canonical folds them, relabeled, into an int64 key, which then
+    takes r_m as one more digit in base n-1; the intp temporaries are sized
+    by the block.  The keys are sorted in place, r_m is split off and the
+    groups g start where the key changes.  A canonical g uses the labels
+    1..max(g), so r_g is its largest digit, or 2 if it has no label >= 3,
+    minus 2.  The weights (n-2)_{r_m} are gathered after the sort, in
+    int64, exact since they sum to at most n^(n-1) < 2^63 for n <= 15, past
+    CENSUS_N_MAX.
     Refused, before anything is walked, where a key could pass 2^63, from
     n = 17 on.
     """
@@ -354,8 +351,9 @@ def _census_of(n):
         key = np.empty(len(m), np.int64)
         for lo in range(0, len(m), BLOCK):
             hi = lo + BLOCK
-            psi_columns = (np.where(j < p[lo:hi], m[lo:hi, j], m[lo:hi, j + k])
-                           for j in range(1, n - k))
+            # psi(m)[j] = m[j if j < p else j+k], one interior column j at a time
+            before = np.arange(1, n - k, dtype=np.int8)[:, None] < p[lo:hi]
+            psi_columns = map(np.where, before, m[lo:hi, 1 : n - k].T, m[lo:hi, 1 + k : n].T)
             _pack_canonical(key[lo:hi], psi_columns, n)
             key[lo:hi] *= n - 1
             key[lo:hi] += rm[lo:hi]

@@ -260,8 +260,8 @@ def test_blocks_leave_the_walk_and_census_unchanged(monkeypatch):
 
 def test_walk_and_census_peaks_are_bounded_by_the_walk():
     # at n = 9 the walk's four arrays hold 1.23 MB; in numpy buffers, which
-    # tracemalloc traces, the walk peaks at 2.15 times that and the census
-    # at 1.35 times more, with one block of rows at a time and each class a
+    # tracemalloc traces, the walk peaks at 2.23 times that and the census
+    # at 1.41 times more, with one block of rows at a time and each class a
     # slice of the (k, p)-ordered walk, not a copy
     from nnpoly import paths
 
