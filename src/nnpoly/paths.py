@@ -53,8 +53,8 @@ from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numera
 DEFAULT_CAP = 10**8
 
 # The largest n the census walks.  Its walk has one row per relabeling
-# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.14-0.19 s at a 50 MB peak
-# RSS and R(11) = 3,535,026 take 0.86-0.91 s at 160 MB (certify in a fresh
+# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.12-0.15 s at a 51 MB peak
+# RSS and R(11) = 3,535,026 take 0.76-1.03 s at 161 MB (certify in a fresh
 # Python 3.11 process with numpy 2.4, shared 2-core Linux machine);
 # R(12) = 23,430,839 is refused.
 CENSUS_N_MAX = 11
