@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt, prod
+from operator import index
 
 SQRT_DIGITS = 7  # rational_sqrt_floor keeps at least this many significant digits
 
@@ -55,6 +56,7 @@ def make_f_a(d, a):
 
 def mu(n: int, k: int) -> int:
     """Pre-image bound (n-k+1) * prod_{j=1}^{k-1} (n-j); equals 1 at k = n."""
+    n, k = index(n), index(k)
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 1 <= k <= n:
@@ -109,6 +111,7 @@ class BoundTable:
 def bound_table(n: int, d=None, nu_values=None) -> BoundTable:
     """Per-k caps 4*d_{n-k}*d_{n+k}/c, c = mu(n,k) and, for given nu_values
     (k = 1..n-1), c = nu(n,k) <= mu(n,k); row k = n is the diagonal cap."""
+    n = index(n)
     if n < 2:
         raise ValueError("n must be >= 2")
     if d is None:

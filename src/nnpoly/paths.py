@@ -16,30 +16,29 @@ it by the orbit size, which is exact because every map involved commutes
 with relabeling.
 
 Each path fact is computed once, on arrays.  One breadth-first walk,
-cached per n, holds one path per orbit as a row of an (R, n+1) int8 array,
-with its labels >= 3, its minimal cycle length k and the start p of its
-first k-cycle, carried from each prefix to its children as the walk grows,
-so phi and psi are built at (p, k) and no path is rescanned.  Its last
-level is written straight into (k, p) order, so each class is one slice of
-rows and each p one run inside it, lexicographic inside the run.  It feeds
-the census, computed once per n, whose classes are tallied with sorts and
-sums, the phi images, two slice copies per run, by byte keys and the psi
-images by one int64 key each, packed as they are relabeled, and the
-decomposition check's plan, also cached per n:
-the walk's rows, each with its n edges as int16 indices into the flattened
-matrix, psi(m)'s n-k edges first and its first k-cycle's last, and one
-int16 relabeling table of (n-2)! * n^2 entries, every permutation of 3..n
-in lexicographic order.  The check expands the rows through that table in
-chunks that run across label counts, values psi(m) and the cycle of each
-path as products of its two runs of edge values with exact object-array
-products and keeps no per-path state.  min_cycle_length, first_cycle, phi
-and psi are the per-path references the tests pin the arrays to.
+cached per n, holds one path per orbit as a row of an int8 array with its
+labels >= 3 and, carried from each prefix, its minimal cycle length k and
+the start p of its first k-cycle, so no path is rescanned.  It hands out
+the runs of rows of one (k, p), found once; on a run, phi and psi are
+each two fixed slices of columns.  The walk feeds the census, computed
+once per n, which tallies each class with sorts and sums, the phi images
+by byte keys and the psi images by one int64 key each, packed as they
+are relabeled, and the decomposition check's plan, also cached per n:
+each row's n edges as int16 indices into the flattened matrix, psi(m)'s
+first and its first k-cycle's last, and one int16 relabeling table of
+every permutation of 3..n in lexicographic order.  The check expands
+each class's rows through that table in chunks, values psi(m) and the
+cycle of each path as products of its two runs of edge values with
+exact object-array products and keeps no per-path state.
+min_cycle_length, first_cycle, phi and psi are the per-path references
+the tests pin the arrays to.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -53,10 +52,8 @@ from .linalg import _scaled_ints, exact_powers, is_nonneg, order_of, poly_numera
 DEFAULT_CAP = 10**8
 
 # The largest n the census walks.  Its walk has one row per relabeling
-# orbit of M_n, R(n) rows: R(10) = 562,594 take 0.12-0.15 s at a 51 MB peak
-# RSS and R(11) = 3,535,026 take 0.76-1.03 s at 161 MB (certify in a fresh
-# Python 3.11 process with numpy 2.4, shared 2-core Linux machine);
-# R(12) = 23,430,839 is refused.
+# orbit of M_n, R(n) rows: R(11) = 3,535,026, and R(12) = 23,430,839 is
+# refused.  README gives the measured time and peak RSS at n = 10 and 11.
 CENSUS_N_MAX = 11
 
 
@@ -67,6 +64,7 @@ class EnumerationCapExceeded(Exception):
 def count_monomials(n: int, j: int, cap: int = DEFAULT_CAP) -> int:
     """n^(j-1), the number of paths enumerate_monomials yields, under the
     same guards."""
+    n, j = operator.index(n), operator.index(j)
     if n < 2:
         raise ValueError("n must be >= 2")
     if j < 1:
@@ -162,12 +160,12 @@ BLOCK = 1 << 14  # rows per step of the walk's last level and check and the cens
 
 @functools.cache
 def _cycle_walk(n):
-    """(M, r, k, p) for the canonical paths of the orbits of M_n, cached per
-    n and read-only: row i of the (R, n+1) int8 array M is one path, the rows
-    sorted by (k, p) and lexicographic inside each (k, p) run, so each class
-    k is a run of runs, one per p; r[i] counts its labels >= 3, k[i] is its
-    minimal cycle length and p[i] the start of its leftmost k-cycle, so that
-    (p[i], k[i]) == first_cycle(M[i], k[i]).  All four arrays are int8.
+    """(M, r, classes) for the canonical paths of the orbits of M_n, cached
+    per n and read-only: row i of the (R, n+1) int8 array M is one path and
+    r[i], int8, counts its labels >= 3.  classes maps each k, ascending, to
+    its runs (p, start, stop), p ascending: rows start..stop-1, in
+    lexicographic order, have the minimal cycle length k and their leftmost
+    k-cycle at p, so (p, k) == first_cycle(M[i], k); the runs tile the rows.
 
     Breadth-first: a prefix with r labels >= 3 has the children 1..min(r+3,
     n), which are 1, 2, the labels already used and the next unused one,
@@ -177,10 +175,10 @@ def _cycle_walk(n):
     and only a shorter one replaces k, keeping p the leftmost start; the
     fixed edge into 2 at column n closes the last.  The last level is
     written straight into (k, p) order: a stable argsort of its children's
-    (k, p) keys orders them, and BLOCK rows at a time each child's row is
-    gathered from its parent prefix, with v in column n-1, so M is written
-    once and never permuted; the order and parent indices are int32, as
-    R(n) < 2^31.  _check_cycles then checks the cycle of every row.
+    (k, p) keys orders them, a count of each key gives the runs, and BLOCK
+    rows at a time each child's row is gathered from its parent prefix,
+    with v in column n-1, so M is written once and never permuted.
+    _check_cycles then checks every run.
     """
     M = np.zeros((1, n + 1), np.int8)
     M[:, 0], M[:, n] = 1, 2
@@ -210,11 +208,15 @@ def _cycle_walk(n):
     at[v == 2] = n - 1  # the fixed edge into 2 at column n closes n - at
     shorter = n - at < k
     k[shorter], p[shorter] = n - at[shorter], at[shorter]
-    del at, last
     key = k * np.int16(n + 2) + p  # k <= n + 1 and p <= n
+    del at, last, k, p
     order = np.argsort(key, kind="stable").astype(np.int32)  # R(n) < 2^31
+    classes, start = {}, 0
+    for kp, count in enumerate(np.bincount(key).tolist()):
+        if count:
+            classes.setdefault(kp // (n + 2), []).append((kp % (n + 2), start, start + count))
+            start += count
     del key
-    k, p = k[order], p[order]
     parent = np.repeat(np.arange(len(M), dtype=np.int32), width)
     prefix, prefix_r = M, r
     M, r = np.empty((len(v), n + 1), np.int8), np.empty(len(v), np.int8)
@@ -226,31 +228,30 @@ def _cycle_walk(n):
         M[lo:hi, n - 1] = v[i]
         np.maximum(prefix_r[up], v[i] - 2, out=r[lo:hi])
     del order, v, parent, prefix, prefix_r
-    _check_cycles(M, k, p)
-    for a in (M, r, k, p):
-        a.flags.writeable = False
-    return M, r, k, p
+    _check_cycles(M, classes)
+    for c, runs in classes.items():
+        classes[c] = tuple(runs)
+    M.flags.writeable = r.flags.writeable = False
+    return M, r, MappingProxyType(classes)
 
 
-def _check_cycles(M, k, p):
+def _check_cycles(M, classes):
     """Raise AssertionError unless each row of M repeats a label and has no
-    label twice inside its window M[p:p+k].  A leftmost minimal k-cycle is
-    simple, since a repeat inside it would close a shorter cycle; k > n,
-    the walk's mark for a row that closed no cycle, fails too.  Consecutive
-    rows of one (k, p) are checked together, BLOCK rows at a time: their
-    windows are one slice of columns, and its columns d apart are compared
-    for each d < k."""
+    label twice in its window M[p:p+k], for the (k, p) of its run in
+    classes.  A leftmost minimal k-cycle is simple, since a repeat inside it
+    would close a shorter cycle; k > n, the walk's mark for a row that
+    closed no cycle, fails too.  A run's windows are one slice of columns,
+    checked BLOCK rows at a time by comparing its columns d apart, d < k."""
     n = M.shape[1] - 1
-    cut = (np.flatnonzero((k[1:] != k[:-1]) | (p[1:] != p[:-1])) + 1).tolist()
-    for a, z in zip([0, *cut], [*cut, len(M)]):
-        c, s = int(k[a]), int(p[a])
-        if c > n:
+    for k, runs in classes.items():
+        if k > n:
             raise AssertionError("first k-cycle must be simple")
-        for lo in range(a, z, BLOCK):
-            w = M[lo : min(lo + BLOCK, z), s : s + c]
-            for d in range(1, c):
-                if (w[:, d:] == w[:, :-d]).any():
-                    raise AssertionError("first k-cycle must be simple")
+        for p, a, z in runs:
+            for lo in range(a, z, BLOCK):
+                w = M[lo : min(lo + BLOCK, z), p : p + k]
+                for d in range(1, k):
+                    if (w[:, d:] == w[:, :-d]).any():
+                        raise AssertionError("first k-cycle must be simple")
 
 
 def _distinct_rows(X):
@@ -311,52 +312,50 @@ def _census_of(n):
     """_census without the guards, computed once per n and read-only, since
     every caller shares the one result.
 
-    Each class k is tallied on its rows m of _cycle_walk with array
-    operations, one class at a time; the walk is in (k, p) order, so m is a
-    slice of it, a view and not a copy, and its rows of one p are one run.
-    The phi images, phi(m) = m[:p+k] + m[p:], are written run by run, as two
-    slice copies, into a preallocated int8 array, sorted in place by
-    _distinct_rows, to see that they are distinct, and dropped: they have up
-    to 2n-1 interior labels, too many to pack into an int64.  The psi
-    images, psi(m)[j] = m[j if j < p else j+k], are kept only BLOCK rows at
-    a time: one np.where forms their n-k-1 interior columns from m, and
-    _pack_canonical folds them, relabeled, into an int64 key, which then
-    takes r_m as one more digit in base n-1; the intp temporaries are sized
-    by the block.  The keys are sorted in place, r_m is split off and the
-    groups g start where the key changes.  A canonical g uses the labels
-    1..max(g), so r_g is its largest digit, or 2 if it has no label >= 3,
-    minus 2.  The weights (n-2)_{r_m} are gathered after the sort, in
-    int64, exact since they sum to at most n^(n-1) < 2^63 for n <= 15, past
-    CENSUS_N_MAX.
+    Each class k is tallied on its runs of _cycle_walk with array
+    operations, one class at a time.  On a run of one p, phi(m) = m[:p+k] +
+    m[p:] and psi(m) = m[:p] + m[p+k:] are two slice copies each, into int8
+    arrays.  The phi images are sorted in place by _distinct_rows, to see
+    that they are distinct, and dropped: they have up to 2n-1 interior
+    labels, too many to pack into an int64.  Of the psi images only the n-k-1
+    interior columns are kept, and BLOCK rows at a time _pack_canonical
+    folds them, relabeled, into an int64 key, which then takes r_m as one
+    more digit in base n-1; the intp temporaries are sized by the block.
+    The keys are sorted in place, r_m is split off and the groups g start
+    where the key changes.  A canonical g uses the labels 1..max(g), so r_g
+    is its largest digit, or 2 if it has no label >= 3, minus 2.  The
+    weights (n-2)_{r_m} are gathered after the sort, in int64, exact since
+    they sum to at most n^(n-1) < 2^63 for n <= 15, past CENSUS_N_MAX.
     Refused, before anything is walked, where a key could pass 2^63, from
     n = 17 on.
     """
     if (n + 1) ** (n - 2) * (n - 1) >= 2**63:
         raise OverflowError(f"n = {n}: the census's psi keys would pass 2^63")
-    M, r, ks, ps = _cycle_walk(n)
+    M, r, classes = _cycle_walk(n)
     size = np.array(_orbit_sizes(n), np.int64)
     stats = {}
-    for k in np.flatnonzero(np.bincount(ks)).tolist():
-        # the walk is in class order; int8 bounds, as others would cast ks to their dtype
-        start, stop = np.searchsorted(ks, np.int8([k, k + 1])).tolist()
-        m, p, rm = M[start:stop], ps[start:stop], r[start:stop]
-        X = np.empty((len(m), n + 1 + k), np.int8)
-        # phi(m) = m[:s+k] + m[s:] on the run of rows whose cycle starts at s
-        cut = np.searchsorted(p, np.arange(n - k + 2, dtype=np.int8)).tolist()
-        for s, (a, z) in enumerate(zip(cut, cut[1:])):
-            X[a:z, : s + k] = m[a:z, : s + k]
-            X[a:z, s + k :] = m[a:z, s:]
+    for k, runs in classes.items():
+        start, stop = runs[0][1], runs[-1][2]
+        X = np.empty((stop - start, n + 1 + k), np.int8)  # the phi images
+        Y = np.empty((stop - start, n - k - 1), np.int8)  # the psi images' interiors
+        for p, a, z in runs:
+            m, i = M[a:z], slice(a - start, z - start)
+            X[i, : p + k] = m[:, : p + k]
+            X[i, p + k :] = m[:, p:]
+            # psi(m) = m[:p] + m[p+k:] has the interior m[1:s] + m[s+k:n] for
+            # s = max(p, 1), as m[k] = m[0] = 1 when p = 0
+            s = max(p, 1)
+            Y[i, : s - 1] = m[:, 1:s]
+            Y[i, s - 1 :] = m[:, s + k : n]
         injective = _distinct_rows(X)
         del X
-        key = np.empty(len(m), np.int64)
-        for lo in range(0, len(m), BLOCK):
+        rm, key = r[start:stop], np.empty(len(Y), np.int64)
+        for lo in range(0, len(Y), BLOCK):
             hi = lo + BLOCK
-            # psi(m)[j] = m[j if j < p else j+k], one interior column j at a time
-            before = np.arange(1, n - k, dtype=np.int8)[:, None] < p[lo:hi]
-            psi_columns = map(np.where, before, m[lo:hi, 1 : n - k].T, m[lo:hi, 1 + k : n].T)
-            _pack_canonical(key[lo:hi], psi_columns, n)
+            _pack_canonical(key[lo:hi], Y[lo:hi].T, n)
             key[lo:hi] *= n - 1
             key[lo:hi] += rm[lo:hi]
+        del Y
         key.sort()
         rm = np.empty(len(key), np.int8)
         np.divmod(key, n - 1, out=(key, rm), casting="unsafe")  # in place: no int64 copy
@@ -459,15 +458,15 @@ def _edge_values(b, index):
 
 @functools.cache
 def _decomposition_plan(n):
-    """(k, edges, images, table), cached per n and read-only: the rows of
-    _cycle_walk(n), in its (k, p) order, so that each class k is one run of
-    rows, with their classes k, the walk's own array, and edges and the
-    number images[i] = (n-2)_r of paths that row i, with r labels >= 3,
-    stands for; and the one relabeling table of n.
+    """(classes, edges, images, table), cached per n and read-only: the rows
+    of _cycle_walk(n) with its classes, their edges and the number
+    images[i] = (n-2)_r of paths that row i, with r labels >= 3, stands
+    for; and the one relabeling table of n.
 
     edges[i] holds the n edges s -> t of row i as their indices
     (s-1)*n + (t-1) in B.ravel(), int16: the n-k edges of psi(m) first and
-    the k edges of its first k-cycle last, each part in path order.
+    the k edges of its first k-cycle last, each part in path order, one
+    list of columns for each run of one (k, p).
     table[j, e] is edge e under the j-th permutation of 3..n in
     lexicographic order, an int16 array of (n-2)! * n^2 entries.  Its rows
     at stride (n-2-r)! = (n-2)!/images[i] restrict, on 3..r+2, to the
@@ -475,11 +474,13 @@ def _decomposition_plan(n):
     itertools.permutations order, since lexicographic order groups the
     permutations by their first r entries.
     """
-    M, r, k, p = _cycle_walk(n)
-    # psi(m) keeps the edges j < p and j >= p+k of m, the cycle is p..p+k-1
-    j, kc, pc = np.arange(n, dtype=np.int8), k[:, None], p[:, None]
-    at = np.where(j < n - kc, j + kc * (j >= pc), pc + j - (n - kc))
-    edges = np.take_along_axis((M[:, :-1].astype(np.int16) - 1) * n + M[:, 1:] - 1, at, axis=1)
+    M, r, classes = _cycle_walk(n)
+    walk = (M[:, :-1].astype(np.int16) - 1) * n + M[:, 1:] - 1  # the edges in path order
+    edges = np.empty_like(walk)
+    for k, runs in classes.items():
+        for p, a, z in runs:
+            # psi(m) keeps the edges j < p and j >= p+k of m, the cycle is p..p+k-1
+            edges[a:z] = walk[a:z, [*range(p), *range(p + k, n), *range(p, p + k)]]
     # sigma[j, v-1] + 1 is the image of vertex v under permutation j
     sigma = np.array([(1, 2, *labels) for labels in itertools.permutations(range(3, n + 1))],
                      np.int16) - 1
@@ -487,7 +488,7 @@ def _decomposition_plan(n):
     images = np.array(_orbit_sizes(n), np.int64)[r]
     for a in (edges, images, table):
         a.flags.writeable = False
-    return k, edges, images, table
+    return classes, edges, images, table
 
 
 def _expanded_paths(n):
@@ -496,24 +497,21 @@ def _expanded_paths(n):
     B.ravel() ordered like the plan's edges, and rep[i] the row of
     _decomposition_plan(n) whose representative path i is an image of.
 
-    The rows stand for their images end to end, and each chunk of at most
-    CHUNK consecutive paths, across rows and label counts, is one gather of
-    the relabeling table at each row's edges.  Relabeling commutes with
-    the class k and the first k-cycle, so the images of a row keep its
-    split of edges.  A chunk is cut into its class runs, which are
-    contiguous since the rows are in (k, p) order, k first.
+    The rows stand for their images end to end, so a class's paths, like
+    its rows, are one range, cut into chunks of at most CHUNK paths across
+    rows and label counts, each one gather of the relabeling table at each
+    row's edges.  Relabeling commutes with the class k and the first
+    k-cycle, so the images of a row keep its split of edges.
     """
-    k, edges, images, table = _decomposition_plan(n)
+    classes, edges, images, table = _decomposition_plan(n)
     end = np.cumsum(images)
     first, stride = end - images, len(table) // images
-    for start in range(0, int(end[-1]), CHUNK):
-        i = np.arange(start, min(start + CHUNK, end[-1]))
-        rep = np.searchsorted(end, i, side="right")
-        index = table[((i - first[rep]) * stride[rep])[:, None], edges[rep]]
-        kr = k[rep]
-        cut = [0, *(np.flatnonzero(kr[1:] != kr[:-1]) + 1).tolist(), len(i)]
-        for a, z in zip(cut, cut[1:]):
-            yield int(kr[a]), rep[a:z], index[a:z]
+    for k, runs in classes.items():
+        stop = int(end[runs[-1][2] - 1])
+        for start in range(int(first[runs[0][1]]), stop, CHUNK):
+            i = np.arange(start, min(start + CHUNK, stop))
+            rep = np.searchsorted(end, i, side="right")
+            yield k, rep, table[((i - first[rep]) * stride[rep])[:, None], edges[rep]]
 
 
 def numeric_decomposition_check(n: int, a_sq, A) -> bool:

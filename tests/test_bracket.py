@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import nnpoly.paths as paths_module
@@ -35,6 +36,13 @@ def test_certified_cap_n10_sharpened_n12_falls_back_to_mu_formula():
     # the census walks 562,594 rows at n = 10; n = 12 is past its limit
     assert certified_cap(10) == (F(1, 30240), "nu-sharpened cap (exact pre-image enumeration)")
     assert certified_cap(12) == (safe_a_squared(12), "mu-formula cap")
+
+
+def test_certified_cap_reads_a_numpy_integer_n_as_an_int():
+    # past the census limit, the mu-formula cap, which int64 would wrap negative
+    cap, prov = certified_cap(np.int64(25))
+    assert (cap, prov) == certified_cap(25)
+    assert cap > 0
 
 
 def test_certified_cap_census_sized_n_falls_back_to_mu_formula():

@@ -97,10 +97,11 @@ def dfs_cycle_walk(n):
 
 
 def walk_rows(n):
-    """The array walk as (m, r, k, p) tuples of Python ints."""
-    M, r, k, p = _cycle_walk(n)
-    return [(tuple(row), *rkp) for row, *rkp in
-            zip(M.tolist(), r.tolist(), k.tolist(), p.tolist())]
+    """The array walk as (m, r, k, p) tuples of Python ints, each row with
+    the (k, p) of the run of classes it lies in."""
+    M, r, classes = _cycle_walk(n)
+    kp = [(k, p) for k, runs in classes.items() for p, a, z in runs for _ in range(a, z)]
+    return [(tuple(row), ri, *c) for row, ri, c in zip(M.tolist(), r.tolist(), kp, strict=True)]
 
 
 def brute_census(n):
@@ -202,8 +203,12 @@ GOOD_CYCLE = ([1, 3, 1, 2], 2, 0)
 
 
 def cycle_rows(*rows):
-    """The (M, k, p) int8 arrays of rows given as (row, k, p)."""
-    return tuple(np.array(a, np.int8) for a in zip(*rows))
+    """(M, classes) for rows given as (row, k, p): M their int8 array and
+    classes a run of one row for each."""
+    classes = {}
+    for i, (_, k, p) in enumerate(rows):
+        classes.setdefault(k, []).append((p, i, i + 1))
+    return np.array([row for row, _, _ in rows], np.int8), classes
 
 
 @pytest.mark.parametrize("bad", BAD_CYCLES)
@@ -221,7 +226,7 @@ def test_walk_cycle_check_survives_optimize():
         "from nnpoly.paths import _check_cycles\n"
         f"for row, k, p in {BAD_CYCLES!r}:\n"
         "    try:\n"
-        "        _check_cycles(np.array([row], np.int8), np.int8([k]), np.int8([p]))\n"
+        "        _check_cycles(np.array([row], np.int8), {k: [(p, 0, 1)]})\n"
         "    except AssertionError:\n"
         "        continue\n"
         "    raise SystemExit(f'{row} passed')\n"
@@ -233,13 +238,31 @@ def test_walk_cycle_check_survives_optimize():
 
 
 def test_walk_is_cached_and_read_only():
-    arrays = _cycle_walk(5)
-    assert _cycle_walk(5) is arrays
-    assert arrays[0].dtype == np.int8 and arrays[0].shape[1] == 6
-    assert [a.dtype for a in arrays] == [np.int8] * 4
-    for a in arrays:
+    walk = _cycle_walk(5)
+    assert _cycle_walk(5) is walk
+    M, r, classes = walk
+    assert M.dtype == np.int8 and M.shape[1] == 6
+    assert r.dtype == np.int8
+    for a in (M, r):
         with pytest.raises(ValueError):
             a[0] = 0
+    with pytest.raises(TypeError):
+        classes[1] = ()
+    assert all(type(runs) is tuple for runs in classes.values())
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_walk_runs_tile_the_rows(n):
+    # each run is non-empty, the runs follow one another from row 0 to the
+    # last, in strictly ascending (k, p), and every class k = 1..n-1 has one
+    M, _, classes = _cycle_walk(n)
+    runs = [(k, p, a, z) for k, class_runs in classes.items() for p, a, z in class_runs]
+    assert all(a < z for _, _, a, z in runs)
+    assert [a for _, _, a, _ in runs] == [0] + [z for _, _, _, z in runs[:-1]]
+    assert runs[-1][3] == len(M)
+    keys = [(k, p) for k, p, _, _ in runs]
+    assert keys == sorted(set(keys))
+    assert list(classes) == list(range(1, n))
 
 
 def test_blocks_leave_the_walk_and_census_unchanged(monkeypatch):
@@ -259,10 +282,10 @@ def test_blocks_leave_the_walk_and_census_unchanged(monkeypatch):
 
 
 def test_walk_and_census_peaks_are_bounded_by_the_walk():
-    # at n = 9 the walk's four arrays hold 1.23 MB; in numpy buffers, which
-    # tracemalloc traces, the walk peaks at 2.23 times that and the census
-    # at 1.41 times more, with one block of rows at a time and each class a
-    # slice of the (k, p)-ordered walk, not a copy
+    # in numpy buffers, which tracemalloc traces, the walk and then the
+    # census stay within 2.5 and 1.5 times 13 bytes a row at n = 9, M's 10
+    # and 3 more, with one block of rows at a time and each class a range
+    # of the (k, p)-ordered walk, not a copy
     from nnpoly import paths
 
     paths._cycle_walk.cache_clear()
@@ -277,7 +300,7 @@ def test_walk_and_census_peaks_are_bounded_by_the_walk():
         census_peak = tracemalloc.get_traced_memory()[1] - kept
     finally:
         tracemalloc.stop()
-    size = sum(a.nbytes for a in walk)
+    size = 13 * len(walk[0])
     assert walk_peak <= 2.5 * size
     assert census_peak <= 1.5 * size
 

@@ -117,6 +117,14 @@ def test_mu_out_of_range():
         mu(3, 0)
 
 
+def test_numpy_integer_n_is_read_as_an_int():
+    # computed in numpy's int64, mu(25, 20) and the caps built on it wrap
+    assert mu(np.int64(25), np.int64(20)) == mu(25, 20) == 31022420086661971968000
+    assert type(mu(np.int64(25), 20)) is int
+    assert bound_table(np.int64(25)).rows == bound_table(25).rows
+    assert safe_a_squared(np.int64(25)) == safe_a_squared(25) > 0
+
+
 @pytest.mark.parametrize("n,expected", [(2, F(2)), (3, F(1)), (4, F(1, 3))])
 def test_safe_a_squared(n, expected):
     assert safe_a_squared(n) == expected

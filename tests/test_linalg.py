@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnpoly.linalg import parse_matrix_csv, parse_poly, poly_eval, poly_eval_matrix
-from list_kernels import cyclic_shift, horner, identity, mat_mul, mat_pow, min_entry
+from list_kernels import cyclic_shift, identity, mat_mul, mat_pow, min_entry
 
 F = Fraction
 

@@ -34,7 +34,7 @@ from nnpoly.paths import (
     verify_certificate_on_matrix,
 )
 from list_kernels import mat_pow
-from test_census import dfs_cycle_walk
+from test_census import dfs_cycle_walk, walk_rows
 from test_exact_kernel import decomposition_oracle
 
 F = Fraction
@@ -78,6 +78,11 @@ def test_count_monomials():
         count_monomials(10, 12, cap=10**6)
     with pytest.raises(ValueError):
         count_monomials(1, 3)
+
+
+def test_count_monomials_reads_numpy_integers_as_ints():
+    total = count_monomials(np.int64(3), np.int64(3))
+    assert total == 9 and type(total) is int
 
 
 def test_count_monomials_cap_beyond_printable_power():
@@ -319,7 +324,7 @@ def test_decomposition_plan_matches_oracle(n):
     # path of M_n: each path once, in a run of its class k, its edges read
     # back from their indices in B.ravel(), psi(m)'s first and the k edges
     # of the first minimal cycle at its representative's start p last
-    p = paths_module._cycle_walk(n)[3].tolist()  # the plan's rows are the walk's
+    p = [p for _, _, _, p in walk_rows(n)]  # the plan's rows are the walk's
     got = []
     for k, rep, index in paths_module._expanded_paths(n):
         assert len(rep) == len(index) <= paths_module.CHUNK
